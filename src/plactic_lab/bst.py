@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _freeze, _letter_seq, _tree_ascii, _tree_dot
+from .tableaux import _SearchTree, _freeze, _letter_seq
 
 # Nodes are nested tuples (label, left, right); an empty tree is None.
 
@@ -61,181 +61,20 @@ def _build_left_strict(seq) -> object:
     return _freeze(root)
 
 
-def _count_labels(root) -> dict:
-    counts: dict = {}
-    if root is None:
-        return counts
-    stack = [root]
-    while stack:
-        label, left, right = stack.pop()
-        counts[label] = counts.get(label, 0) + 1
-        if left is not None:
-            stack.append(left)
-        if right is not None:
-            stack.append(right)
-    return counts
-
-
-def _in_order(root) -> list:
-    out = []
-    stack = []
-    node = root
-    while stack or node is not None:
-        while node is not None:
-            stack.append(node)
-            node = node[1]
-        node = stack.pop()
-        out.append(node[0])
-        node = node[2]
-    return out
-
-
-def _preorder(root) -> list:
-    out = []
-    stack = [root] if root else []
-    while stack:
-        label, left, right = stack.pop()
-        out.append(label)
-        if right is not None:
-            stack.append(right)
-        if left is not None:
-            stack.append(left)
-    return out
-
-
-class _SearchTree:
-    """Shared plumbing for the two strict tree flavours."""
-
-    __slots__ = ("root", "_word")
-
-    def __init__(self, root=None, _word=None):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_word", _word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def root_label(self):
-        return None if self.root is None else self.root[0]
-
-    def as_counter(self) -> Counter:
-        return Counter(_count_labels(self.root))
-
-    def node_count(self) -> int:
-        return sum(_count_labels(self.root).values())
-
-    def in_order(self) -> tuple:
-        return tuple(_in_order(self.root))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.root))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.root!r})"
-
-    def to_json_dict(self):
-        def go(node):
-            if node is None:
-                return None
-            label, left, right = node
-            return {"label": label, "left": go(left), "right": go(right)}
-
-        return go(self.root)
-
-    @classmethod
-    def from_json_dict(cls, data):
-        def go(d):
-            if d is None:
-                return None
-            return (d["label"], go(d["left"]), go(d["right"]))
-
-        return cls(go(data))
-
-    def to_dot(self) -> str:
-        return _tree_dot(self.root)
-
-    def render(self) -> str:
-        return _tree_ascii(self.root)
-
-
 class RightStrictBST(_SearchTree):
     """Tree with left subtree <= node < right subtree."""
 
-    def insert(self, a: int) -> "RightStrictBST":
-        def go(node):
-            if node is None:
-                return (a, None, None)
-            label, left, right = node
-            if a > label:
-                return (label, left, go(right))
-            return (label, go(left), right)
-
-        return RightStrictBST(go(self.root))
-
-    def is_valid(self) -> bool:
-        def ok(node, lo, hi):
-            if node is None:
-                return True
-            label, left, right = node
-            if lo is not None and label <= lo:
-                return False
-            if hi is not None and label > hi:
-                return False
-            return ok(left, lo, label) and ok(right, label, hi)
-
-        # left subtree may equal the node, right subtree must exceed it
-        return ok(self.root, None, None)
-
-    def reading_word(self) -> tuple:
-        if self._word is not None:
-            return self._word
-        return tuple(reversed(_preorder(self.root)))
-
-    def __mul__(self, other: "RightStrictBST") -> "RightStrictBST":
-        if not isinstance(other, RightStrictBST):
-            return NotImplemented
-        return p_sylv(self.reading_word() + other.reading_word())
+    __slots__ = ()
+    _EQUAL_LEFT = True
+    _insert = staticmethod(lambda w: p_sylv(w))
 
 
 class LeftStrictBST(_SearchTree):
     """Tree with left subtree < node <= right subtree."""
 
-    def insert(self, a: int) -> "LeftStrictBST":
-        def go(node):
-            if node is None:
-                return (a, None, None)
-            label, left, right = node
-            if a < label:
-                return (label, go(left), right)
-            return (label, left, go(right))
-
-        return LeftStrictBST(go(self.root))
-
-    def is_valid(self) -> bool:
-        def ok(node, lo, hi):
-            if node is None:
-                return True
-            label, left, right = node
-            if lo is not None and label < lo:
-                return False
-            if hi is not None and label >= hi:
-                return False
-            return ok(left, lo, label) and ok(right, label, hi)
-
-        return ok(self.root, None, None)
-
-    def reading_word(self) -> tuple:
-        if self._word is not None:
-            return self._word
-        return tuple(_preorder(self.root))
-
-    def __mul__(self, other: "LeftStrictBST") -> "LeftStrictBST":
-        if not isinstance(other, LeftStrictBST):
-            return NotImplemented
-        return p_sylv_sharp(self.reading_word() + other.reading_word())
+    __slots__ = ()
+    _EQUAL_RIGHT = _FORWARD = True
+    _insert = staticmethod(lambda w: p_sylv_sharp(w))
 
 
 def p_sylv(w) -> RightStrictBST:
@@ -256,10 +95,12 @@ class BaxterObject:
     __slots__ = ("sharp", "plain", "_word")
 
     def __init__(self, sharp: LeftStrictBST, plain: RightStrictBST, _word=None):
-        if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
-            raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
-        if sharp.as_counter() != plain.as_counter():
-            raise ValueError("component trees carry different label multisets")
+        # trees built by p_baxt from one word are consistent by construction
+        if _word is None:
+            if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
+                raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
+            if sharp.as_counter() != plain.as_counter():
+                raise ValueError("component trees carry different label multisets")
         object.__setattr__(self, "sharp", sharp)
         object.__setattr__(self, "plain", plain)
         object.__setattr__(self, "_word", _word)
@@ -292,6 +133,15 @@ class BaxterObject:
 
     def __repr__(self) -> str:
         return f"BaxterObject({self.sharp!r}, {self.plain!r})"
+
+    def render(self) -> str:
+        """Both trees as outlines, each under a heading line."""
+        return (f"left-strict component:\n{self.sharp.render()}\n"
+                f"right-strict component:\n{self.plain.render()}")
+
+    def to_dot(self) -> str:
+        """Two DOT digraphs, the left strict tree first."""
+        return self.sharp.to_dot() + "\n" + self.plain.to_dot()
 
     def to_json_dict(self) -> dict:
         return {"sharp": self.sharp.to_json_dict(), "plain": self.plain.to_json_dict()}

@@ -2,7 +2,7 @@
 
 Exit codes: 0 for positive results (equivalent, identity holds, derivation
 found), 1 for negative ones (not equivalent, counterexample, no derivation),
-2 for usage or parse errors.
+2 for usage or parse errors, and for a derivation that fails its own check.
 """
 from __future__ import annotations
 
@@ -29,13 +29,6 @@ def _family(value: str) -> MonoidFamily:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _emit(data, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(data)
-
-
 def _cmd_object(args) -> int:
     obj = monoids.canonical(args.monoid, Word.letters(args.word))
     if args.format == "json":
@@ -57,24 +50,12 @@ def _cmd_object(args) -> int:
 def _cmd_render(args) -> int:
     obj = monoids.canonical(args.monoid, Word.letters(args.word))
     if args.format == "dot":
-        if hasattr(obj, "to_dot"):
-            print(obj.to_dot())
-            return 0
-        if args.monoid is MonoidFamily.BAXT:
-            print(obj.sharp.to_dot())
-            print(obj.plain.to_dot())
-            return 0
-        print(f"no dot rendering for {args.monoid}", file=sys.stderr)
-        return 2
-    if hasattr(obj, "render"):
-        print(obj.render())
-    elif args.monoid is MonoidFamily.BAXT:
-        print("left-strict component:")
-        print(obj.sharp.render())
-        print("right-strict component:")
-        print(obj.plain.render())
+        if not hasattr(obj, "to_dot"):
+            print(f"no dot rendering for {args.monoid}", file=sys.stderr)
+            return 2
+        print(obj.to_dot())
     else:
-        print(repr(obj))
+        print(obj.render() if hasattr(obj, "render") else repr(obj))
     return 0
 
 
@@ -180,7 +161,8 @@ def _cmd_derive(args) -> int:
             return 1
         sigma = identities.basis(args.monoid)
         steps = identities.derivation_certificate(args.monoid, ident)
-    assert identities.verify_derivation(sigma, steps)
+    if not identities.verify_derivation(sigma, steps):
+        raise identities.DerivationError("derivation failed verification")
     if args.format == "json":
         print(json.dumps(identities.derivation_to_json(steps), indent=2))
     else:
@@ -255,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, identities.DerivationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

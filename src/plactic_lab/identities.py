@@ -1,11 +1,15 @@
 """Identity checking: exact decisions, normal forms, oracles, derivations.
 
-Each insertion family has a finite identity basis, a word-statistics
-characterization of the identities it satisfies, and a normal form for
+Each of the eight families has one row in _THEORIES: its finite identity
+basis, the word statistics that decide satisfaction (an identity holds
+exactly when both sides agree on every statistic), a normal form for
 variable words such that an identity holds exactly when both sides have the
-same normal form.  Decisions are independent of the brute force oracle, which
-substitutes letter words for variables and compares canonical objects; the
-two are cross-validated in the test suite.
+same normal form, and the rewriting that derives that normal form with basis
+rules only.  The three reference monoids l21, r21 and free1 have statistics
+but no basis, normal form or derivation.  Decisions are independent of the
+brute force oracle, which substitutes letter words for variables and
+compares the raw keys of monoids._FAMILIES; the two are cross-validated in
+the test suite.
 
 Derivation steps apply one basis rule inside a context.  Step endomorphisms
 may assign the empty word to a rule variable (substituting the unit element);
@@ -21,17 +25,28 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .monoids import (
     MonoidFamily,
     RankViolationError,
     UnboundVariableError,
-    _canonical_seq,
+    _family,
+    _lookup,
     alphabet_cap,
     canonical,
+    check_rank,
 )
-from .words import Identity, Word, fp, ip
+from .words import (
+    Identity,
+    Word,
+    _after_table,
+    _before_table,
+    _first_last_positions,
+    _mix_positions,
+    fp,
+    ip,
+)
 
 LTR = "ltr"
 RTL = "rtl"
@@ -41,63 +56,29 @@ class DecisionMismatchError(RuntimeError):
     """The escalating counterexample search ran out of budget."""
 
 
+class DerivationError(RuntimeError):
+    """A derivation failed its own check; this is a bug, not a negative answer."""
+
+
 def _rules(text_pairs) -> tuple:
     return tuple(Identity.parse(t) for t in text_pairs)
 
 
-_GATHER_BASIS = _rules(["xyx = yxx"])
-_SYLV_BASIS = _rules(["xysxty = yxsxty"])
-_SYLV_SHARP_BASIS = _rules(["ytxsyx = ytxsxy"])
-_BAXT_BASIS = _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"])
+def _theory(family: MonoidFamily, part: str):
+    """One part of the family's row in _THEORIES (defined below)."""
+    value = getattr(_lookup(_THEORIES, family), part)
+    if value is None:
+        raise ValueError(f"no {part.replace('_', ' ')} registered for {family}")
+    return value
 
 
 def basis(family: MonoidFamily) -> tuple:
     """The finite identity basis of an insertion family."""
-    if family in (MonoidFamily.STAL, MonoidFamily.TAIG):
-        return _GATHER_BASIS
-    if family is MonoidFamily.SYLV:
-        return _SYLV_BASIS
-    if family is MonoidFamily.SYLV_SHARP:
-        return _SYLV_SHARP_BASIS
-    if family is MonoidFamily.BAXT:
-        return _BAXT_BASIS
-    raise ValueError(f"no identity basis registered for {family}")
+    return _theory(family, "basis")
 
 
 # ---------------------------------------------------------------------------
 # exact decision
-
-
-def _last_positions(syms: tuple) -> dict:
-    out = {}
-    for i, s in enumerate(syms):
-        out[s] = i
-    return out
-
-
-def _first_positions(syms: tuple) -> dict:
-    out = {}
-    for i, s in enumerate(syms):
-        if s not in out:
-            out[s] = i
-    return out
-
-
-def _after_tables_agree(u: tuple, v: tuple) -> bool:
-    """Same counts strictly after the last anchor, for every anchor symbol."""
-    lu, lv = _last_positions(u), _last_positions(v)
-    for y, pu in lu.items():
-        if Counter(u[pu + 1 :]) != Counter(v[lv[y] + 1 :]):
-            return False
-    return True
-
-
-def _before_tables_agree(u: tuple, v: tuple) -> bool:
-    fu, fv = _first_positions(u), _first_positions(v)
-    for y, pu in fu.items():
-        if Counter(u[:pu]) != Counter(v[: fv[y]]):
-            return False
-    return True
 
 
 def satisfies(family: MonoidFamily, ident: Identity) -> bool:
@@ -108,28 +89,7 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
     combination appropriate to the family.
     """
     u, v = ident.lhs.symbols, ident.rhs.symbols
-    if family is MonoidFamily.LEFT_ZERO:
-        return ip(u) == ip(v)
-    if family is MonoidFamily.RIGHT_ZERO:
-        return fp(u) == fp(v)
-    if family is MonoidFamily.FREE_MONOGENIC:
-        return Counter(u) == Counter(v)
-    if Counter(u) != Counter(v):
-        return False
-    if family in (MonoidFamily.STAL, MonoidFamily.TAIG):
-        return fp(u) == fp(v)
-    if family is MonoidFamily.SYLV:
-        return fp(u) == fp(v) and _after_tables_agree(u, v)
-    if family is MonoidFamily.SYLV_SHARP:
-        return ip(u) == ip(v) and _before_tables_agree(u, v)
-    if family is MonoidFamily.BAXT:
-        return (
-            ip(u) == ip(v)
-            and fp(u) == fp(v)
-            and _after_tables_agree(u, v)
-            and _before_tables_agree(u, v)
-        )
-    raise ValueError(f"unknown family {family!r}")
+    return all(stat(u) == stat(v) for stat in _lookup(_THEORIES, family).stats)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +108,8 @@ def _nf_sylv(syms: tuple) -> tuple:
     if not syms:
         return ()
     counts = Counter(syms)
-    last = _last_positions(syms)
     order = list(fp(syms))
-    after = {y: Counter(syms[last[y] + 1 :]) for y in order}
+    after = _after_table(syms)
     out = []
     m = len(order)
     for i, xi in enumerate(order):
@@ -158,25 +117,20 @@ def _nf_sylv(syms: tuple) -> tuple:
         for j in range(i + 1, m):
             xj = order[j]
             if i == 0:
-                g = counts[xj] - after[order[0]][xj]
+                g = counts[xj] - after[order[0]].get(xj, 0)
             else:
-                g = after[order[i - 1]][xj] - after[xi][xj]
+                g = after[order[i - 1]].get(xj, 0) - after[xi].get(xj, 0)
             out.extend([xj] * g)
-        e = counts[xi] if i == 0 else after[order[i - 1]][xi]
+        e = counts[xi] if i == 0 else after[order[i - 1]].get(xi, 0)
         out.extend([xi] * e)
     return tuple(out)
 
 
 def _nf_baxt(syms: tuple) -> tuple:
-    if not syms:
-        return ()
-    first = _first_positions(syms)
-    last = _last_positions(syms)
     ipidx = {s: k for k, s in enumerate(ip(syms))}
-    keep = sorted(set(first.values()) | set(last.values()))
     out = []
     prev = -1
-    for pos in keep:
+    for pos in sorted(_mix_positions(syms)):
         out.extend(sorted(syms[prev + 1 : pos], key=ipidx.__getitem__))
         out.append(syms[pos])
         prev = pos
@@ -186,29 +140,28 @@ def _nf_baxt(syms: tuple) -> tuple:
 def normal_form(family: MonoidFamily, w: Word) -> Word:
     """Canonical representative of w's class; equal exactly for equivalent words."""
     syms = w.symbols if isinstance(w, Word) else tuple(w)
-    if family in (MonoidFamily.STAL, MonoidFamily.TAIG):
-        return Word(_nf_gather(syms))
-    if family is MonoidFamily.SYLV:
-        return Word(_nf_sylv(syms))
-    if family is MonoidFamily.SYLV_SHARP:
-        return Word(_nf_sylv(syms[::-1])[::-1])
-    if family is MonoidFamily.BAXT:
-        return Word(_nf_baxt(syms))
-    raise ValueError(f"no normal form registered for {family}")
+    return Word(_theory(family, "normal_form")(syms))
 
 
 # ---------------------------------------------------------------------------
 # substitution and brute force oracle
 
 
+def _substitute(images: Mapping, syms: tuple) -> tuple:
+    """Concatenate the images of the variables in syms."""
+    out = []
+    for name in syms:
+        out.extend(images[name])
+    return tuple(out)
+
+
 def apply_substitution(sub: Mapping[str, Word], w: Word) -> Word:
     """Replace each variable of w by its image; images are letter words."""
-    out = []
-    for name in w.symbols:
-        if name not in sub:
-            raise UnboundVariableError(f"variable {name!r} has no image")
-        out.extend(sub[name].symbols)
-    return Word(out)
+    images = {name: img.symbols for name, img in sub.items()}
+    try:
+        return Word(_substitute(images, w.symbols))
+    except KeyError as exc:
+        raise UnboundVariableError(f"variable {exc.args[0]!r} has no image") from None
 
 
 @dataclass(frozen=True)
@@ -251,27 +204,12 @@ def _image_candidates(rank: int, max_len: int) -> list:
     return out
 
 
-def _instantiate(images: Mapping[str, tuple], syms: tuple) -> tuple:
-    out = []
-    for name in syms:
-        out.extend(images[name])
-    return tuple(out)
-
-
-def _check_rank_arg(family: MonoidFamily, rank: int) -> None:
-    if rank < 1:
-        raise RankViolationError(f"rank must be >= 1, got {rank}")
-    cap = alphabet_cap(family)
-    if cap is not None and rank > cap:
-        raise RankViolationError(f"{family} admits rank at most {cap}")
-
-
 def _counterexample(family, ident, images: dict) -> CounterExample:
     sub = {name: Word(img) for name, img in images.items()}
     return CounterExample(
         substitution=sub,
-        lhs_object=canonical(family, _instantiate(images, ident.lhs.symbols)),
-        rhs_object=canonical(family, _instantiate(images, ident.rhs.symbols)),
+        lhs_object=canonical(family, _substitute(images, ident.lhs.symbols)),
+        rhs_object=canonical(family, _substitute(images, ident.rhs.symbols)),
     )
 
 
@@ -283,7 +221,7 @@ def _workers_from_env() -> int:
         return 1
 
 
-def _scan_range(family, ident, names, cands, start, stop):
+def _scan_range(key, ident, names, cands, start, stop):
     """Scan substitutions with first-variable candidate index in [start, stop)."""
     lhs, rhs = ident.lhs.symbols, ident.rhs.symbols
     rest = len(names) - 1
@@ -291,20 +229,18 @@ def _scan_range(family, ident, names, cands, start, stop):
         head = cands[i]
         for tail in itertools.product(cands, repeat=rest):
             images = dict(zip(names, (head,) + tail))
-            left = _canonical_seq(family, _instantiate(images, lhs))
-            right = _canonical_seq(family, _instantiate(images, rhs))
-            if left != right:
+            if key(_substitute(images, lhs)) != key(_substitute(images, rhs)):
                 return images
     return None
 
 
 def _scan_chunk(args):
     family_value, ident_text, rank, max_len, start, stop = args
-    family = MonoidFamily.parse(family_value)
+    key = _family(MonoidFamily.parse(family_value)).key
     ident = Identity.parse(ident_text)
     names = ident.variables()
     cands = _image_candidates(rank, max_len)
-    return _scan_range(family, ident, names, cands, start, stop)
+    return _scan_range(key, ident, names, cands, start, stop)
 
 
 def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
@@ -315,7 +251,11 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     seeded stream.  PLACTIC_LAB_THREADS > 1 splits the exhaustive scan over
     worker processes (same verdict, earliest counterexample).
     """
-    _check_rank_arg(family, rank)
+    row = _family(family)
+    check_rank((), rank)  # rank >= 1
+    if row.cap is not None and rank > row.cap:
+        raise RankViolationError(f"{family} admits rank at most {row.cap}")
+    key = row.key
     names = ident.variables()
     if isinstance(mode, Exhaustive):
         cands = _image_candidates(rank, mode.max_len)
@@ -328,7 +268,7 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
         if workers > 1 and len(cands) >= workers:
             images = _scan_parallel(family, ident, rank, mode.max_len, cands, workers)
         else:
-            images = _scan_range(family, ident, names, cands, 0, len(cands))
+            images = _scan_range(key, ident, names, cands, 0, len(cands))
         if images is None:
             return HoldsWithinBound(checked=len(cands) ** len(names))
         return _counterexample(family, ident, images)
@@ -342,9 +282,7 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
                 )
                 for name in names
             }
-            if _canonical_seq(family, _instantiate(images, lhs)) != _canonical_seq(
-                family, _instantiate(images, rhs)
-            ):
+            if key(_substitute(images, lhs)) != key(_substitute(images, rhs)):
                 return _counterexample(family, ident, images)
         return HoldsWithinBound(checked=mode.trials)
     raise TypeError(f"unknown oracle mode {mode!r}")
@@ -380,11 +318,11 @@ def verdict_to_json(verdict) -> dict:
 def find_counterexample(family: MonoidFamily, ident: Identity, cap: int = 6) -> dict:
     """Search with growing image length for a substitution separating the sides.
 
-    Uses rank 2 (rank 1 for the one-generator family, whose alphabet is {1}).
+    Uses rank 2, or the family's alphabet cap when that is smaller.
     Raises DecisionMismatchError if nothing is found up to image length cap;
     that would mean the exact decision and the oracle disagree.
     """
-    rank = 1 if family is MonoidFamily.FREE_MONOGENIC else 2
+    rank = min(2, alphabet_cap(family) or 2)
     for max_len in range(1, cap + 1):
         verdict = oracle(family, rank, ident, Exhaustive(max_len))
         if isinstance(verdict, CounterExample):
@@ -415,13 +353,6 @@ class DerivationStep:
     endo: dict = field(compare=True)
 
 
-def _endo_concat(endo: Mapping[str, Word], syms: tuple) -> Word:
-    out = []
-    for name in syms:
-        out.extend(endo[name].symbols)
-    return Word(out)
-
-
 def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep],
                       require_nonempty_images: bool = False) -> bool:
     """Recompute every step from its parts and check the chain links up."""
@@ -441,9 +372,10 @@ def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep]
             return False
         if require_nonempty_images and any(not st.endo[v] for v in needed):
             return False
+        images = {name: img.symbols for name, img in st.endo.items()}
         try:
-            before = st.prefix + _endo_concat(st.endo, src.symbols) + st.suffix
-            after = st.prefix + _endo_concat(st.endo, dst.symbols) + st.suffix
+            before = st.prefix + Word(_substitute(images, src.symbols)) + st.suffix
+            after = st.prefix + Word(_substitute(images, dst.symbols)) + st.suffix
         except ValueError:
             return False
         if st.before != before or st.after != after:
@@ -472,10 +404,6 @@ def invert_steps(steps: Sequence[DerivationStep]) -> list:
     return out
 
 
-def _word_of(syms) -> Word:
-    return Word(tuple(syms))
-
-
 def _gather_steps(w: Word) -> list:
     """Drive a word to the gathered form using xyx = yxx only.
 
@@ -499,23 +427,55 @@ def _gather_steps(w: Word) -> list:
             i = positions[-run - 1]
             j = positions[-run]
             gap = syms[i + 1 : j]
-            before = _word_of(syms)
-            prefix = _word_of(syms[:i])
-            suffix = _word_of(syms[j + 1 :])
+            before = Word(syms)
+            prefix = Word(syms[:i])
+            suffix = Word(syms[j + 1 :])
             syms[i : j + 1] = gap + [z, z]
             steps.append(
                 DerivationStep(
                     before=before,
-                    after=_word_of(syms),
+                    after=Word(syms),
                     rule_index=0,
                     direction=LTR,
                     prefix=prefix,
                     suffix=suffix,
-                    endo={"x": Word((z,)), "y": _word_of(gap)},
+                    endo={"x": Word((z,)), "y": Word(gap)},
                 )
             )
             positions = [i for i in range(boundary) if syms[i] == z]
         boundary -= len(positions)
+    return steps
+
+
+def _swap_step(syms: list, p: int, start: int, stop: int, rule_index: int,
+               direction: str, endo: dict) -> DerivationStep:
+    """Swap syms[p] and syms[p + 1] in place: one rule applied to syms[start:stop]."""
+    before = Word(syms)
+    syms[p], syms[p + 1] = syms[p + 1], syms[p]
+    return DerivationStep(before=before, after=Word(syms), rule_index=rule_index,
+                          direction=direction, prefix=Word(syms[:start]),
+                          suffix=Word(syms[stop:]), endo=endo)
+
+
+def _sort_stretches(syms: list, bounds, rank_at, swap) -> list:
+    """Bubble sort, in place, each stretch strictly between consecutive bounds.
+
+    rank_at(pos) is the sort key of the stretch that ends at pos; swap(p)
+    exchanges syms[p] and syms[p + 1] and returns the step that does it.
+    """
+    steps = []
+    prev = -1
+    for pos in bounds:
+        rank = rank_at(pos)
+        changed = True
+        while changed:
+            changed = False
+            for p in range(prev + 1, pos - 1):
+                a, c = syms[p], syms[p + 1]
+                if a != c and rank(a) > rank(c):
+                    steps.append(swap(p))
+                    changed = True
+        prev = pos
     return steps
 
 
@@ -536,50 +496,27 @@ def _sylv_swap(syms: list, p: int, last: Mapping) -> DerivationStep:
     endo = {
         "x": Word((ex,)),
         "y": Word((ey,)),
-        "s": _word_of(syms[p + 2 : q]),
-        "t": _word_of(syms[q + 1 : r]),
+        "s": Word(syms[p + 2 : q]),
+        "t": Word(syms[q + 1 : r]),
     }
-    before = _word_of(syms)
-    prefix = _word_of(syms[:p])
-    suffix = _word_of(syms[r + 1 :])
-    syms[p], syms[p + 1] = b, a
-    return DerivationStep(
-        before=before,
-        after=_word_of(syms),
-        rule_index=0,
-        direction=direction,
-        prefix=prefix,
-        suffix=suffix,
-        endo=endo,
-    )
+    return _swap_step(syms, p, p, r + 1, 0, direction, endo)
 
 
 def _sylv_steps(w: Word) -> list:
     """Sort each stretch between last occurrences, emitting one step per swap."""
     syms = list(w.symbols)
-    last = _last_positions(tuple(syms))
-    order = list(fp(tuple(syms)))
-    fpidx = {s: k for k, s in enumerate(order)}
-    big = len(order)
-    steps = []
-    prev_b = -1
-    for bpos in sorted(last.values()):
-        xk = syms[bpos]
+    _, last = _first_last_positions(w.symbols)
+    fpidx = {s: k for k, s in enumerate(fp(w.symbols))}
 
-        def key(c):
-            return big if c == xk else fpidx[c]
+    def rank_at(pos):
+        # the letter whose last occurrence ends the stretch sorts after the rest
+        xk = syms[pos]
+        return lambda c: len(fpidx) if c == xk else fpidx[c]
 
-        changed = True
-        while changed:
-            changed = False
-            for p in range(prev_b + 1, bpos - 1):
-                a, c = syms[p], syms[p + 1]
-                if a == c or key(a) <= key(c):
-                    continue
-                steps.append(_sylv_swap(syms, p, last))
-                changed = True
-        prev_b = bpos
-    assert tuple(syms) == _nf_sylv(w.symbols), "sorting must land on the normal form"
+    steps = _sort_stretches(syms, sorted(last.values()), rank_at,
+                            lambda p: _sylv_swap(syms, p, last))
+    if tuple(syms) != _nf_sylv(w.symbols):
+        raise DerivationError("sorting did not land on the sylvester normal form")
     return steps
 
 
@@ -624,47 +561,24 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> DerivationS
     endo = {
         "x": Word((ex,)),
         "y": Word((ey,)),
-        "s": _word_of(syms[i1 + 1 : i2]),
-        "t": _word_of(syms[i2 + 1 : p]),
-        "h": _word_of(syms[p + 2 : j1]),
-        "k": _word_of(syms[j1 + 1 : j2]),
+        "s": Word(syms[i1 + 1 : i2]),
+        "t": Word(syms[i2 + 1 : p]),
+        "h": Word(syms[p + 2 : j1]),
+        "k": Word(syms[j1 + 1 : j2]),
     }
-    before = _word_of(syms)
-    prefix = _word_of(syms[:i1])
-    suffix = _word_of(syms[j2 + 1 :])
-    syms[p], syms[p + 1] = b, a
-    return DerivationStep(
-        before=before,
-        after=_word_of(syms),
-        rule_index=ri,
-        direction=direction,
-        prefix=prefix,
-        suffix=suffix,
-        endo=endo,
-    )
+    return _swap_step(syms, p, i1, j2 + 1, ri, direction, endo)
 
 
 def _baxt_steps(w: Word) -> list:
     """Sort the letters strictly between first/last occurrences into ip order."""
     syms = list(w.symbols)
-    first = _first_positions(tuple(syms))
-    last = _last_positions(tuple(syms))
-    ipidx = {s: k for k, s in enumerate(ip(tuple(syms)))}
-    keep = sorted(set(first.values()) | set(last.values()))
-    steps = []
-    prev = -1
-    for pos in keep:
-        changed = True
-        while changed:
-            changed = False
-            for p in range(prev + 1, pos - 1):
-                a, c = syms[p], syms[p + 1]
-                if a == c or ipidx[a] <= ipidx[c]:
-                    continue
-                steps.append(_baxt_swap(syms, p, first, last))
-                changed = True
-        prev = pos
-    assert tuple(syms) == _nf_baxt(w.symbols), "sorting must land on the normal form"
+    first, last = _first_last_positions(w.symbols)
+    ipidx = {s: k for k, s in enumerate(ip(w.symbols))}
+    keep = sorted({*first.values(), *last.values()})
+    steps = _sort_stretches(syms, keep, lambda pos: ipidx.__getitem__,
+                            lambda p: _baxt_swap(syms, p, first, last))
+    if tuple(syms) != _nf_baxt(w.symbols):
+        raise DerivationError("sorting did not land on the Baxter normal form")
     return steps
 
 
@@ -673,15 +587,33 @@ def normalize_derivation(family: MonoidFamily, w: Word) -> list:
 
     Returns the empty list when w is already normal.
     """
-    if family in (MonoidFamily.STAL, MonoidFamily.TAIG):
-        return _gather_steps(w)
-    if family is MonoidFamily.SYLV:
-        return _sylv_steps(w)
-    if family is MonoidFamily.SYLV_SHARP:
-        return _mirror_steps(_sylv_steps(w.reverse()))
-    if family is MonoidFamily.BAXT:
-        return _baxt_steps(w)
-    raise ValueError(f"no normal form derivation for {family}")
+    return _theory(family, "derivation")(w)
+
+
+class _Theory(NamedTuple):
+    basis: Optional[tuple]
+    stats: tuple                     # an identity holds iff its sides agree on each
+    normal_form: Optional[Callable]  # symbol tuple -> symbol tuple
+    derivation: Optional[Callable]   # Word -> steps to its normal form
+
+
+_GATHER = _Theory(_rules(["xyx = yxx"]), (Counter, fp), _nf_gather, _gather_steps)
+_THEORIES = {
+    MonoidFamily.STAL: _GATHER,
+    MonoidFamily.TAIG: _GATHER,
+    MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), (Counter, fp, _after_table),
+                               _nf_sylv, _sylv_steps),
+    MonoidFamily.SYLV_SHARP: _Theory(
+        _rules(["ytxsyx = ytxsxy"]), (Counter, ip, _before_table),
+        lambda syms: _nf_sylv(syms[::-1])[::-1],
+        lambda w: _mirror_steps(_sylv_steps(w.reverse()))),
+    MonoidFamily.BAXT: _Theory(
+        _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]),
+        (Counter, ip, fp, _after_table, _before_table), _nf_baxt, _baxt_steps),
+    MonoidFamily.LEFT_ZERO: _Theory(None, (ip,), None, None),
+    MonoidFamily.RIGHT_ZERO: _Theory(None, (fp,), None, None),
+    MonoidFamily.FREE_MONOGENIC: _Theory(None, (Counter,), None, None),
+}
 
 
 def derivation_certificate(family: MonoidFamily, ident: Identity) -> list:
@@ -740,7 +672,7 @@ def _neighbors(word: Word, sigma: Sequence[Identity], max_word_len: int) -> list
                 for end in range(start + plen, n + 1):
                     for images in _match_pattern(src.symbols, syms[start:end]):
                         replaced = (
-                            syms[:start] + _instantiate(images, dst.symbols) + syms[end:]
+                            syms[:start] + _substitute(images, dst.symbols) + syms[end:]
                         )
                         if len(replaced) > max_word_len:
                             continue

@@ -1,18 +1,24 @@
 """Monoid families, canonical objects, and small finite monoids.
 
-The five insertion families share one interface: canonical(family, word)
-returns a hashable object such that two words are equivalent exactly when
-their objects are equal.  Three reference monoids complete the list: the
+Each of the eight families is described once, by its row in _FAMILIES: the
+raw key builder, the object builder and the alphabet cap.  The key builder
+maps a letter tuple to a plain hashable value that is equal exactly for
+equivalent words; equivalent() and the oracle compare keys.  The object
+builder returns the public canonical object that canonical() hands out: a
+tableau or tree for the five insertion families, the element of a finite
+monoid, or an exponent.  The cap is the largest letter the family admits.
+
+Besides the five insertion families there are three reference monoids: the
 two three-element monoids obtained by adjoining a unit to the left zero and
 right zero semigroups on {a, b}, and the free monoid on one generator.
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import bst, tableaux
-from .words import Word, _symbols
+from .words import _symbols
 
 
 class RankViolationError(ValueError):
@@ -40,34 +46,8 @@ class MonoidFamily(enum.Enum):
                 return fam
         raise ValueError(f"unknown monoid family {name!r}")
 
-    @property
-    def is_insertion_family(self) -> bool:
-        return self in _INSERTION_FAMILIES
-
     def __str__(self) -> str:
         return self.value
-
-
-_INSERTION_FAMILIES = frozenset(
-    {
-        MonoidFamily.STAL,
-        MonoidFamily.TAIG,
-        MonoidFamily.SYLV,
-        MonoidFamily.SYLV_SHARP,
-        MonoidFamily.BAXT,
-    }
-)
-
-# Alphabet caps for the non-insertion families; None means any letters.
-_ALPHABET_CAP = {
-    MonoidFamily.LEFT_ZERO: 2,
-    MonoidFamily.RIGHT_ZERO: 2,
-    MonoidFamily.FREE_MONOGENIC: 1,
-}
-
-
-def alphabet_cap(family: MonoidFamily):
-    return _ALPHABET_CAP.get(family)
 
 
 def check_rank(w, rank: int) -> None:
@@ -154,43 +134,57 @@ def eval_in_finite(monoid: FiniteMonoid, w, assignment: Mapping[str, str]) -> st
     return monoid.fold(values)
 
 
-def _canonical_seq(family: MonoidFamily, seq: tuple):
-    """Canonical object from a raw letter tuple; fast path for search loops."""
-    if family is MonoidFamily.STAL:
-        return p_stal_columns(seq)
-    if family is MonoidFamily.TAIG:
-        return tableaux._taiga_build(reversed(seq))
-    if family is MonoidFamily.SYLV:
-        return bst._build_right_strict(reversed(seq))
-    if family is MonoidFamily.SYLV_SHARP:
-        return bst._build_left_strict(seq)
-    if family is MonoidFamily.BAXT:
-        return (bst._build_left_strict(seq), bst._build_right_strict(reversed(seq)))
-    if family is MonoidFamily.FREE_MONOGENIC:
-        for s in seq:
-            if s != 1:
-                raise RankViolationError("free1 words use the single letter 1")
-        return len(seq)
-    if family in (MonoidFamily.LEFT_ZERO, MonoidFamily.RIGHT_ZERO):
-        for s in seq:
-            if s not in _GENERATORS:
-                raise RankViolationError(f"{family} words use letters 1 and 2 only")
-        monoid = L21 if family is MonoidFamily.LEFT_ZERO else R21
-        return monoid.fold(_GENERATORS[s] for s in seq)
-    raise ValueError(f"unknown family {family!r}")
+def _fold_in(monoid: FiniteMonoid) -> Callable:
+    return lambda seq: monoid.fold(_GENERATORS[s] for s in seq)
 
 
-def p_stal_columns(seq: tuple) -> tuple:
-    counts: dict = {}
-    order = []
-    for a in reversed(seq):
-        if a in counts:
-            counts[a] += 1
-        else:
-            counts[a] = 1
-            order.append(a)
-    order.reverse()
-    return tuple((a, counts[a]) for a in order)
+class _Family(NamedTuple):
+    key: Callable       # letter tuple -> hashable value, equal exactly for equivalent words
+    obj: Callable       # letter tuple -> public canonical object
+    cap: Optional[int]  # largest letter admitted; None means any
+
+
+# The object builders look the insertion functions up at call time, so that
+# code which wraps tableaux.p_* or bst.p_* (tracing, say) sees every call.
+_FAMILIES = {
+    MonoidFamily.STAL: _Family(tableaux._stal_columns, lambda seq: tableaux.p_stal(seq), None),
+    MonoidFamily.TAIG: _Family(lambda seq: tableaux._taiga_build(reversed(seq)),
+                               lambda seq: tableaux.p_taig(seq), None),
+    MonoidFamily.SYLV: _Family(lambda seq: bst._build_right_strict(reversed(seq)),
+                               lambda seq: bst.p_sylv(seq), None),
+    MonoidFamily.SYLV_SHARP: _Family(bst._build_left_strict,
+                                     lambda seq: bst.p_sylv_sharp(seq), None),
+    MonoidFamily.BAXT: _Family(
+        lambda seq: (bst._build_left_strict(seq), bst._build_right_strict(reversed(seq))),
+        lambda seq: bst.p_baxt(seq), None),
+    MonoidFamily.LEFT_ZERO: _Family(_fold_in(L21), _fold_in(L21), 2),
+    MonoidFamily.RIGHT_ZERO: _Family(_fold_in(R21), _fold_in(R21), 2),
+    MonoidFamily.FREE_MONOGENIC: _Family(len, len, 1),
+}
+
+
+def _lookup(table: Mapping, family):
+    """The table's row for a family; a miss raises ValueError."""
+    try:
+        return table[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+
+
+def _family(family: MonoidFamily) -> _Family:
+    return _lookup(_FAMILIES, family)
+
+
+def alphabet_cap(family: MonoidFamily) -> Optional[int]:
+    """Largest letter the family admits; None means any."""
+    return _family(family).cap
+
+
+def _letters(row: _Family, w) -> tuple:
+    seq = tableaux._letter_seq(w)
+    if row.cap is not None:
+        check_rank(seq, row.cap)
+    return seq
 
 
 def canonical(family: MonoidFamily, w):
@@ -199,22 +193,11 @@ def canonical(family: MonoidFamily, w):
     Insertion families return their tableau/tree objects; free1 returns the
     exponent of the single generator; l21/r21 return the monoid element.
     """
-    seq = tableaux._letter_seq(w)
-    if family is MonoidFamily.STAL:
-        return tableaux.p_stal(seq)
-    if family is MonoidFamily.TAIG:
-        return tableaux.p_taig(seq)
-    if family is MonoidFamily.SYLV:
-        return bst.p_sylv(seq)
-    if family is MonoidFamily.SYLV_SHARP:
-        return bst.p_sylv_sharp(seq)
-    if family is MonoidFamily.BAXT:
-        return bst.p_baxt(seq)
-    return _canonical_seq(family, seq)
+    row = _family(family)
+    return row.obj(_letters(row, w))
 
 
 def equivalent(family: MonoidFamily, u, v) -> bool:
     """Do u and v define the same element, i.e. the same canonical object?"""
-    return _canonical_seq(family, tableaux._letter_seq(u)) == _canonical_seq(
-        family, tableaux._letter_seq(v)
-    )
+    row = _family(family)
+    return row.key(_letters(row, u)) == row.key(_letters(row, v))

@@ -5,6 +5,11 @@ they differ in how the distinct letters are arranged.  A stalactic tableau is
 a row of columns (new letters enter on the left, so the top row ends up being
 the fp skeleton of the word).  A taiga tree is a binary search tree over the
 distinct letters, each node carrying a multiplicity.
+
+_SearchTree is the one immutable tree class behind TaigaTree here and the two
+strict trees of bst: it holds the multiplicity slot and the strictness as
+class constants and gives all three their counting, validity check, JSON
+round trip and ASCII/DOT pictures.
 """
 from __future__ import annotations
 
@@ -106,9 +111,8 @@ class StalacticTableau:
         return cls((c["letter"], c["mult"]) for c in data["columns"])
 
 
-def p_stal(w) -> StalacticTableau:
-    """Insert the letters of w from right to left into the empty tableau."""
-    seq = _letter_seq(w)
+def _stal_columns(seq) -> tuple:
+    """(letter, multiplicity) columns, letters in order of last occurrence."""
     counts: dict = {}
     order = []
     for a in reversed(seq):
@@ -118,13 +122,17 @@ def p_stal(w) -> StalacticTableau:
             counts[a] = 1
             order.append(a)
     order.reverse()
-    return StalacticTableau(tuple((a, counts[a]) for a in order), _word=seq)
+    return tuple((a, counts[a]) for a in order)
 
 
-# Taiga nodes are nested tuples (label, mult, left, right); an empty tree is None.
+def p_stal(w) -> StalacticTableau:
+    """Insert the letters of w from right to left into the empty tableau."""
+    seq = _letter_seq(w)
+    return StalacticTableau(_stal_columns(seq), _word=seq)
 
 
 def _taiga_build(seq_reversed) -> object:
+    """Insert the letters in order; nodes are (label, mult, left, right)."""
     root = None
     for a in seq_reversed:
         if root is None:
@@ -165,175 +173,189 @@ def _freeze(node):
     return tuple(node)
 
 
-def _count_mults(root) -> dict:
-    counts: dict = {}
-    if root is None:
-        return counts
-    stack = [root]
-    while stack:
-        label, mult, left, right = stack.pop()
-        counts[label] = counts.get(label, 0) + mult
-        if left is not None:
-            stack.append(left)
-        if right is not None:
-            stack.append(right)
-    return counts
+class _SearchTree:
+    """Immutable binary search tree of nested tuples; an empty tree is None.
 
-
-class TaigaTree:
-    """Binary search tree over distinct letters with multiplicities."""
+    A node is (label, left, right), or (label, mult, left, right) in a class
+    whose _MULT names the multiplicity slot.  _EQUAL_LEFT and _EQUAL_RIGHT
+    say on which side of a node a label equal to its own may sit.  _insert
+    builds the tree of a word, and _FORWARD says whether the expanded
+    preorder of a tree rebuilds it as is (left to right insertion) or
+    reversed (right to left insertion).
+    """
 
     __slots__ = ("root", "_word")
+    _MULT = None
+    _EQUAL_LEFT = _EQUAL_RIGHT = _FORWARD = False
 
     def __init__(self, root=None, _word=None):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "_word", _word)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TaigaTree is immutable")
-
-    def insert(self, a: int) -> "TaigaTree":
-        if a < 1:
-            raise ValueError("letters must be >= 1")
-
-        def go(node):
-            if node is None:
-                return (a, 1, None, None)
-            label, mult, left, right = node
-            if a == label:
-                return (label, mult + 1, left, right)
-            if a < label:
-                return (label, mult, go(left), right)
-            return (label, mult, left, go(right))
-
-        return TaigaTree(go(self.root))
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def root_label(self):
         return None if self.root is None else self.root[0]
 
-    def as_counter(self) -> Counter:
-        return Counter(_count_mults(self.root))
-
-    def total(self) -> int:
-        return sum(self.as_counter().values())
-
-    def is_valid(self) -> bool:
-        """Strict search-tree order on labels, all multiplicities >= 1."""
-
-        def ok(node, lo, hi):
-            if node is None:
-                return True
-            label, mult, left, right = node
-            if mult < 1:
-                return False
-            if (lo is not None and label <= lo) or (hi is not None and label >= hi):
-                return False
-            return ok(left, lo, label) and ok(right, label, hi)
-
-        return ok(self.root, None, None)
-
-    def reading_word(self) -> tuple:
-        """A word that rebuilds this tree (reversed expanded preorder)."""
-        if self._word is not None:
-            return self._word
+    def _preorder(self) -> tuple:
+        """Labels in preorder, each repeated by its multiplicity."""
+        mult = self._MULT
         out = []
-        stack = [self.root] if self.root else []
+        stack = [self.root] if self.root is not None else []
         while stack:
-            label, mult, left, right = stack.pop()
-            out.extend([label] * mult)
-            if right is not None:
-                stack.append(right)
-            if left is not None:
-                stack.append(left)
-        out.reverse()
+            node = stack.pop()
+            if mult is None:
+                out.append(node[0])
+            else:
+                out.extend([node[0]] * node[mult])
+            if node[-1] is not None:
+                stack.append(node[-1])
+            if node[-2] is not None:
+                stack.append(node[-2])
         return tuple(out)
 
-    def __mul__(self, other: "TaigaTree") -> "TaigaTree":
-        if not isinstance(other, TaigaTree):
+    def as_counter(self) -> Counter:
+        return Counter(self._preorder())
+
+    def reading_word(self) -> tuple:
+        """A word that rebuilds this tree."""
+        if self._word is not None:
+            return self._word
+        return self._preorder() if self._FORWARD else self._preorder()[::-1]
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        return p_taig(self.reading_word() + other.reading_word())
+        return self._insert(self.reading_word() + other.reading_word())
+
+    def in_order(self) -> tuple:
+        out = []
+        stack = []
+        node = self.root
+        while stack or node is not None:
+            while node is not None:
+                stack.append(node)
+                node = node[-2]
+            node = stack.pop()
+            out.append(node[0])
+            node = node[-1]
+        return tuple(out)
+
+    def is_valid(self) -> bool:
+        """Search-tree order with this class's strictness; multiplicities >= 1."""
+        mult, equal_left, equal_right = self._MULT, self._EQUAL_LEFT, self._EQUAL_RIGHT
+        stack = [(self.root, None, None)] if self.root is not None else []
+        while stack:
+            node, lo, hi = stack.pop()
+            label, left, right = node[0], node[-2], node[-1]
+            if mult is not None and node[mult] < 1:
+                return False
+            if lo is not None and (label < lo or (label == lo and not equal_right)):
+                return False
+            if hi is not None and (label > hi or (label == hi and not equal_left)):
+                return False
+            if left is not None:
+                stack.append((left, lo, label))
+            if right is not None:
+                stack.append((right, label, hi))
+        return True
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TaigaTree) and self.root == other.root
+        return type(other) is type(self) and self.root == other.root
 
     def __hash__(self) -> int:
-        return hash(self.root)
+        return hash((type(self).__name__, self.root))
 
     def __repr__(self) -> str:
-        return f"TaigaTree({self.root!r})"
+        return f"{type(self).__name__}({self.root!r})"
 
     def to_json_dict(self):
+        mult = self._MULT
+
         def go(node):
             if node is None:
                 return None
-            label, mult, left, right = node
-            return {"label": label, "mult": mult, "left": go(left), "right": go(right)}
+            out = {"label": node[0]}
+            if mult is not None:
+                out["mult"] = node[mult]
+            out["left"], out["right"] = go(node[-2]), go(node[-1])
+            return out
 
         return go(self.root)
 
     @classmethod
-    def from_json_dict(cls, data) -> "TaigaTree":
+    def from_json_dict(cls, data):
+        mult = cls._MULT
+
         def go(d):
             if d is None:
                 return None
-            return (d["label"], d["mult"], go(d["left"]), go(d["right"]))
+            head = (d["label"],) if mult is None else (d["label"], d["mult"])
+            return head + (go(d["left"]), go(d["right"]))
 
         return cls(go(data))
 
+    def _node_text(self):
+        mult = self._MULT
+        if mult is None:
+            return lambda node: str(node[0])
+        return lambda node: f"{node[0]}^{node[mult]}"
+
     def to_dot(self) -> str:
-        return _tree_dot(self.root, mult_slot=1)
+        """DOT digraph; children are tagged L/R so the shape is unambiguous."""
+        text = self._node_text()
+        lines = ["digraph tree {", "  node [shape=box];"]
+        if self.root is None:
+            lines.append('  empty [label="(empty)" shape=plaintext];')
+        else:
+            counter = [0]
+
+            def walk(node):
+                my = counter[0]
+                counter[0] += 1
+                lines.append(f'  n{my} [label="{text(node)}"];')
+                for tag, child in (("L", node[-2]), ("R", node[-1])):
+                    if child is not None:
+                        cid = walk(child)
+                        lines.append(f'  n{my} -> n{cid} [label="{tag}"];')
+                return my
+
+            walk(self.root)
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
     def render(self) -> str:
-        return _tree_ascii(self.root, mult_slot=1)
+        """Indented outline, one node per line, children tagged L:/R:."""
+        if self.root is None:
+            return "(empty)"
+        text = self._node_text()
+        lines = []
+
+        def walk(node, indent, tag):
+            lines.append(f"{indent}{tag}{text(node)}")
+            left, right = node[-2], node[-1]
+            if left is not None:
+                walk(left, indent + "  ", "L: ")
+            if right is not None:
+                walk(right, indent + "  ", "R: ")
+
+        walk(self.root, "", "")
+        return "\n".join(lines)
+
+
+class TaigaTree(_SearchTree):
+    """Binary search tree over distinct letters with multiplicities."""
+
+    __slots__ = ()
+    _MULT = 1
+    _insert = staticmethod(lambda w: p_taig(w))
+
+    def total(self) -> int:
+        return len(self._preorder())
 
 
 def p_taig(w) -> TaigaTree:
     """Insert the letters of w from right to left into the empty taiga tree."""
     seq = _letter_seq(w)
     return TaigaTree(_taiga_build(reversed(seq)), _word=seq)
-
-
-def _node_text(node, mult_slot) -> str:
-    if mult_slot is None:
-        return str(node[0])
-    return f"{node[0]}^{node[mult_slot]}"
-
-
-def _tree_dot(root, mult_slot=None) -> str:
-    """DOT digraph; children are tagged L/R so the shape is unambiguous."""
-    lines = ["digraph tree {", "  node [shape=box];"]
-    if root is None:
-        lines.append('  empty [label="(empty)" shape=plaintext];')
-    else:
-        counter = [0]
-
-        def walk(node):
-            my = counter[0]
-            counter[0] += 1
-            lines.append(f'  n{my} [label="{_node_text(node, mult_slot)}"];')
-            for tag, child in (("L", node[-2]), ("R", node[-1])):
-                if child is not None:
-                    cid = walk(child)
-                    lines.append(f'  n{my} -> n{cid} [label="{tag}"];')
-            return my
-
-        walk(root)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _tree_ascii(root, mult_slot=None) -> str:
-    if root is None:
-        return "(empty)"
-    lines = []
-
-    def walk(node, indent, tag):
-        lines.append(f"{indent}{tag}{_node_text(node, mult_slot)}")
-        left, right = node[-2], node[-1]
-        if left is not None:
-            walk(left, indent + "  ", "L: ")
-        if right is not None:
-            walk(right, indent + "  ", "R: ")
-
-    walk(root, "", "")
-    return "\n".join(lines)

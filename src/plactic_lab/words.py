@@ -191,20 +191,20 @@ def ev_leq(a: Counter, b: Counter) -> bool:
     return all(v <= b.get(k, 0) for k, v in a.items())
 
 
-def first_index(x: Symbol, w) -> int:
-    syms = _symbols(w)
-    try:
-        return syms.index(x)
-    except ValueError:
-        raise AnchorAbsentError(f"symbol {x!r} does not occur") from None
+def _after_table(syms: tuple) -> dict:
+    """For every symbol, the counts of the symbols after its last occurrence."""
+    seen: dict = {}
+    table = {}
+    for s in reversed(syms):
+        if s not in table:
+            table[s] = seen.copy()
+        seen[s] = seen.get(s, 0) + 1
+    return table
 
 
-def last_index(x: Symbol, w) -> int:
-    syms = _symbols(w)
-    for i in range(len(syms) - 1, -1, -1):
-        if syms[i] == x:
-            return i
-    raise AnchorAbsentError(f"symbol {x!r} does not occur")
+def _before_table(syms: tuple) -> dict:
+    """For every symbol, the counts of the symbols before its first occurrence."""
+    return _after_table(syms[::-1])
 
 
 def directional_occ(direction: str, anchor: Symbol, x: Symbol, w) -> int:
@@ -214,12 +214,12 @@ def directional_occ(direction: str, anchor: Symbol, x: Symbol, w) -> int:
     "after" counts x right of the last occurrence of anchor.  The anchor must
     occur in w; x need not.
     """
-    syms = _symbols(w)
-    if direction == AFTER:
-        return syms[last_index(anchor, syms) + 1 :].count(x)
-    if direction == BEFORE:
-        return syms[: first_index(anchor, syms)].count(x)
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in (AFTER, BEFORE):
+        raise ValueError(f"unknown direction {direction!r}")
+    table = (_after_table if direction == AFTER else _before_table)(_symbols(w))
+    if anchor not in table:
+        raise AnchorAbsentError(f"symbol {anchor!r} does not occur")
+    return table[anchor].get(x, 0)
 
 
 def skeleton(mode: str, w) -> Word:
@@ -230,22 +230,9 @@ def skeleton(mode: str, w) -> Word:
     """
     syms = _symbols(w)
     if mode == IP:
-        seen = set()
-        keep = []
-        for s in syms:
-            if s not in seen:
-                seen.add(s)
-                keep.append(s)
-        return Word(keep)
+        return Word(dict.fromkeys(syms))
     if mode == FP:
-        seen = set()
-        keep = []
-        for s in reversed(syms):
-            if s not in seen:
-                seen.add(s)
-                keep.append(s)
-        keep.reverse()
-        return Word(keep)
+        return Word(tuple(dict.fromkeys(reversed(syms)))[::-1])
     if mode == MIX:
         return Word(syms[i] for i in sorted(_mix_positions(syms)))
     raise ValueError(f"unknown skeleton mode {mode!r}")

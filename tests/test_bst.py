@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plactic_lab import (
     BaxterObject,
@@ -110,8 +110,14 @@ def test_mirror_complement_duality(seq):
 
 
 @given(letter_seqs, letter_seqs)
+@example([2, 1, 1, 1, 2], [2, 2, 1, 1, 1])
 def test_reversal_duality_of_equivalences(u, v):
-    ru, rv = tuple(reversed(u)), tuple(reversed(v))
+    # reversal alone swaps which side of the relation is strict, so the
+    # duality also needs complementation (as in the tree duality above):
+    # 21112 and 22111 are sylv#-equivalent, 21112 and 11122 are not sylv-equivalent
+    top = max(u + v, default=0) + 1
+    ru = tuple(top - a for a in reversed(u))
+    rv = tuple(top - a for a in reversed(v))
     assert equivalent(MonoidFamily.SYLV_SHARP, u, v) == equivalent(
         MonoidFamily.SYLV, ru, rv
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from plactic_lab import identities
 from plactic_lab.cli import main
 
 
@@ -50,6 +51,20 @@ def test_render_text_and_dot(capsys):
                        "--format", "dot")
     assert code == 2
     assert "no dot rendering" in err
+    code, out, _ = run(capsys, "render", "--monoid", "baxt", "--word", "3121")
+    assert code == 0
+    assert out == (
+        "left-strict component:\n"
+        "3\n"
+        "  L: 1\n"
+        "    R: 2\n"
+        "      L: 1\n"
+        "right-strict component:\n"
+        "1\n"
+        "  L: 1\n"
+        "  R: 2\n"
+        "    R: 3\n"
+    )
 
 
 def test_equiv_exit_codes(capsys):
@@ -126,6 +141,15 @@ def test_derive_certificate(capsys):
     assert code == 0
     steps = json.loads(out)
     assert steps[0]["before"] == "xyxy" and steps[-1]["after"] == "yxxy"
+
+
+def test_derive_failed_verification_exits_two(capsys, monkeypatch):
+    # a certificate that does not verify is an internal error, never a "no"
+    monkeypatch.setattr(identities, "verify_derivation", lambda *args, **kwargs: False)
+    code, out, err = run(capsys, "derive", "--monoid", "sylv", "--id", "xysxty = yxsxty")
+    assert code == 2
+    assert out == ""
+    assert err == "error: derivation failed verification\n"
 
 
 def test_derive_unsatisfied_identity(capsys):

@@ -16,12 +16,15 @@ from plactic_lab import (
     RankViolationError,
     UnboundVariableError,
     Word,
+    alphabet_cap,
     apply_substitution,
     basis,
     canonical,
+    equivalent,
     ev,
     find_counterexample,
     normal_form,
+    normalize_derivation,
     oracle,
     satisfies,
     verdict_to_json,
@@ -66,6 +69,24 @@ def test_basis_contents():
     ]
     with pytest.raises(ValueError):
         basis(F.FREE_MONOGENIC)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: canonical(fam, Word.letters("12")),
+    lambda fam: equivalent(fam, Word.letters("12"), Word.letters("21")),
+    lambda fam: satisfies(fam, Identity.parse("xx = x")),
+    lambda fam: satisfies(fam, Identity.parse("xy = yx")),
+    lambda fam: normal_form(fam, Word.variables("xy")),
+    basis,
+    lambda fam: normalize_derivation(fam, Word.variables("xy")),
+    lambda fam: oracle(fam, 2, Identity.parse("xy = yx"), Exhaustive(1)),
+    alphabet_cap,
+], ids=["canonical", "equivalent", "satisfies-unequal-content", "satisfies",
+        "normal_form", "basis", "normalize_derivation", "oracle", "alphabet_cap"])
+def test_unknown_family_is_rejected(call):
+    # a family name passed as a plain string is not a MonoidFamily
+    with pytest.raises(ValueError, match="unknown family 'sylv'"):
+        call("sylv")
 
 
 def test_satisfies_known_cases():

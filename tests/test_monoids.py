@@ -125,6 +125,11 @@ def test_canonical_rejects_letters_outside_cap():
 def test_equivalent_agrees_with_canonical_objects(u, v):
     for fam in INSERTION:
         assert equivalent(fam, u, v) == (canonical(fam, u) == canonical(fam, v))
+    # the reference monoids take words over {1, 2} (l21, r21) and {1} (free1)
+    for fam in (MonoidFamily.LEFT_ZERO, MonoidFamily.RIGHT_ZERO, MonoidFamily.FREE_MONOGENIC):
+        cap = alphabet_cap(fam)
+        cu, cv = [(a - 1) % cap + 1 for a in u], [(a - 1) % cap + 1 for a in v]
+        assert equivalent(fam, cu, cv) == (canonical(fam, cu) == canonical(fam, cv))
 
 
 @given(st.lists(st.integers(1, 2), max_size=14), st.lists(st.integers(1, 2), max_size=14))
