@@ -5,60 +5,35 @@ by inserting the word from right to left (new symbol goes right exactly when
 it is larger).  A left strict tree keeps left < node <= right and is built
 from left to right (new symbol goes left exactly when it is smaller).  The
 Baxter object is the pair of both trees for the same word.
+
+Both trees have the positions of the word as nodes, in the in-order of
+_inorder: they are its Cartesian trees with the largest (right strict) or the
+smallest (left strict) position at the root, built by tableaux._shape_key.
 """
 from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _SearchTree, _freeze, _letter_seq
-
-# Nodes are nested tuples (label, left, right); an empty tree is None.
+from .tableaux import _SearchTree, _letter_seq, _shape_key
 
 
-def _build_right_strict(seq) -> object:
-    """Insert seq in order; larger symbols go right, others left."""
-    root = None
-    for a in seq:
-        if root is None:
-            root = [a, None, None]
-            continue
-        cur = root
-        while True:
-            if a > cur[0]:
-                nxt = cur[2]
-                if nxt is None:
-                    cur[2] = [a, None, None]
-                    break
-            else:
-                nxt = cur[1]
-                if nxt is None:
-                    cur[1] = [a, None, None]
-                    break
-            cur = nxt
-    return _freeze(root)
+def _inorder(seq) -> list:
+    """Positions sorted by letter, then position: the in-order of both trees."""
+    return sorted(range(len(seq)), key=seq.__getitem__)
 
 
-def _build_left_strict(seq) -> object:
-    """Insert seq in order; smaller symbols go left, others right."""
-    root = None
-    for a in seq:
-        if root is None:
-            root = [a, None, None]
-            continue
-        cur = root
-        while True:
-            if a < cur[0]:
-                nxt = cur[1]
-                if nxt is None:
-                    cur[1] = [a, None, None]
-                    break
-            else:
-                nxt = cur[2]
-                if nxt is None:
-                    cur[2] = [a, None, None]
-                    break
-            cur = nxt
-    return _freeze(root)
+def _sylv_key(seq) -> tuple:
+    return _shape_key(seq, _inorder(seq), True)
+
+
+def _sylv_sharp_key(seq) -> tuple:
+    return _shape_key(seq, _inorder(seq), False)
+
+
+def _baxt_key(seq) -> tuple:
+    """Keys of the left and the right strict tree, from one sort."""
+    order = _inorder(seq)
+    return _shape_key(seq, order, False), _shape_key(seq, order, True)
 
 
 class RightStrictBST(_SearchTree):
@@ -80,13 +55,13 @@ class LeftStrictBST(_SearchTree):
 def p_sylv(w) -> RightStrictBST:
     """Right strict tree of w, inserting from right to left."""
     seq = _letter_seq(w)
-    return RightStrictBST(_build_right_strict(reversed(seq)), _word=seq)
+    return RightStrictBST._make(_sylv_key(seq), seq)
 
 
 def p_sylv_sharp(w) -> LeftStrictBST:
     """Left strict tree of w, inserting from left to right."""
     seq = _letter_seq(w)
-    return LeftStrictBST(_build_left_strict(seq), _word=seq)
+    return LeftStrictBST._make(_sylv_sharp_key(seq), seq)
 
 
 class BaxterObject:
@@ -157,4 +132,6 @@ class BaxterObject:
 def p_baxt(w) -> BaxterObject:
     """Both strict trees of w as one object."""
     seq = _letter_seq(w)
-    return BaxterObject(p_sylv_sharp(seq), p_sylv(seq), _word=seq)
+    sharp, plain = _baxt_key(seq)
+    return BaxterObject(LeftStrictBST._make(sharp, seq), RightStrictBST._make(plain, seq),
+                        _word=seq)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 for positive results (equivalent, identity holds, derivation
 found), 1 for negative ones (not equivalent, counterexample, no derivation),
-2 for usage or parse errors, and for a derivation that fails its own check.
+2 for usage or parse errors, for a derivation that fails its own check, and
+for an input too large or too deep to process (a RecursionError or a
+MemoryError).
 """
 from __future__ import annotations
 
@@ -239,6 +241,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, identities.DerivationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # a resource limit is an error, and must not read as a negative answer
+        print(f"error: input too large or too deep ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

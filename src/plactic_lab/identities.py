@@ -289,19 +289,24 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
 
 
 def _scan_parallel(family, ident, rank, max_len, cands, workers):
+    """Scan the substitutions of each first-variable candidate as one task.
+
+    Results are read in candidate order, so the first hit is the earliest
+    counterexample; the tasks after it are cancelled, and leaving the pool
+    waits only for the few already running.
+    """
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = []
-    step = (len(cands) + workers - 1) // workers
-    for start in range(0, len(cands), step):
-        bounds.append((start, min(start + step, len(cands))))
-    args = [
-        (family.value, ident.text(), rank, max_len, start, stop)
-        for start, stop in bounds
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for found in pool.map(_scan_chunk, args):
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        tasks = [pool.submit(_scan_chunk, (family.value, ident.text(), rank, max_len, i, i + 1))
+                 for i in range(len(cands))]
+        for i, task in enumerate(tasks):
+            found = task.result()
             if found is not None:
+                for later in tasks[i + 1:]:
+                    later.cancel()
                 return found
     return None
 
@@ -388,20 +393,10 @@ def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep]
 
 def invert_steps(steps: Sequence[DerivationStep]) -> list:
     """Run a derivation backwards: reverse the order and flip each step."""
-    out = []
-    for st in reversed(steps):
-        out.append(
-            DerivationStep(
-                before=st.after,
-                after=st.before,
-                rule_index=st.rule_index,
-                direction=RTL if st.direction == LTR else LTR,
-                prefix=st.prefix,
-                suffix=st.suffix,
-                endo=st.endo,
-            )
-        )
-    return out
+    return [DerivationStep(before=st.after, after=st.before, rule_index=st.rule_index,
+                           direction=RTL if st.direction == LTR else LTR,
+                           prefix=st.prefix, suffix=st.suffix, endo=st.endo)
+            for st in reversed(steps)]
 
 
 def _gather_steps(w: Word) -> list:
@@ -427,21 +422,11 @@ def _gather_steps(w: Word) -> list:
             i = positions[-run - 1]
             j = positions[-run]
             gap = syms[i + 1 : j]
-            before = Word(syms)
-            prefix = Word(syms[:i])
-            suffix = Word(syms[j + 1 :])
+            before, prefix, suffix = Word(syms), Word(syms[:i]), Word(syms[j + 1 :])
             syms[i : j + 1] = gap + [z, z]
-            steps.append(
-                DerivationStep(
-                    before=before,
-                    after=Word(syms),
-                    rule_index=0,
-                    direction=LTR,
-                    prefix=prefix,
-                    suffix=suffix,
-                    endo={"x": Word((z,)), "y": Word(gap)},
-                )
-            )
+            steps.append(DerivationStep(before=before, after=Word(syms), rule_index=0,
+                                        direction=LTR, prefix=prefix, suffix=suffix,
+                                        endo={"x": Word((z,)), "y": Word(gap)}))
             positions = [i for i in range(boundary) if syms[i] == z]
         boundary -= len(positions)
     return steps
@@ -522,20 +507,11 @@ def _sylv_steps(w: Word) -> list:
 
 def _mirror_steps(steps: Sequence[DerivationStep]) -> list:
     """Reverse every word in a derivation; xysxty rules become ytxsyx rules."""
-    out = []
-    for st in steps:
-        out.append(
-            DerivationStep(
-                before=st.before.reverse(),
-                after=st.after.reverse(),
-                rule_index=st.rule_index,
-                direction=st.direction,
-                prefix=st.suffix.reverse(),
-                suffix=st.prefix.reverse(),
-                endo={name: img.reverse() for name, img in st.endo.items()},
-            )
-        )
-    return out
+    return [DerivationStep(before=st.before.reverse(), after=st.after.reverse(),
+                           rule_index=st.rule_index, direction=st.direction,
+                           prefix=st.suffix.reverse(), suffix=st.prefix.reverse(),
+                           endo={name: img.reverse() for name, img in st.endo.items()})
+            for st in steps]
 
 
 def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> DerivationStep:
@@ -676,16 +652,11 @@ def _neighbors(word: Word, sigma: Sequence[Identity], max_word_len: int) -> list
                         )
                         if len(replaced) > max_word_len:
                             continue
-                        step = DerivationStep(
-                            before=word,
-                            after=Word(replaced),
-                            rule_index=ri,
-                            direction=direction,
-                            prefix=Word(syms[:start]),
-                            suffix=Word(syms[end:]),
-                            endo={k: Word(v) for k, v in images.items()},
-                        )
-                        out.append((Word(replaced), step))
+                        after = Word(replaced)
+                        out.append((after, DerivationStep(
+                            before=word, after=after, rule_index=ri, direction=direction,
+                            prefix=Word(syms[:start]), suffix=Word(syms[end:]),
+                            endo={k: Word(v) for k, v in images.items()})))
     return out
 
 

@@ -140,23 +140,18 @@ def _fold_in(monoid: FiniteMonoid) -> Callable:
 
 class _Family(NamedTuple):
     key: Callable       # letter tuple -> hashable value, equal exactly for equivalent words
-    obj: Callable       # letter tuple -> public canonical object
+    obj: Callable       # word -> public canonical object; gets checked letters if cap is set
     cap: Optional[int]  # largest letter admitted; None means any
 
 
 # The object builders look the insertion functions up at call time, so that
 # code which wraps tableaux.p_* or bst.p_* (tracing, say) sees every call.
 _FAMILIES = {
-    MonoidFamily.STAL: _Family(tableaux._stal_columns, lambda seq: tableaux.p_stal(seq), None),
-    MonoidFamily.TAIG: _Family(lambda seq: tableaux._taiga_build(reversed(seq)),
-                               lambda seq: tableaux.p_taig(seq), None),
-    MonoidFamily.SYLV: _Family(lambda seq: bst._build_right_strict(reversed(seq)),
-                               lambda seq: bst.p_sylv(seq), None),
-    MonoidFamily.SYLV_SHARP: _Family(bst._build_left_strict,
-                                     lambda seq: bst.p_sylv_sharp(seq), None),
-    MonoidFamily.BAXT: _Family(
-        lambda seq: (bst._build_left_strict(seq), bst._build_right_strict(reversed(seq))),
-        lambda seq: bst.p_baxt(seq), None),
+    MonoidFamily.STAL: _Family(tableaux._stal_columns, lambda w: tableaux.p_stal(w), None),
+    MonoidFamily.TAIG: _Family(tableaux._taiga_key, lambda w: tableaux.p_taig(w), None),
+    MonoidFamily.SYLV: _Family(bst._sylv_key, lambda w: bst.p_sylv(w), None),
+    MonoidFamily.SYLV_SHARP: _Family(bst._sylv_sharp_key, lambda w: bst.p_sylv_sharp(w), None),
+    MonoidFamily.BAXT: _Family(bst._baxt_key, lambda w: bst.p_baxt(w), None),
     MonoidFamily.LEFT_ZERO: _Family(_fold_in(L21), _fold_in(L21), 2),
     MonoidFamily.RIGHT_ZERO: _Family(_fold_in(R21), _fold_in(R21), 2),
     MonoidFamily.FREE_MONOGENIC: _Family(len, len, 1),
@@ -194,6 +189,8 @@ def canonical(family: MonoidFamily, w):
     exponent of the single generator; l21/r21 return the monoid element.
     """
     row = _family(family)
+    if row.cap is None:
+        return row.obj(w)  # the insertion functions check the word themselves
     return row.obj(_letters(row, w))
 
 

@@ -7,24 +7,34 @@ the fp skeleton of the word).  A taiga tree is a binary search tree over the
 distinct letters, each node carrying a multiplicity.
 
 _SearchTree is the one immutable tree class behind TaigaTree here and the two
-strict trees of bst: it holds the multiplicity slot and the strictness as
-class constants and gives all three their counting, validity check, JSON
-round trip and ASCII/DOT pictures.
+strict trees of bst.  It stores a tree as a flat preorder key, which
+_shape_key builds from a word in one stack pass, and gives all three their
+counting, validity check, JSON round trip and ASCII/DOT pictures.
 """
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, count, repeat
 
-from .words import Word, _symbols
+from .words import VARIABLES, Word
 
 
 def _letter_seq(w) -> tuple:
+    """The letters of w as a tuple; a word of variables is refused.
+
+    A Word checked its symbols when it was made, so only a plain sequence is
+    scanned, and that scan runs in C.
+    """
+    if isinstance(w, Word):
+        if w.kind == VARIABLES:
+            raise ValueError("insertion needs a letter word")
+        return w.symbols
     if isinstance(w, str):
         return Word.letters(w).symbols
-    syms = _symbols(w)
-    if any(isinstance(s, str) for s in syms):
+    seq = tuple(w)
+    if any(map(isinstance, seq, repeat(str))):
         raise ValueError("insertion needs a letter word")
-    return syms
+    return seq
 
 
 class StalacticTableau:
@@ -131,88 +141,160 @@ def p_stal(w) -> StalacticTableau:
     return StalacticTableau(_stal_columns(seq), _word=seq)
 
 
-def _taiga_build(seq_reversed) -> object:
-    """Insert the letters in order; nodes are (label, mult, left, right)."""
-    root = None
-    for a in seq_reversed:
-        if root is None:
-            root = [a, 1, None, None]
-            continue
-        cur = root
-        while True:
-            label = cur[0]
-            if a == label:
-                cur[1] += 1
-                break
-            slot = 2 if a < label else 3
-            nxt = cur[slot]
-            if nxt is None:
-                cur[slot] = [a, 1, None, None]
-                break
-            cur = nxt
-    return _freeze(root)
+def _shape_key(seq, inorder, max_heap, counts=None) -> tuple:
+    """Flat preorder key of the Cartesian tree on some positions of seq.
+
+    inorder lists the positions in the tree's in-order; a position is also
+    its heap priority, the largest at the root when max_heap.  Insertion into
+    a search tree builds such a tree: nodes in search order, each below those
+    inserted before it.  Node p has label seq[p] and, with counts, the
+    multiplicity counts[seq[p]].  One stack pass from the right builds it
+    (Vuillemin 1980): the stack holds the left spine, a new node pops the
+    nodes it outranks as its right subtree, and nodes leave in reverse preorder.
+    """
+    out = []
+    stack = []  # 2 * position, + 1 if the node has a right child
+    stop = len(seq) if max_heap else -1  # outranks every position: empties the stack
+    for p in chain(reversed(inorder), (stop,)):
+        e = p << 1
+        below = 0  # 1 once a popped node sat above the next: that one's left child
+        while stack and (stack[-1] < e) == max_heap:
+            x = stack.pop()
+            out.append(below | (x & 1) << 1)
+            a = seq[x >> 1]
+            if counts is not None:
+                out.append(counts[a])
+            out.append(a)
+            below = 1
+        stack.append(e | below)
+    out.reverse()
+    return tuple(out)
 
 
-def _freeze(node):
-    """Turn list nodes into tuples without recursion (chains can be long)."""
-    if node is None:
-        return None
-    stack = [node]
-    post = []
+def _key_of_root(root, mult) -> tuple:
+    """Flat preorder key of a tree given as nested tuples."""
+    size = 4 if mult else 3
+    out = []
+    stack = [] if root is None else [root]
     while stack:
-        n = stack.pop()
-        post.append(n)
-        for child in n[-2:]:
-            if child is not None:
-                stack.append(child)
-    for n in reversed(post):
-        if n[-2] is not None and isinstance(n[-2], list):
-            n[-2] = tuple(n[-2])
-        if n[-1] is not None and isinstance(n[-1], list):
-            n[-1] = tuple(n[-1])
-    return tuple(node)
+        node = stack.pop()
+        if len(node) != size:
+            raise ValueError(f"tree nodes need {size} fields, got {len(node)}")
+        left, right = node[-2], node[-1]
+        out.extend(node[:-2])
+        out.append((left is not None) | (right is not None) << 1)
+        stack.extend(child for child in (right, left) if child is not None)
+    return tuple(out)
+
+
+# The walkers read a key in preorder through an iterator and recurse once per
+# tree level, so a tree deeper than the recursion limit raises RecursionError.
+# They are module functions: a closure that calls itself is a reference cycle,
+# which keeps its output alive until the cyclic garbage collector runs.
+
+def _node_text(it, mult) -> tuple:
+    """Text and child mask of the next node."""
+    label = next(it)
+    text = f"{label}^{next(it)}" if mult else str(label)
+    return text, next(it)
+
+
+def _json_node(it, mult) -> dict:
+    node = {"label": next(it)}
+    if mult:
+        node["mult"] = next(it)
+    mask = next(it)
+    node["left"] = _json_node(it, mult) if mask & 1 else None
+    node["right"] = _json_node(it, mult) if mask & 2 else None
+    return node
+
+
+def _json_key(data, mult, out) -> None:
+    out.append(data["label"])
+    if mult:
+        out.append(data["mult"])
+    left, right = data["left"], data["right"]
+    out.append((left is not None) | (right is not None) << 1)
+    for child in (left, right):
+        if child is not None:
+            _json_key(child, mult, out)
+
+
+def _outline(it, mult, indent, tag, lines) -> None:
+    text, mask = _node_text(it, mult)
+    lines.append(f"{indent}{tag}{text}")
+    if mask & 1:
+        _outline(it, mult, indent + "  ", "L: ", lines)
+    if mask & 2:
+        _outline(it, mult, indent + "  ", "R: ", lines)
+
+
+def _dot_node(it, mult, ids, lines) -> int:
+    my = next(ids)
+    text, mask = _node_text(it, mult)
+    lines.append(f'  n{my} [label="{text}"];')
+    for tag, bit in (("L", 1), ("R", 2)):
+        if mask & bit:
+            child = _dot_node(it, mult, ids, lines)
+            lines.append(f'  n{my} -> n{child} [label="{tag}"];')
+    return my
 
 
 class _SearchTree:
-    """Immutable binary search tree of nested tuples; an empty tree is None.
+    """Immutable binary search tree stored as a flat preorder key.
 
-    A node is (label, left, right), or (label, mult, left, right) in a class
-    whose _MULT names the multiplicity slot.  _EQUAL_LEFT and _EQUAL_RIGHT
-    say on which side of a node a label equal to its own may sit.  _insert
-    builds the tree of a word, and _FORWARD says whether the expanded
-    preorder of a tree rebuilds it as is (left to right insertion) or
-    reversed (right to left insertion).
+    Per node the key holds the label, the multiplicity if the class has one
+    (_MULT), and a child mask: 1 left, 2 right, 3 both.  Two trees are equal
+    exactly when their keys are.  Labels alone would not tell apart trees the
+    constructor accepts, such as (2, (2, None, None), None) and
+    (2, None, (2, None, None)).  root, rebuilt on each access, and the
+    constructor use nested tuples (label, [mult,] left, right), empty = None.
+    _EQUAL_LEFT/_EQUAL_RIGHT say on which side of a node an equal label may
+    sit.  _insert builds the tree of a word; _FORWARD says whether the
+    expanded preorder rebuilds it as is or reversed.
     """
 
-    __slots__ = ("root", "_word")
-    _MULT = None
+    __slots__ = ("_key", "_word")
+    _MULT = False
     _EQUAL_LEFT = _EQUAL_RIGHT = _FORWARD = False
 
-    def __init__(self, root=None, _word=None):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_word", _word)
+    def __init__(self, root=None):
+        object.__setattr__(self, "_key", _key_of_root(root, self._MULT))
+        object.__setattr__(self, "_word", None)
+
+    @classmethod
+    def _make(cls, key: tuple, word=None):
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "_key", key)
+        object.__setattr__(tree, "_word", word)
+        return tree
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def root(self):
+        """The tree as nested tuples, rebuilt in one pass over the reversed key."""
+        key, width = self._key, 3 if self._MULT else 2
+        built = []
+        for i in range(len(key) - width, -1, -width):
+            mask = key[i + width - 1]
+            left = built.pop() if mask & 1 else None
+            right = built.pop() if mask & 2 else None
+            built.append(key[i:i + width - 1] + (left, right))
+        return built[0] if built else None
+
     def root_label(self):
-        return None if self.root is None else self.root[0]
+        return self._key[0] if self._key else None
 
     def _preorder(self) -> tuple:
         """Labels in preorder, each repeated by its multiplicity."""
-        mult = self._MULT
+        key = self._key
+        if not self._MULT:
+            return key[0::2]
         out = []
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            if mult is None:
-                out.append(node[0])
-            else:
-                out.extend([node[0]] * node[mult])
-            if node[-1] is not None:
-                stack.append(node[-1])
-            if node[-2] is not None:
-                stack.append(node[-2])
+        for label, mult in zip(key[0::3], key[1::3]):
+            out += [label] * mult
         return tuple(out)
 
     def as_counter(self) -> Counter:
@@ -245,11 +327,12 @@ class _SearchTree:
     def is_valid(self) -> bool:
         """Search-tree order with this class's strictness; multiplicities >= 1."""
         mult, equal_left, equal_right = self._MULT, self._EQUAL_LEFT, self._EQUAL_RIGHT
-        stack = [(self.root, None, None)] if self.root is not None else []
+        root = self.root
+        stack = [(root, None, None)] if root is not None else []
         while stack:
             node, lo, hi = stack.pop()
             label, left, right = node[0], node[-2], node[-1]
-            if mult is not None and node[mult] < 1:
+            if mult and node[1] < 1:
                 return False
             if lo is not None and (label < lo or (label == lo and not equal_right)):
                 return False
@@ -262,85 +345,40 @@ class _SearchTree:
         return True
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.root == other.root
+        return type(other) is type(self) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.root))
+        return hash((type(self).__name__, self._key))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.root!r})"
 
     def to_json_dict(self):
-        mult = self._MULT
-
-        def go(node):
-            if node is None:
-                return None
-            out = {"label": node[0]}
-            if mult is not None:
-                out["mult"] = node[mult]
-            out["left"], out["right"] = go(node[-2]), go(node[-1])
-            return out
-
-        return go(self.root)
+        return _json_node(iter(self._key), self._MULT) if self._key else None
 
     @classmethod
     def from_json_dict(cls, data):
-        mult = cls._MULT
-
-        def go(d):
-            if d is None:
-                return None
-            head = (d["label"],) if mult is None else (d["label"], d["mult"])
-            return head + (go(d["left"]), go(d["right"]))
-
-        return cls(go(data))
-
-    def _node_text(self):
-        mult = self._MULT
-        if mult is None:
-            return lambda node: str(node[0])
-        return lambda node: f"{node[0]}^{node[mult]}"
+        key = []
+        if data is not None:
+            _json_key(data, cls._MULT, key)
+        return cls._make(tuple(key))
 
     def to_dot(self) -> str:
         """DOT digraph; children are tagged L/R so the shape is unambiguous."""
-        text = self._node_text()
         lines = ["digraph tree {", "  node [shape=box];"]
-        if self.root is None:
-            lines.append('  empty [label="(empty)" shape=plaintext];')
+        if self._key:
+            _dot_node(iter(self._key), self._MULT, count(), lines)
         else:
-            counter = [0]
-
-            def walk(node):
-                my = counter[0]
-                counter[0] += 1
-                lines.append(f'  n{my} [label="{text(node)}"];')
-                for tag, child in (("L", node[-2]), ("R", node[-1])):
-                    if child is not None:
-                        cid = walk(child)
-                        lines.append(f'  n{my} -> n{cid} [label="{tag}"];')
-                return my
-
-            walk(self.root)
+            lines.append('  empty [label="(empty)" shape=plaintext];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def render(self) -> str:
         """Indented outline, one node per line, children tagged L:/R:."""
-        if self.root is None:
+        if not self._key:
             return "(empty)"
-        text = self._node_text()
         lines = []
-
-        def walk(node, indent, tag):
-            lines.append(f"{indent}{tag}{text(node)}")
-            left, right = node[-2], node[-1]
-            if left is not None:
-                walk(left, indent + "  ", "L: ")
-            if right is not None:
-                walk(right, indent + "  ", "R: ")
-
-        walk(self.root, "", "")
+        _outline(iter(self._key), self._MULT, "", "", lines)
         return "\n".join(lines)
 
 
@@ -348,14 +386,24 @@ class TaigaTree(_SearchTree):
     """Binary search tree over distinct letters with multiplicities."""
 
     __slots__ = ()
-    _MULT = 1
+    _MULT = True
     _insert = staticmethod(lambda w: p_taig(w))
 
     def total(self) -> int:
-        return len(self._preorder())
+        return sum(self._key[1::3])
+
+
+def _taiga_key(seq) -> tuple:
+    """Key of the taiga tree of seq: distinct letters, ranked by last occurrence."""
+    counts: dict = {}
+    last = {}
+    for p, a in enumerate(seq):
+        last[a] = p
+        counts[a] = counts.get(a, 0) + 1
+    return _shape_key(seq, sorted(last.values(), key=seq.__getitem__), True, counts)
 
 
 def p_taig(w) -> TaigaTree:
     """Insert the letters of w from right to left into the empty taiga tree."""
     seq = _letter_seq(w)
-    return TaigaTree(_taiga_build(reversed(seq)), _word=seq)
+    return TaigaTree._make(_taiga_key(seq), seq)

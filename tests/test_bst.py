@@ -9,12 +9,14 @@ from plactic_lab import (
     LeftStrictBST,
     MonoidFamily,
     RightStrictBST,
+    TaigaTree,
     Word,
     equivalent,
     ev,
     p_baxt,
     p_sylv,
     p_sylv_sharp,
+    p_taig,
 )
 
 EXAMPLE = Word.letters("3613151265")
@@ -51,6 +53,25 @@ def naive_left_strict(seq):
 
     root = None
     for a in seq:
+        root = insert(root, a)
+    return root
+
+
+def naive_taiga(seq):
+    """Taiga tree as nested tuples (label, mult, left, right), inserted right to left."""
+
+    def insert(node, a):
+        if node is None:
+            return (a, 1, None, None)
+        label, mult, left, right = node
+        if a == label:
+            return (label, mult + 1, left, right)
+        if a < label:
+            return (label, mult, insert(left, a), right)
+        return (label, mult, left, insert(right, a))
+
+    root = None
+    for a in reversed(seq):
         root = insert(root, a)
     return root
 
@@ -98,6 +119,29 @@ def test_right_strict_matches_naive(seq):
 @given(letter_seqs)
 def test_left_strict_matches_naive(seq):
     assert p_sylv_sharp(seq).root == naive_left_strict(seq)
+
+
+@given(st.lists(st.integers(1, 4), max_size=40))
+def test_stack_built_roots_match_naive_insertion(seq):
+    # the objects keep only a flat key; .root rebuilds the nested tuples
+    assert p_sylv(seq).root == naive_right_strict(seq)
+    assert p_sylv_sharp(seq).root == naive_left_strict(seq)
+    assert p_taig(seq).root == naive_taiga(seq)
+    baxt = p_baxt(seq)
+    assert baxt.sharp.root == naive_left_strict(seq)
+    assert baxt.plain.root == naive_right_strict(seq)
+    for tree in (p_sylv(seq), p_sylv_sharp(seq), p_taig(seq)):
+        assert type(tree)(tree.root) == tree
+
+
+def test_child_masks_tell_invalid_trees_apart():
+    # same preorder labels as the inserted tree; only the child sides differ
+    bad = RightStrictBST((2, None, (2, None, None)))
+    assert bad != p_sylv((2, 2)) and bad.reading_word() == (2, 2)
+    bad = TaigaTree((5, 1, (7, 1, None, None), None))
+    assert bad != p_taig((7, 5)) and bad.as_counter() == p_taig((7, 5)).as_counter()
+    with pytest.raises(ValueError):
+        RightStrictBST((2, 1, None, None))
 
 
 @given(letter_seqs)

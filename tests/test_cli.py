@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import plactic_lab
 from plactic_lab import identities
 from plactic_lab.cli import main
 
@@ -194,3 +198,16 @@ def test_missing_subcommand_exits_two(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["render", "--monoid", "sylv"],
+                                  ["object", "--monoid", "sylv", "--format", "json"]])
+def test_too_deep_to_draw_exits_two_without_traceback(argv):
+    # the 3,000-level tree is built, but drawing it recurses once per level
+    word = " ".join(str(i) for i in range(1, 3001))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "plactic_lab.cli", *argv, "--word", word],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

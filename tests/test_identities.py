@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -267,6 +268,18 @@ def test_parallel_scan_matches_sequential(monkeypatch):
     monkeypatch.setenv("PLACTIC_LAB_THREADS", "3")
     par_hold = oracle(F.SYLV, 2, Identity.parse("xyxy = yxxy"), Exhaustive(2))
     assert seq_hold == par_hold == HoldsWithinBound(checked=49)
+
+
+def test_parallel_scan_returns_at_first_hit(monkeypatch):
+    # xy = x fails in l21 only for x empty, the first candidate; every later
+    # candidate holds, and a worker scanning the second half would take ~20 s
+    ident = Identity.parse("xy = x")
+    expected = oracle(F.LEFT_ZERO, 2, ident, Exhaustive(10)).substitution
+    monkeypatch.setenv("PLACTIC_LAB_THREADS", "2")
+    start = time.perf_counter()
+    verdict = oracle(F.LEFT_ZERO, 2, ident, Exhaustive(10))
+    assert time.perf_counter() - start < 8
+    assert verdict.substitution == expected == {"x": Word(()), "y": Word((1,))}
 
 
 def test_threads_env_garbage_falls_back_to_sequential(monkeypatch):

@@ -17,6 +17,7 @@ from plactic_lab import (
     check_rank,
     equivalent,
     eval_in_finite,
+    ev,
     p_baxt,
     p_stal,
     p_sylv,
@@ -146,3 +147,27 @@ def test_baxter_equivalence_is_conjunction(seq):
         MonoidFamily.SYLV_SHARP, u, v
     )
     assert equivalent(MonoidFamily.BAXT, u, v) == both
+
+
+def _long_words(n):
+    return {
+        "monotone": tuple(range(1, n + 1)),
+        "zigzag": tuple(i // 2 + 1 if i % 2 == 0 else n - i // 2 for i in range(n)),
+        "binary": tuple(1 + (i * 7919 % 13 < 6) for i in range(n)),
+    }
+
+
+@pytest.mark.parametrize("shape", ["monotone", "zigzag", "binary"])
+def test_tree_families_on_long_words(shape):
+    # trees about as deep as the word is long: no step may recurse per level
+    w = _long_words(10**5)[shape]
+    counts = ev(w)
+    for fam in (MonoidFamily.TAIG, MonoidFamily.SYLV, MonoidFamily.SYLV_SHARP,
+                MonoidFamily.BAXT):
+        obj = canonical(fam, w)
+        assert equivalent(fam, w, w)
+        assert hash(obj) == hash(canonical(fam, w))
+        assert obj.as_counter() == counts
+    assert p_sylv(w).root_label() == p_taig(w).root_label() == w[-1]
+    assert p_sylv_sharp(w).root_label() == w[0]
+    assert not equivalent(MonoidFamily.SYLV, w, w[1:] + w[:1])
