@@ -9,12 +9,14 @@ Baxter object is the pair of both trees for the same word.
 Both trees have the positions of the word as nodes, in the in-order of
 _inorder: they are its Cartesian trees with the largest (right strict) or the
 smallest (left strict) position at the root, built by tableaux._shape_key.
+A BaxterObject, like every canonical object, is a tableaux._Canonical: it
+keeps the pair of tree keys and the word, and hands out the trees on access.
 """
 from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _SearchTree, _letter_seq, _shape_key
+from .tableaux import _Canonical, _SearchTree, _letter_seq, _shape_key
 
 
 def _inorder(seq) -> list:
@@ -64,47 +66,36 @@ def p_sylv_sharp(w) -> LeftStrictBST:
     return LeftStrictBST._make(_sylv_sharp_key(seq), seq)
 
 
-class BaxterObject:
-    """Pair of the left strict and right strict trees of one word."""
+class BaxterObject(_Canonical):
+    """Pair of the left strict and right strict trees of one word.
 
-    __slots__ = ("sharp", "plain", "_word")
+    The key is the pair of the two tree keys, as _baxt_key builds it; sharp
+    and plain rebuild the trees from it on each access.
+    """
 
-    def __init__(self, sharp: LeftStrictBST, plain: RightStrictBST, _word=None):
-        # trees built by p_baxt from one word are consistent by construction
-        if _word is None:
-            if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
-                raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
-            if sharp.as_counter() != plain.as_counter():
-                raise ValueError("component trees carry different label multisets")
-        object.__setattr__(self, "sharp", sharp)
-        object.__setattr__(self, "plain", plain)
-        object.__setattr__(self, "_word", _word)
+    __slots__ = ()
+    _insert = staticmethod(lambda w: p_baxt(w))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BaxterObject is immutable")
+    def __init__(self, sharp: LeftStrictBST, plain: RightStrictBST):
+        if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
+            raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
+        if sharp.as_counter() != plain.as_counter():
+            raise ValueError("component trees carry different label multisets")
+        super().__init__((sharp._key, plain._key))
+
+    @property
+    def sharp(self) -> LeftStrictBST:
+        return LeftStrictBST._make(self._key[0], self._word)
+
+    @property
+    def plain(self) -> RightStrictBST:
+        return RightStrictBST._make(self._key[1], self._word)
 
     def as_counter(self) -> Counter:
         return self.plain.as_counter()
 
-    def reading_word(self) -> tuple:
-        if self._word is None:
-            raise ValueError("this BaxterObject does not carry a reading word")
-        return self._word
-
-    def __mul__(self, other: "BaxterObject") -> "BaxterObject":
-        if not isinstance(other, BaxterObject):
-            return NotImplemented
-        return p_baxt(self.reading_word() + other.reading_word())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BaxterObject)
-            and self.sharp == other.sharp
-            and self.plain == other.plain
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sharp, self.plain))
+    def _spell(self) -> tuple:
+        raise ValueError("this BaxterObject does not carry a reading word")
 
     def __repr__(self) -> str:
         return f"BaxterObject({self.sharp!r}, {self.plain!r})"
@@ -123,6 +114,7 @@ class BaxterObject:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BaxterObject":
+        """The pair of a to_json_dict payload; ValueError if a tree is invalid."""
         return cls(
             LeftStrictBST.from_json_dict(data["sharp"]),
             RightStrictBST.from_json_dict(data["plain"]),
@@ -132,6 +124,4 @@ class BaxterObject:
 def p_baxt(w) -> BaxterObject:
     """Both strict trees of w as one object."""
     seq = _letter_seq(w)
-    sharp, plain = _baxt_key(seq)
-    return BaxterObject(LeftStrictBST._make(sharp, seq), RightStrictBST._make(plain, seq),
-                        _word=seq)
+    return BaxterObject._make(_baxt_key(seq), seq)

@@ -44,6 +44,7 @@ from .words import (
     _before_table,
     _first_last_positions,
     _mix_positions,
+    _symbols,
     fp,
     ip,
 )
@@ -139,8 +140,7 @@ def _nf_baxt(syms: tuple) -> tuple:
 
 def normal_form(family: MonoidFamily, w: Word) -> Word:
     """Canonical representative of w's class; equal exactly for equivalent words."""
-    syms = w.symbols if isinstance(w, Word) else tuple(w)
-    return Word(_theory(family, "normal_form")(syms))
+    return Word(_theory(family, "normal_form")(_symbols(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,7 @@ def _baxt_steps(w: Word) -> list:
     syms = list(w.symbols)
     first, last = _first_last_positions(w.symbols)
     ipidx = {s: k for k, s in enumerate(ip(w.symbols))}
-    keep = sorted({*first.values(), *last.values()})
+    keep = sorted(_mix_positions(w.symbols))
     steps = _sort_stretches(syms, keep, lambda pos: ipidx.__getitem__,
                             lambda p: _baxt_swap(syms, p, first, last))
     if tuple(syms) != _nf_baxt(w.symbols):
@@ -608,28 +608,28 @@ def derivation_certificate(family: MonoidFamily, ident: Identity) -> list:
 def _match_pattern(pattern: tuple, factor: tuple) -> list:
     """All consistent variable -> nonempty tuple maps with image concat = factor."""
     results = []
-    bound: dict = {}
-
-    def go(pi: int, fi: int):
-        if pi == len(pattern):
-            if fi == len(factor):
-                results.append(dict(bound))
-            return
-        name = pattern[pi]
-        if name in bound:
-            img = bound[name]
-            if factor[fi : fi + len(img)] == img:
-                go(pi + 1, fi + len(img))
-            return
-        slack = len(factor) - fi - (len(pattern) - pi - 1)
-        for length in range(1, slack + 1):
-            bound[name] = factor[fi : fi + length]
-            go(pi + 1, fi + length)
-            del bound[name]
-
-    go(0, 0)
+    _extend_match(pattern, factor, 0, 0, {}, results)
     results.sort(key=lambda d: tuple(sorted(d.items())))
     return results
+
+
+def _extend_match(pattern, factor, pi, fi, bound, results) -> None:
+    """Extend the map bound so that pattern[pi:] matches factor[fi:]."""
+    if pi == len(pattern):
+        if fi == len(factor):
+            results.append(dict(bound))
+        return
+    name = pattern[pi]
+    if name in bound:
+        img = bound[name]
+        if factor[fi : fi + len(img)] == img:
+            _extend_match(pattern, factor, pi + 1, fi + len(img), bound, results)
+        return
+    slack = len(factor) - fi - (len(pattern) - pi - 1)
+    for length in range(1, slack + 1):
+        bound[name] = factor[fi : fi + length]
+        _extend_match(pattern, factor, pi + 1, fi + length, bound, results)
+        del bound[name]
 
 
 def _neighbors(word: Word, sigma: Sequence[Identity], max_word_len: int) -> list:

@@ -6,43 +6,91 @@ a row of columns (new letters enter on the left, so the top row ends up being
 the fp skeleton of the word).  A taiga tree is a binary search tree over the
 distinct letters, each node carrying a multiplicity.
 
-_SearchTree is the one immutable tree class behind TaigaTree here and the two
-strict trees of bst.  It stores a tree as a flat preorder key, which
-_shape_key builds from a word in one stack pass, and gives all three their
-counting, validity check, JSON round trip and ASCII/DOT pictures.
+Every canonical object of an insertion family, here and in bst, is a
+_Canonical: the family's equivalence key plus the word that built it, with one
+immutability, pickling, equality, hash, reading word and product for all.
+_SearchTree, the tree class behind TaigaTree and the two strict trees of bst,
+keys a tree by its flat preorder (built by _shape_key in one stack pass) and
+gives all three their counting, validity check, JSON round trip (which
+rejects invalid trees) and ASCII/DOT pictures.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, count, repeat
+from itertools import chain, count, repeat, starmap
+from math import inf
 
-from .words import VARIABLES, Word
+from .words import Word, _symbols
 
 
 def _letter_seq(w) -> tuple:
-    """The letters of w as a tuple; a word of variables is refused.
+    """The letters of w as a tuple; text is parsed as a letter word.
 
-    A Word checked its symbols when it was made, so only a plain sequence is
-    scanned, and that scan runs in C.
+    One pass in C refuses variables and letters below 1.
     """
-    if isinstance(w, Word):
-        if w.kind == VARIABLES:
-            raise ValueError("insertion needs a letter word")
-        return w.symbols
-    if isinstance(w, str):
-        return Word.letters(w).symbols
-    seq = tuple(w)
-    if any(map(isinstance, seq, repeat(str))):
-        raise ValueError("insertion needs a letter word")
-    return seq
+    seq = Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
+    try:
+        if min(seq, default=1) >= 1:
+            return seq
+    except TypeError:  # a symbol that is not a number, such as a variable name
+        pass
+    raise ValueError("insertion needs a letter word: integers >= 1")
 
 
-class StalacticTableau:
-    """Columns of equal letters; insertion prepends new letters on the left."""
+class _Canonical:
+    """Immutable canonical object: an equivalence key and the word that built it.
 
-    __slots__ = ("columns", "_word")
+    _key is the family's raw key in monoids._FAMILIES, so objects of one class
+    are equal exactly when their words are equivalent.  _word is that letter
+    tuple, or None for an object made from outside, whose reading word the
+    class spells (_spell).  Constructors check outside input; _make wraps a
+    key known to be valid.  _insert is the family's insertion, for products.
+    """
 
-    def __init__(self, columns=(), _word=None):
+    __slots__ = ("_key", "_word")
+
+    def __init__(self, key, word=None):
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_word", word)
+
+    @classmethod
+    def _make(cls, key, word=None):
+        obj = object.__new__(cls)
+        _Canonical.__init__(obj, key, word)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self)._make, (self._key, self._word)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._key))
+
+    def reading_word(self) -> tuple:
+        """A word that builds this object."""
+        return self._spell() if self._word is None else self._word
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._insert(self.reading_word() + other.reading_word())
+
+
+class StalacticTableau(_Canonical):
+    """Columns of equal letters; insertion prepends new letters on the left.
+
+    The key is the columns, (letter, multiplicity) pairs from left to right.
+    """
+
+    __slots__ = ()
+    _insert = staticmethod(lambda w: p_stal(w))
+
+    def __init__(self, columns=()):
         cols = tuple((int(a), int(m)) for a, m in columns)
         seen = set()
         for a, m in cols:
@@ -51,21 +99,15 @@ class StalacticTableau:
             if a in seen:
                 raise ValueError(f"duplicate column letter {a}")
             seen.add(a)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "_word", _word)
+        super().__init__(cols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StalacticTableau is immutable")
+    @property
+    def columns(self) -> tuple:
+        return self._key
 
     def insert(self, a: int) -> "StalacticTableau":
         """One insertion step: increment a's column, or prepend a new one."""
-        if a < 1:
-            raise ValueError("letters must be >= 1")
-        for i, (letter, mult) in enumerate(self.columns):
-            if letter == a:
-                cols = self.columns[:i] + ((letter, mult + 1),) + self.columns[i + 1 :]
-                return StalacticTableau(cols)
-        return StalacticTableau(((a, 1),) + self.columns)
+        return p_stal((a,) + self.reading_word())
 
     def letters(self) -> tuple:
         return tuple(a for a, _ in self.columns)
@@ -76,25 +118,9 @@ class StalacticTableau:
     def total(self) -> int:
         return sum(m for _, m in self.columns)
 
-    def reading_word(self) -> tuple:
-        """A word that rebuilds this tableau: each column spelled out in order."""
-        if self._word is not None:
-            return self._word
-        out = []
-        for a, m in self.columns:
-            out.extend([a] * m)
-        return tuple(out)
-
-    def __mul__(self, other: "StalacticTableau") -> "StalacticTableau":
-        if not isinstance(other, StalacticTableau):
-            return NotImplemented
-        return p_stal(self.reading_word() + other.reading_word())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StalacticTableau) and self.columns == other.columns
-
-    def __hash__(self) -> int:
-        return hash(self.columns)
+    def _spell(self) -> tuple:
+        """Each column spelled out in order."""
+        return tuple(chain.from_iterable(starmap(repeat, self.columns)))
 
     def __repr__(self) -> str:
         return f"StalacticTableau({list(self.columns)!r})"
@@ -138,7 +164,7 @@ def _stal_columns(seq) -> tuple:
 def p_stal(w) -> StalacticTableau:
     """Insert the letters of w from right to left into the empty tableau."""
     seq = _letter_seq(w)
-    return StalacticTableau(_stal_columns(seq), _word=seq)
+    return StalacticTableau._make(_stal_columns(seq), seq)
 
 
 def _shape_key(seq, inorder, max_heap, counts=None) -> tuple:
@@ -240,37 +266,25 @@ def _dot_node(it, mult, ids, lines) -> int:
     return my
 
 
-class _SearchTree:
+class _SearchTree(_Canonical):
     """Immutable binary search tree stored as a flat preorder key.
 
     Per node the key holds the label, the multiplicity if the class has one
-    (_MULT), and a child mask: 1 left, 2 right, 3 both.  Two trees are equal
-    exactly when their keys are.  Labels alone would not tell apart trees the
-    constructor accepts, such as (2, (2, None, None), None) and
-    (2, None, (2, None, None)).  root, rebuilt on each access, and the
-    constructor use nested tuples (label, [mult,] left, right), empty = None.
-    _EQUAL_LEFT/_EQUAL_RIGHT say on which side of a node an equal label may
-    sit.  _insert builds the tree of a word; _FORWARD says whether the
-    expanded preorder rebuilds it as is or reversed.
+    (_MULT), and a child mask: 1 left, 2 right, 3 both.  Labels alone would
+    not tell apart trees the constructor accepts, such as (2, (2, None, None),
+    None) and (2, None, (2, None, None)).  root, rebuilt on each access, and
+    the constructor use nested tuples (label, [mult,] left, right), empty =
+    None.  _EQUAL_LEFT/_EQUAL_RIGHT say on which side of a node an equal
+    label may sit; _FORWARD says whether the expanded preorder rebuilds the
+    tree as is or reversed.
     """
 
-    __slots__ = ("_key", "_word")
+    __slots__ = ()
     _MULT = False
     _EQUAL_LEFT = _EQUAL_RIGHT = _FORWARD = False
 
     def __init__(self, root=None):
-        object.__setattr__(self, "_key", _key_of_root(root, self._MULT))
-        object.__setattr__(self, "_word", None)
-
-    @classmethod
-    def _make(cls, key: tuple, word=None):
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "_key", key)
-        object.__setattr__(tree, "_word", word)
-        return tree
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        super().__init__(_key_of_root(root, self._MULT))
 
     @property
     def root(self):
@@ -292,24 +306,13 @@ class _SearchTree:
         key = self._key
         if not self._MULT:
             return key[0::2]
-        out = []
-        for label, mult in zip(key[0::3], key[1::3]):
-            out += [label] * mult
-        return tuple(out)
+        return tuple(chain.from_iterable(map(repeat, key[0::3], key[1::3])))
 
     def as_counter(self) -> Counter:
         return Counter(self._preorder())
 
-    def reading_word(self) -> tuple:
-        """A word that rebuilds this tree."""
-        if self._word is not None:
-            return self._word
+    def _spell(self) -> tuple:
         return self._preorder() if self._FORWARD else self._preorder()[::-1]
-
-    def __mul__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._insert(self.reading_word() + other.reading_word())
 
     def in_order(self) -> tuple:
         out = []
@@ -325,30 +328,26 @@ class _SearchTree:
         return tuple(out)
 
     def is_valid(self) -> bool:
-        """Search-tree order with this class's strictness; multiplicities >= 1."""
-        mult, equal_left, equal_right = self._MULT, self._EQUAL_LEFT, self._EQUAL_RIGHT
-        root = self.root
-        stack = [(root, None, None)] if root is not None else []
-        while stack:
-            node, lo, hi = stack.pop()
-            label, left, right = node[0], node[-2], node[-1]
-            if mult and node[1] < 1:
+        """Search-tree order with this class's strictness; multiplicities >= 1.
+
+        One pass over the key: the stack holds the (lo, hi) label bounds of
+        the subtrees still to come, the next one on top.
+        """
+        key, width = self._key, 3 if self._MULT else 2
+        if self._MULT and min(key[1::3], default=1) < 1:
+            return False
+        equal_left, equal_right = self._EQUAL_LEFT, self._EQUAL_RIGHT
+        stack = [(-inf, inf)] if key else []
+        for label, mask in zip(key[0::width], key[width - 1::width]):
+            lo, hi = stack.pop()
+            if (label < lo or label > hi or (label == lo and not equal_right)
+                    or (label == hi and not equal_left)):
                 return False
-            if lo is not None and (label < lo or (label == lo and not equal_right)):
-                return False
-            if hi is not None and (label > hi or (label == hi and not equal_left)):
-                return False
-            if left is not None:
-                stack.append((left, lo, label))
-            if right is not None:
-                stack.append((right, label, hi))
+            if mask & 2:
+                stack.append((label, hi))
+            if mask & 1:
+                stack.append((lo, label))
         return True
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.root!r})"
@@ -358,10 +357,17 @@ class _SearchTree:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The tree of a to_json_dict payload; ValueError if it is not a valid tree."""
         key = []
-        if data is not None:
-            _json_key(data, cls._MULT, key)
-        return cls._make(tuple(key))
+        try:
+            if data is not None:
+                _json_key(data, cls._MULT, key)
+            tree = cls._make(tuple(key))
+            if tree.is_valid():
+                return tree
+        except (KeyError, TypeError):  # a missing field, or a label that is no number
+            pass
+        raise ValueError(f"not a valid {cls.__name__} payload")
 
     def to_dot(self) -> str:
         """DOT digraph; children are tagged L/R so the shape is unambiguous."""

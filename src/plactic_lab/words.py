@@ -69,6 +69,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word, (self.symbols,)
+
     @classmethod
     def letters(cls, source) -> "Word":
         """Build a letter word from an int iterable or from text.

@@ -1,4 +1,5 @@
 import json
+import operator
 
 import pytest
 
@@ -256,3 +257,52 @@ def test_baxter_json_roundtrip_and_reading_word():
     assert restored == b
     with pytest.raises(ValueError):
         restored.reading_word()
+
+
+def _labels(node):
+    return [] if node is None else [node[0]] + _labels(node[-2]) + _labels(node[-1])
+
+
+def naive_is_valid(node, left_rel, right_rel):
+    """Each label relates to every label of its subtrees; multiplicities >= 1."""
+    if node is None:
+        return True
+    label, left, right = node[0], node[-2], node[-1]
+    return ((len(node) == 3 or node[1] >= 1)
+            and all(left_rel(a, label) for a in _labels(left))
+            and all(right_rel(a, label) for a in _labels(right))
+            and naive_is_valid(left, left_rel, right_rel)
+            and naive_is_valid(right, left_rel, right_rel))
+
+
+def random_trees(mult):
+    def node(children):
+        if mult:
+            return st.tuples(st.integers(1, 4), st.integers(-1, 2), children, children)
+        return st.tuples(st.integers(1, 4), children, children)
+    return st.recursive(st.none(), node, max_leaves=10)
+
+
+@given(random_trees(False), random_trees(True))
+def test_is_valid_matches_naive_check(plain, taiga):
+    # the search-tree order read off the flat key, on trees that may break it
+    assert RightStrictBST(plain).is_valid() == naive_is_valid(plain, operator.le, operator.gt)
+    assert LeftStrictBST(plain).is_valid() == naive_is_valid(plain, operator.lt, operator.ge)
+    assert TaigaTree(taiga).is_valid() == naive_is_valid(taiga, operator.lt, operator.gt)
+
+
+def test_from_json_rejects_invalid_trees():
+    with pytest.raises(ValueError):  # an equal label right of a right strict node
+        RightStrictBST.from_json_dict({"label": 2, "left": None, "right": {
+            "label": 2, "left": None, "right": None}})
+    with pytest.raises(ValueError):
+        TaigaTree.from_json_dict({"label": 5, "mult": -3, "left": None, "right": None})
+    with pytest.raises(ValueError):  # a label that is no number
+        LeftStrictBST.from_json_dict({"label": "x", "left": None, "right": None})
+    with pytest.raises(ValueError):  # no "right" field
+        RightStrictBST.from_json_dict({"label": 1, "left": None})
+    data = p_baxt("3121").to_json_dict()
+    # the same labels, but a 3 left of the left strict root 1
+    data["sharp"]["label"], data["sharp"]["left"]["label"] = 1, 3
+    with pytest.raises(ValueError):
+        BaxterObject.from_json_dict(data)

@@ -1,11 +1,14 @@
 import itertools
+import pickle
 
 import pytest
 
 from hypothesis import given, strategies as st
 
 from plactic_lab import (
+    Exhaustive,
     FiniteMonoid,
+    Identity,
     L21,
     MonoidFamily,
     R21,
@@ -18,12 +21,14 @@ from plactic_lab import (
     equivalent,
     eval_in_finite,
     ev,
+    oracle,
     p_baxt,
     p_stal,
     p_sylv,
     p_sylv_sharp,
     p_taig,
 )
+from plactic_lab.monoids import _FAMILIES
 
 INSERTION = (
     MonoidFamily.STAL,
@@ -171,3 +176,33 @@ def test_tree_families_on_long_words(shape):
     assert p_sylv(w).root_label() == p_taig(w).root_label() == w[-1]
     assert p_sylv_sharp(w).root_label() == w[0]
     assert not equivalent(MonoidFamily.SYLV, w, w[1:] + w[:1])
+
+
+@given(letter_seqs, letter_seqs)
+def test_objects_are_their_family_keys(u, v):
+    # an insertion family's object is its equivalence key plus the word, so
+    # object equality is, by construction, the relation equivalent decides
+    for fam in INSERTION:
+        key_u, key_v = _FAMILIES[fam].key(tuple(u)), _FAMILIES[fam].key(tuple(v))
+        obj_u, obj_v = canonical(fam, u), canonical(fam, v)
+        assert obj_u._key == key_u and obj_v._key == key_v
+        assert (obj_u == obj_v) == (key_u == key_v)
+        if key_u == key_v:
+            assert hash(obj_u) == hash(obj_v)
+        assert hash(obj_u) == hash(type(obj_u)._make(key_u))
+
+
+def test_objects_words_and_verdicts_pickle():
+    w = Word.letters("3613151265")
+    objects = [canonical(fam, w) for fam in INSERTION]
+    ident = Identity.parse("xyx = yxx")
+    for value in objects + [w, ident]:
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value)
+        with pytest.raises(AttributeError):
+            copy._key = None
+    for obj in objects:
+        assert pickle.loads(pickle.dumps(obj)).reading_word() == w.symbols
+    verdict = oracle(MonoidFamily.SYLV, 2, ident, Exhaustive(1))
+    copy = pickle.loads(pickle.dumps(verdict))
+    assert copy == verdict and copy.substitution["x"] == Word.letters("2")
