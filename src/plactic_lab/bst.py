@@ -11,6 +11,7 @@ _inorder: they are its Cartesian trees with the largest (right strict) or the
 smallest (left strict) position at the root, built by tableaux._shape_key.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
+A pair of trees from outside is accepted only with a word that builds both.
 """
 from __future__ import annotations
 
@@ -36,6 +37,60 @@ def _baxt_key(seq) -> tuple:
     """Keys of the left and the right strict tree, from one sort."""
     order = _inorder(seq)
     return _shape_key(seq, order, False), _shape_key(seq, order, True)
+
+
+def _inorder_parents(key, forward) -> list:
+    """Parent of each node of a valid strict tree, nodes numbered by in-order.
+
+    The root's parent is None.  Equal labels lie on one path, so a left strict
+    tree's in-order (forward) lists them in preorder, a right strict tree's in
+    reverse preorder.
+    """
+    labels, masks = key[0::2], key[1::2]
+    n = len(masks)
+    order = sorted(range(n) if forward else range(n - 1, -1, -1), key=labels.__getitem__)
+    rank = sorted(range(n), key=order.__getitem__)
+    up, pending = [None] * n, []  # pending: nodes whose right child is still to come
+    for i in range(n - 1):
+        if masks[i] & 2:
+            pending.append(i)
+        up[rank[i + 1]] = rank[i] if masks[i] & 1 else rank[pending.pop()]
+    return up
+
+
+def _twin_witness(sharp_key, plain_key) -> tuple:
+    """A word that builds both trees, if any does; the caller checks it.
+
+    Letter k of the trees' common in-order must come after its left strict
+    parent and before its right strict parent.  Equal letters, which the
+    in-order ties by position, need no more: each tree chains them on one path
+    in that order.  Any order meeting these constraints builds both trees, as
+    a Cartesian tree is fixed by its in-order and its heap order; a cycle
+    leaves letters out, so the check fails.
+    """
+    if len(sharp_key) != len(plain_key):
+        return ()
+    labels = sorted(sharp_key[0::2])
+    sharp_up, plain_up = _inorder_parents(sharp_key, True), _inorder_parents(plain_key, False)
+    n = len(labels)
+    after, need = [[] for _ in range(n)], [0] * n
+    for k, a, b in zip(range(n), sharp_up, plain_up):
+        if a is not None:
+            after[a].append(k)
+            need[k] += 1
+        if b is not None:
+            after[k].append(b)
+            need[b] += 1
+    ready = [k for k in range(n) if not need[k]]
+    word = []
+    while ready:
+        k = ready.pop()
+        word.append(labels[k])
+        for j in after[k]:
+            need[j] -= 1
+            if not need[j]:
+                ready.append(j)
+    return tuple(word)
 
 
 class RightStrictBST(_SearchTree):
@@ -77,11 +132,14 @@ class BaxterObject(_Canonical):
     _insert = staticmethod(lambda w: p_baxt(w))
 
     def __init__(self, sharp: LeftStrictBST, plain: RightStrictBST):
+        """The pair, if some word builds both trees; ValueError otherwise."""
         if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
             raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
-        if sharp.as_counter() != plain.as_counter():
-            raise ValueError("component trees carry different label multisets")
-        super().__init__((sharp._key, plain._key))
+        key = (sharp._key, plain._key)
+        witness = _twin_witness(*key)
+        if _baxt_key(witness) != key:
+            raise ValueError("no word builds this pair of trees")
+        super().__init__(key, witness)
 
     @property
     def sharp(self) -> LeftStrictBST:
@@ -93,9 +151,6 @@ class BaxterObject(_Canonical):
 
     def as_counter(self) -> Counter:
         return self.plain.as_counter()
-
-    def _spell(self) -> tuple:
-        raise ValueError("this BaxterObject does not carry a reading word")
 
     def __repr__(self) -> str:
         return f"BaxterObject({self.sharp!r}, {self.plain!r})"
@@ -114,11 +169,12 @@ class BaxterObject(_Canonical):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BaxterObject":
-        """The pair of a to_json_dict payload; ValueError if a tree is invalid."""
-        return cls(
-            LeftStrictBST.from_json_dict(data["sharp"]),
-            RightStrictBST.from_json_dict(data["plain"]),
-        )
+        """The pair of a to_json_dict payload; ValueError if it is not one."""
+        try:
+            sharp, plain = data["sharp"], data["plain"]
+        except (KeyError, TypeError):  # a missing field, or no object at all
+            raise ValueError("not a valid BaxterObject payload") from None
+        return cls(LeftStrictBST.from_json_dict(sharp), RightStrictBST.from_json_dict(plain))
 
 
 def p_baxt(w) -> BaxterObject:

@@ -183,17 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, formats=("text", "json"), **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         return p
 
     p = add("object", _cmd_object, help="canonical object of a letter word")
     p.add_argument("--monoid", type=_family, required=True)
     p.add_argument("--word", required=True)
 
-    p = add("render", _cmd_render, help="draw the canonical object")
+    p = add("render", _cmd_render, ("text", "dot"), help="draw the canonical object")
     p.add_argument("--monoid", type=_family, required=True)
     p.add_argument("--word", required=True)
 

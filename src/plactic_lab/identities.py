@@ -21,7 +21,6 @@ explores nonempty images only.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -213,34 +212,11 @@ def _counterexample(family, ident, images: dict) -> CounterExample:
     )
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("PLACTIC_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _scan_range(key, ident, names, cands, start, stop):
-    """Scan substitutions with first-variable candidate index in [start, stop)."""
-    lhs, rhs = ident.lhs.symbols, ident.rhs.symbols
-    rest = len(names) - 1
-    for i in range(start, stop):
-        head = cands[i]
-        for tail in itertools.product(cands, repeat=rest):
-            images = dict(zip(names, (head,) + tail))
-            if key(_substitute(images, lhs)) != key(_substitute(images, rhs)):
-                return images
-    return None
-
-
-def _scan_chunk(args):
-    family_value, ident_text, rank, max_len, start, stop = args
-    key = _family(MonoidFamily.parse(family_value)).key
-    ident = Identity.parse(ident_text)
-    names = ident.variables()
-    cands = _image_candidates(rank, max_len)
-    return _scan_range(key, ident, names, cands, start, stop)
+def _random_images(rng: random.Random, trials: int, rank: int, max_len: int, count: int):
+    """trials tuples of count images, each drawn as a length, then its letters."""
+    for _ in range(trials):
+        yield tuple(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, max_len)))
+                    for _ in range(count))
 
 
 def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
@@ -248,67 +224,27 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
 
     Exhaustive mode enumerates images in shortlex order, first variable most
     significant, and reports the first counterexample; Random mode replays a
-    seeded stream.  PLACTIC_LAB_THREADS > 1 splits the exhaustive scan over
-    worker processes (same verdict, earliest counterexample).
+    seeded stream.  Both scan serially, one substitution at a time.
     """
     row = _family(family)
     check_rank((), rank)  # rank >= 1
     if row.cap is not None and rank > row.cap:
         raise RankViolationError(f"{family} admits rank at most {row.cap}")
-    key = row.key
     names = ident.variables()
     if isinstance(mode, Exhaustive):
-        cands = _image_candidates(rank, mode.max_len)
-        if not names:
-            checked = 1
-            if ident.lhs == ident.rhs:
-                return HoldsWithinBound(checked=checked)
-            return _counterexample(family, ident, {})
-        workers = _workers_from_env()
-        if workers > 1 and len(cands) >= workers:
-            images = _scan_parallel(family, ident, rank, mode.max_len, cands, workers)
-        else:
-            images = _scan_range(key, ident, names, cands, 0, len(cands))
-        if images is None:
-            return HoldsWithinBound(checked=len(cands) ** len(names))
-        return _counterexample(family, ident, images)
-    if isinstance(mode, RandomSearch):
-        rng = random.Random(mode.seed)
-        lhs, rhs = ident.lhs.symbols, ident.rhs.symbols
-        for _ in range(mode.trials):
-            images = {
-                name: tuple(
-                    rng.randint(1, rank) for _ in range(rng.randint(0, mode.max_len))
-                )
-                for name in names
-            }
-            if key(_substitute(images, lhs)) != key(_substitute(images, rhs)):
-                return _counterexample(family, ident, images)
-        return HoldsWithinBound(checked=mode.trials)
-    raise TypeError(f"unknown oracle mode {mode!r}")
-
-
-def _scan_parallel(family, ident, rank, max_len, cands, workers):
-    """Scan the substitutions of each first-variable candidate as one task.
-
-    Results are read in candidate order, so the first hit is the earliest
-    counterexample; the tasks after it are cancelled, and leaving the pool
-    waits only for the few already running.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        tasks = [pool.submit(_scan_chunk, (family.value, ident.text(), rank, max_len, i, i + 1))
-                 for i in range(len(cands))]
-        for i, task in enumerate(tasks):
-            found = task.result()
-            if found is not None:
-                for later in tasks[i + 1:]:
-                    later.cancel()
-                return found
-    return None
+        stream = itertools.product(_image_candidates(rank, mode.max_len), repeat=len(names))
+    elif isinstance(mode, RandomSearch):
+        stream = _random_images(random.Random(mode.seed), mode.trials, rank, mode.max_len,
+                                len(names))
+    else:
+        raise TypeError(f"unknown oracle mode {mode!r}")
+    key, lhs, rhs = row.key, ident.lhs.symbols, ident.rhs.symbols
+    checked = 0
+    for checked, imgs in enumerate(stream, 1):
+        images = dict(zip(names, imgs))
+        if key(_substitute(images, lhs)) != key(_substitute(images, rhs)):
+            return _counterexample(family, ident, images)
+    return HoldsWithinBound(checked=checked)
 
 
 def verdict_to_json(verdict) -> dict:

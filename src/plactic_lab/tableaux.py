@@ -22,18 +22,18 @@ from math import inf
 
 from .words import Word, _symbols
 
+_INT = {int}
+
 
 def _letter_seq(w) -> tuple:
     """The letters of w as a tuple; text is parsed as a letter word.
 
-    One pass in C refuses variables and letters below 1.
+    Two passes in C: the type pass refuses variables, floats and bools, the
+    min() pass letters below 1.
     """
     seq = Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
-    try:
-        if min(seq, default=1) >= 1:
-            return seq
-    except TypeError:  # a symbol that is not a number, such as a variable name
-        pass
+    if _INT.issuperset(map(type, seq)) and min(seq, default=1) >= 1:
+        return seq
     raise ValueError("insertion needs a letter word: integers >= 1")
 
 
@@ -42,9 +42,10 @@ class _Canonical:
 
     _key is the family's raw key in monoids._FAMILIES, so objects of one class
     are equal exactly when their words are equivalent.  _word is that letter
-    tuple, or None for an object made from outside, whose reading word the
-    class spells (_spell).  Constructors check outside input; _make wraps a
-    key known to be valid.  _insert is the family's insertion, for products.
+    tuple (for a Baxter pair from outside, a word found to build it), or None
+    for a tableau or tree from outside, whose reading word the class spells
+    (_spell).  Constructors check outside input; _make wraps a key known to
+    be valid.  _insert is the family's insertion, for products.
     """
 
     __slots__ = ("_key", "_word")
@@ -144,7 +145,11 @@ class StalacticTableau(_Canonical):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StalacticTableau":
-        return cls((c["letter"], c["mult"]) for c in data["columns"])
+        """The tableau of a to_json_dict payload; ValueError if it is not one."""
+        try:
+            return cls((c["letter"], c["mult"]) for c in data["columns"])
+        except (KeyError, TypeError):  # a missing field, or a field of the wrong type
+            raise ValueError("not a valid StalacticTableau payload") from None
 
 
 def _stal_columns(seq) -> tuple:

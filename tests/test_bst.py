@@ -1,3 +1,4 @@
+import itertools
 import json
 import operator
 
@@ -10,6 +11,7 @@ from plactic_lab import (
     LeftStrictBST,
     MonoidFamily,
     RightStrictBST,
+    StalacticTableau,
     TaigaTree,
     Word,
     equivalent,
@@ -248,6 +250,26 @@ def test_baxter_equality_ignores_memo():
 def test_baxter_component_mismatch_rejected():
     with pytest.raises(ValueError):
         BaxterObject(p_sylv_sharp("12"), p_sylv("11"))
+    with pytest.raises(ValueError):  # both trees are 1 -R-> 2, but no word builds the pair
+        BaxterObject(p_sylv_sharp("12"), p_sylv("21"))
+
+
+def test_baxter_pairs_load_exactly_when_a_word_builds_them():
+    words = [w for n in range(6) for w in itertools.product((1, 2, 3), repeat=n)]
+    built = {(b.sharp, b.plain): b for b in map(p_baxt, words)}
+    plains = {}
+    for t in set(map(p_sylv, words)):
+        plains.setdefault(t.in_order(), []).append(t)
+    pairs = [(s, t) for s in set(map(p_sylv_sharp, words)) for t in plains[s.in_order()]]
+    assert len(pairs) > len(built)  # some pairs with equal labels come from no word
+    for sharp, plain in pairs:
+        try:
+            b = BaxterObject(sharp, plain)
+        except ValueError:
+            b = None
+        assert b == built.get((sharp, plain))
+        if b is not None:
+            assert p_baxt(b.reading_word()) == b
 
 
 def test_baxter_json_roundtrip_and_reading_word():
@@ -255,8 +277,16 @@ def test_baxter_json_roundtrip_and_reading_word():
     data = json.loads(json.dumps(b.to_json_dict()))
     restored = BaxterObject.from_json_dict(data)
     assert restored == b
-    with pytest.raises(ValueError):
-        restored.reading_word()
+    assert p_baxt(restored.reading_word()) == b
+
+
+@given(letter_seqs, letter_seqs)
+def test_baxter_json_loaded_objects_multiply(u, v):
+    a, b = p_baxt(u), p_baxt(v)
+    a2, b2 = (BaxterObject.from_json_dict(json.loads(json.dumps(x.to_json_dict())))
+              for x in (a, b))
+    assert (a2, b2) == (a, b)
+    assert a2 * b2 == a * b
 
 
 def _labels(node):
@@ -306,3 +336,7 @@ def test_from_json_rejects_invalid_trees():
     data["sharp"]["label"], data["sharp"]["left"]["label"] = 1, 3
     with pytest.raises(ValueError):
         BaxterObject.from_json_dict(data)
+    with pytest.raises(ValueError):  # no "plain" field
+        BaxterObject.from_json_dict({"sharp": None})
+    with pytest.raises(ValueError):  # no "mult" field
+        StalacticTableau.from_json_dict({"columns": [{"letter": 1}]})

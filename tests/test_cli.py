@@ -191,6 +191,13 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "equiv", "--monoid", "sylv", "--lhs", "x1",
                        "--rhs", "11")
     assert code == 2 and "error" in err
+    # --format offers only the values the subcommand uses
+    for argv in (["render", "--monoid", "sylv", "--word", "12", "--format", "json"],
+                 ["equiv", "--monoid", "sylv", "--lhs", "1", "--rhs", "1", "--format", "dot"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_two(capsys):

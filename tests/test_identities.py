@@ -210,8 +210,11 @@ def test_oracle_random_mode_is_reproducible():
     b = oracle(F.SYLV, 3, ident, RandomSearch(trials=200, max_len=3, seed=5))
     assert isinstance(a, CounterExample)
     assert a.substitution == b.substitution
+    assert {name: w.text() for name, w in a.substitution.items()} == {"x": "21", "y": "313"}
     held = oracle(F.SYLV, 3, Identity.parse("x = x"), RandomSearch(10, 2, seed=1))
     assert held == HoldsWithinBound(checked=10)
+    # no variables: each trial is the one empty substitution
+    assert oracle(F.SYLV, 2, Identity.parse(" = "), RandomSearch(5, 2)) == HoldsWithinBound(5)
 
 
 def test_oracle_rank_validation():
@@ -226,6 +229,7 @@ def test_oracle_rank_validation():
 def test_oracle_trivial_identity_with_no_shared_variables():
     verdict = oracle(F.SYLV, 2, Identity.parse("x = y"), Exhaustive(1))
     assert isinstance(verdict, CounterExample)
+    assert oracle(F.SYLV, 2, Identity.parse(" = "), Exhaustive(2)) == HoldsWithinBound(1)
 
 
 def test_find_counterexample_frozen_case():

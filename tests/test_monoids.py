@@ -127,6 +127,14 @@ def test_canonical_rejects_letters_outside_cap():
         canonical(MonoidFamily.LEFT_ZERO, Word.letters("123"))
 
 
+@pytest.mark.parametrize("insert", [p_stal, p_taig, p_sylv, p_sylv_sharp, p_baxt])
+@pytest.mark.parametrize("seq", [[1.5, 2], [2.5], [2.0], [True, 2], [2, False], [0], [3, -1],
+                                 ["x", "y"], [1, "x"]])
+def test_insertion_refuses_non_letters(insert, seq):
+    with pytest.raises(ValueError):  # letters are integers >= 1, as in Word
+        insert(seq)
+
+
 @given(letter_seqs, letter_seqs)
 def test_equivalent_agrees_with_canonical_objects(u, v):
     for fam in INSERTION:
