@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _Canonical, _SearchTree, _letter_seq, _shape_key
+from .tableaux import _are_letters, _Canonical, _SearchTree, _letter_seq, _shape_key
 
 
 def _inorder(seq) -> list:
@@ -137,8 +137,8 @@ class BaxterObject(_Canonical):
             raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
         key = (sharp._key, plain._key)
         witness = _twin_witness(*key)
-        if _baxt_key(witness) != key:
-            raise ValueError("no word builds this pair of trees")
+        if not _are_letters(witness) or _baxt_key(witness) != key:
+            raise ValueError("no letter word builds this pair of trees")
         super().__init__(key, witness)
 
     @property

@@ -169,6 +169,10 @@ class Exhaustive:
 
     max_len: int
 
+    def __post_init__(self):
+        if self.max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {self.max_len}")
+
 
 @dataclass(frozen=True)
 class RandomSearch:
@@ -177,6 +181,10 @@ class RandomSearch:
     trials: int
     max_len: int
     seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 0 or self.max_len < 0:
+            raise ValueError(f"trials and max_len must be >= 0, got {self.trials}, {self.max_len}")
 
 
 @dataclass(frozen=True)

@@ -10,29 +10,35 @@ Every canonical object of an insertion family, here and in bst, is a
 _Canonical: the family's equivalence key plus the word that built it, with one
 immutability, pickling, equality, hash, reading word and product for all.
 _SearchTree, the tree class behind TaigaTree and the two strict trees of bst,
-keys a tree by its flat preorder (built by _shape_key in one stack pass) and
-gives all three their counting, validity check, JSON round trip (which
-rejects invalid trees) and ASCII/DOT pictures.
+keys a tree by its flat preorder (built by _shape_key in one stack pass),
+which all its methods walk with an explicit stack, at any depth: counting,
+validity, JSON round trip (rejecting invalid trees) and ASCII/DOT pictures.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, count, repeat, starmap
+from itertools import chain, repeat, starmap
 from math import inf
+from operator import itemgetter
 
 from .words import Word, _symbols
 
 _INT = {int}
 
 
-def _letter_seq(w) -> tuple:
-    """The letters of w as a tuple; text is parsed as a letter word.
+def _are_letters(seq) -> bool:
+    """Whether every item of seq is a letter: an exact int >= 1.
 
     Two passes in C: the type pass refuses variables, floats and bools, the
-    min() pass letters below 1.
+    min() pass numbers below 1.
     """
+    return _INT.issuperset(map(type, seq)) and min(seq, default=1) >= 1
+
+
+def _letter_seq(w) -> tuple:
+    """The letters of w as a tuple; text is parsed as a letter word."""
     seq = Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
-    if _INT.issuperset(map(type, seq)) and min(seq, default=1) >= 1:
+    if _are_letters(seq):
         return seq
     raise ValueError("insertion needs a letter word: integers >= 1")
 
@@ -92,14 +98,12 @@ class StalacticTableau(_Canonical):
     _insert = staticmethod(lambda w: p_stal(w))
 
     def __init__(self, columns=()):
-        cols = tuple((int(a), int(m)) for a, m in columns)
-        seen = set()
-        for a, m in cols:
-            if a < 1 or m < 1:
-                raise ValueError(f"bad column {(a, m)!r}")
-            if a in seen:
-                raise ValueError(f"duplicate column letter {a}")
-            seen.add(a)
+        cols = tuple((a, m) for a, m in columns)
+        letters = [a for a, _ in cols]
+        if not _are_letters(letters + [m for _, m in cols]):
+            raise ValueError("column letters and multiplicities must be integers >= 1")
+        if len(set(letters)) < len(letters):
+            raise ValueError("duplicate column letter")
         super().__init__(cols)
 
     @property
@@ -202,73 +206,43 @@ def _shape_key(seq, inorder, max_heap, counts=None) -> tuple:
     return tuple(out)
 
 
-def _key_of_root(root, mult) -> tuple:
-    """Flat preorder key of a tree given as nested tuples."""
-    size = 4 if mult else 3
+def _key_of_root(root, mult, fields=None) -> tuple:
+    """Flat preorder key of nested nodes: tuples (label, [mult,] left, right),
+    empty = None, or JSON nodes that fields, an itemgetter, reads as such."""
     out = []
     stack = [] if root is None else [root]
+    pop, push = stack.pop, stack.append
     while stack:
-        node = stack.pop()
-        if len(node) != size:
-            raise ValueError(f"tree nodes need {size} fields, got {len(node)}")
+        node = pop() if fields is None else fields(pop())
+        if len(node) != 3 + mult:
+            raise ValueError(f"tree nodes need {3 + mult} fields, got {len(node)}")
         left, right = node[-2], node[-1]
-        out.extend(node[:-2])
+        out += node[:-2]
         out.append((left is not None) | (right is not None) << 1)
-        stack.extend(child for child in (right, left) if child is not None)
+        if right is not None:
+            push(right)
+        if left is not None:
+            push(left)
     return tuple(out)
 
 
-# The walkers read a key in preorder through an iterator and recurse once per
-# tree level, so a tree deeper than the recursion limit raises RecursionError.
-# They are module functions: a closure that calls itself is a reference cycle,
-# which keeps its output alive until the cyclic garbage collector runs.
-
-def _node_text(it, mult) -> tuple:
-    """Text and child mask of the next node."""
-    label = next(it)
-    text = f"{label}^{next(it)}" if mult else str(label)
-    return text, next(it)
-
-
-def _json_node(it, mult) -> dict:
-    node = {"label": next(it)}
-    if mult:
-        node["mult"] = next(it)
-    mask = next(it)
-    node["left"] = _json_node(it, mult) if mask & 1 else None
-    node["right"] = _json_node(it, mult) if mask & 2 else None
-    return node
+def _unflatten(key, width, make):
+    """Nested nodes of a key, None if empty, built bottom up: make(row, left, right)
+    gets a node's row of the key, (label, [mult,] mask), and its children's nodes."""
+    built = []
+    pop, push = built.pop, built.append
+    for row in zip(*(key[j - width::-width] for j in range(width))):  # last node first
+        mask = row[-1]
+        push(make(row, pop() if mask & 1 else None, pop() if mask & 2 else None))
+    return built[0] if built else None
 
 
-def _json_key(data, mult, out) -> None:
-    out.append(data["label"])
-    if mult:
-        out.append(data["mult"])
-    left, right = data["left"], data["right"]
-    out.append((left is not None) | (right is not None) << 1)
-    for child in (left, right):
-        if child is not None:
-            _json_key(child, mult, out)
-
-
-def _outline(it, mult, indent, tag, lines) -> None:
-    text, mask = _node_text(it, mult)
-    lines.append(f"{indent}{tag}{text}")
-    if mask & 1:
-        _outline(it, mult, indent + "  ", "L: ", lines)
-    if mask & 2:
-        _outline(it, mult, indent + "  ", "R: ", lines)
-
-
-def _dot_node(it, mult, ids, lines) -> int:
-    my = next(ids)
-    text, mask = _node_text(it, mult)
-    lines.append(f'  n{my} [label="{text}"];')
-    for tag, bit in (("L", 1), ("R", 2)):
-        if mask & bit:
-            child = _dot_node(it, mult, ids, lines)
-            lines.append(f'  n{my} -> n{child} [label="{tag}"];')
-    return my
+# Outline prefixes by 2 * depth (+ 1 for a right child) for the indented levels;
+# deeper lines write "(depth) " instead, lest a deep outline grow quadratically.
+_OUTLINE_CAP = 64
+_OUTLINE_PREFIXES = ["  " * (e >> 1) + (("L: ", "R: ")[e & 1] if e else "")
+                     for e in range(2 * _OUTLINE_CAP)]
+_DEEP_INDENT, _DEEP_TAGS = "  " * _OUTLINE_CAP, (") L: ", ") R: ")
 
 
 class _SearchTree(_Canonical):
@@ -279,13 +253,16 @@ class _SearchTree(_Canonical):
     not tell apart trees the constructor accepts, such as (2, (2, None, None),
     None) and (2, None, (2, None, None)).  root, rebuilt on each access, and
     the constructor use nested tuples (label, [mult,] left, right), empty =
-    None.  _EQUAL_LEFT/_EQUAL_RIGHT say on which side of a node an equal
-    label may sit; _FORWARD says whether the expanded preorder rebuilds the
-    tree as is or reversed.
+    None; _JSON reads a JSON node as one, _JSON_NODE writes one.  _EQUAL_LEFT
+    and _EQUAL_RIGHT say on which side of a node an equal label may sit;
+    _FORWARD says whether the expanded preorder rebuilds the tree as is or
+    reversed.
     """
 
     __slots__ = ()
     _MULT = False
+    _JSON = itemgetter("label", "left", "right")
+    _JSON_NODE = staticmethod(lambda r, a, b: {"label": r[0], "left": a, "right": b})
     _EQUAL_LEFT = _EQUAL_RIGHT = _FORWARD = False
 
     def __init__(self, root=None):
@@ -293,15 +270,8 @@ class _SearchTree(_Canonical):
 
     @property
     def root(self):
-        """The tree as nested tuples, rebuilt in one pass over the reversed key."""
-        key, width = self._key, 3 if self._MULT else 2
-        built = []
-        for i in range(len(key) - width, -1, -width):
-            mask = key[i + width - 1]
-            left = built.pop() if mask & 1 else None
-            right = built.pop() if mask & 2 else None
-            built.append(key[i:i + width - 1] + (left, right))
-        return built[0] if built else None
+        """The tree as nested tuples, rebuilt from the key on each access."""
+        return _unflatten(self._key, 2 + self._MULT, lambda row, *kids: row[:-1] + kids)
 
     def root_label(self):
         return self._key[0] if self._key else None
@@ -320,26 +290,24 @@ class _SearchTree(_Canonical):
         return self._preorder() if self._FORWARD else self._preorder()[::-1]
 
     def in_order(self) -> tuple:
-        out = []
-        stack = []
-        node = self.root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node[-2]
-            node = stack.pop()
-            out.append(node[0])
-            node = node[-1]
+        """Labels in in-order; a node waits on the stack while its left subtree is read."""
+        key, width, out, waiting = self._key, 2 + self._MULT, [], []
+        for label, mask in zip(key[0::width], key[width - 1::width]):
+            if mask & 1:
+                waiting.append((label, mask))
+                continue
+            out.append(label)
+            while not mask & 2 and waiting:
+                label, mask = waiting.pop()
+                out.append(label)
         return tuple(out)
 
     def is_valid(self) -> bool:
-        """Search-tree order with this class's strictness; multiplicities >= 1.
-
-        One pass over the key: the stack holds the (lo, hi) label bounds of
-        the subtrees still to come, the next one on top.
-        """
-        key, width = self._key, 3 if self._MULT else 2
-        if self._MULT and min(key[1::3], default=1) < 1:
+        """Search-tree order with this class's strictness, and letters as labels
+        and multiplicities.  One pass over the key: the stack holds the (lo, hi)
+        label bounds of the subtrees still to come, the next one on top."""
+        key, width = self._key, 2 + self._MULT
+        if not _are_letters(key[0::3] + key[1::3] if self._MULT else key[0::2]):
             return False
         equal_left, equal_right = self._EQUAL_LEFT, self._EQUAL_RIGHT
         stack = [(-inf, inf)] if key else []
@@ -354,43 +322,74 @@ class _SearchTree(_Canonical):
                 stack.append((lo, label))
         return True
 
+    def _nodes(self, plain, taiga):
+        """(plain(label) or taiga(label, mult), child mask) per node, in preorder."""
+        key = self._key
+        texts = map(taiga, key[0::3], key[1::3]) if self._MULT else map(plain, key[0::2])
+        return zip(texts, key[1 + self._MULT::2 + self._MULT])
+
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.root!r})"
+        """The constructor call on root, spelled from the key in preorder."""
+        parts = [f"{type(self).__name__}("]
+        stack = [0] if self._key else ["None"]  # a str is output text, 0 the next node
+        pop = stack.pop
+        for head, mask in self._nodes("({!r}, ".format, "({!r}, {!r}, ".format):
+            while (item := pop()).__class__ is str:
+                parts.append(item)
+            parts.append(head)
+            stack += ")", 0 if mask & 2 else "None", ", ", 0 if mask & 1 else "None"
+        return "".join(parts) + "".join(reversed(stack)) + ")"
 
     def to_json_dict(self):
-        return _json_node(iter(self._key), self._MULT) if self._key else None
+        """Nested {"label", ["mult",] "left", "right"} dicts, None if empty."""
+        return _unflatten(self._key, 2 + self._MULT, self._JSON_NODE)
 
     @classmethod
     def from_json_dict(cls, data):
         """The tree of a to_json_dict payload; ValueError if it is not a valid tree."""
-        key = []
         try:
-            if data is not None:
-                _json_key(data, cls._MULT, key)
-            tree = cls._make(tuple(key))
+            tree = cls._make(_key_of_root(data, cls._MULT, cls._JSON))
             if tree.is_valid():
                 return tree
-        except (KeyError, TypeError):  # a missing field, or a label that is no number
+        except (KeyError, TypeError):  # a missing field, or a node that is no dict
             pass
         raise ValueError(f"not a valid {cls.__name__} payload")
 
     def to_dot(self) -> str:
-        """DOT digraph; children are tagged L/R so the shape is unambiguous."""
+        """DOT digraph; children are tagged L/R so the shape is unambiguous.  The
+        stack holds output text (a str) and the next node (2 * its parent, + 1 if
+        a right child); an edge waits there below its child's children."""
         lines = ["digraph tree {", "  node [shape=box];"]
-        if self._key:
-            _dot_node(iter(self._key), self._MULT, count(), lines)
-        else:
-            lines.append('  empty [label="(empty)" shape=plaintext];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        stack = [-1] if self._key else ['  empty [label="(empty)" shape=plaintext];']
+        pop, push = stack.pop, stack.append
+        for my, (text, mask) in enumerate(self._nodes(str, "{}^{}".format)):
+            while (item := pop()).__class__ is str:
+                lines.append(item)
+            lines.append(f'  n{my} [label="{text}"];')
+            if item >= 0:
+                push(f'  n{item >> 1} -> n{my} [label="{"LR"[item & 1]}"];')
+            if mask & 2:
+                push(2 * my + 1)
+            if mask & 1:
+                push(2 * my)
+        return "\n".join(lines + stack[::-1]) + "\n}\n"
 
     def render(self) -> str:
-        """Indented outline, one node per line, children tagged L:/R:."""
-        if not self._key:
-            return "(empty)"
+        """Indented outline, one node per line, children tagged L:/R:; a line
+        below _OUTLINE_CAP levels is indented no further but gives its depth."""
         lines = []
-        _outline(iter(self._key), self._MULT, "", "", lines)
-        return "\n".join(lines)
+        stack = [0]  # 2 * the depth of the next node, + 1 if a right child
+        pop, push = stack.pop, stack.append
+        for text, mask in self._nodes(str, "{}^{}".format):
+            e = pop()
+            lines.append(_OUTLINE_PREFIXES[e] + text if e < 2 * _OUTLINE_CAP
+                         else f"{_DEEP_INDENT}({e >> 1}{_DEEP_TAGS[e & 1]}{text}")
+            e = (e | 1) + 1  # 2 * the children's depth
+            if mask & 2:
+                push(e | 1)
+            if mask & 1:
+                push(e)
+        return "\n".join(lines) if self._key else "(empty)"
 
 
 class TaigaTree(_SearchTree):
@@ -398,6 +397,8 @@ class TaigaTree(_SearchTree):
 
     __slots__ = ()
     _MULT = True
+    _JSON = itemgetter("label", "mult", "left", "right")
+    _JSON_NODE = staticmethod(lambda r, a, b: {"label": r[0], "mult": r[1], "left": a, "right": b})
     _insert = staticmethod(lambda w: p_taig(w))
 
     def total(self) -> int:

@@ -232,6 +232,13 @@ def test_dot_output():
     assert '[label="L"]' in dot and '[label="R"]' in dot
 
 
+def test_outline_indents_64_levels_then_gives_the_depth():
+    lines = p_sylv(tuple(range(1, 71))).render().split("\n")  # a left path, 70 down to 1
+    assert len(lines) == 70
+    assert lines[63] == "  " * 63 + "L: 7"
+    assert lines[64] == "  " * 64 + "(64) L: 6"
+
+
 def test_baxter_object():
     b = p_baxt(EXAMPLE)
     assert b.sharp == p_sylv_sharp(EXAMPLE)
@@ -252,6 +259,8 @@ def test_baxter_component_mismatch_rejected():
         BaxterObject(p_sylv_sharp("12"), p_sylv("11"))
     with pytest.raises(ValueError):  # both trees are 1 -R-> 2, but no word builds the pair
         BaxterObject(p_sylv_sharp("12"), p_sylv("21"))
+    with pytest.raises(ValueError):  # only a word of non-letters builds the pair
+        BaxterObject(LeftStrictBST((0.5, None, None)), RightStrictBST((0.5, None, None)))
 
 
 def test_baxter_pairs_load_exactly_when_a_word_builds_them():
@@ -340,3 +349,20 @@ def test_from_json_rejects_invalid_trees():
         BaxterObject.from_json_dict({"sharp": None})
     with pytest.raises(ValueError):  # no "mult" field
         StalacticTableau.from_json_dict({"columns": [{"letter": 1}]})
+    # labels and multiplicities are letters: exact ints >= 1
+    for label in (0, -4, 1.5, True):
+        for cls in (RightStrictBST, LeftStrictBST):
+            with pytest.raises(ValueError):
+                cls.from_json_dict({"label": label, "left": None, "right": None})
+        with pytest.raises(ValueError):
+            TaigaTree.from_json_dict({"label": label, "mult": 1, "left": None, "right": None})
+    for mult in (1.5, True):
+        with pytest.raises(ValueError):
+            TaigaTree.from_json_dict({"label": 2, "mult": mult, "left": None, "right": None})
+    with pytest.raises(ValueError):  # a pair that some word of non-letters would build
+        BaxterObject.from_json_dict({"sharp": {"label": 0.5, "left": None, "right": None},
+                                     "plain": {"label": 0.5, "left": None, "right": None}})
+    for columns in ([{"letter": 2.7, "mult": 1}], [{"letter": 2, "mult": True}],
+                    [{"letter": 0, "mult": 1}]):
+        with pytest.raises(ValueError):
+            StalacticTableau.from_json_dict({"columns": columns})

@@ -130,6 +130,13 @@ def test_oracle_random_mode(capsys):
     assert code == 0 and "holds within bound (5" in out
 
 
+@pytest.mark.parametrize("bound", [["--max-len", "-1"], ["--trials", "-1"],
+                                   ["--trials", "3", "--max-len", "-2"]])
+def test_oracle_negative_bounds_exit_two(capsys, bound):
+    code, out, err = run(capsys, "oracle", "--monoid", "sylv", "--id", "xy = yx", *bound)
+    assert code == 2 and not out and err.startswith("error: ")
+
+
 def test_oracle_rank_violation(capsys):
     code, _, err = run(capsys, "oracle", "--monoid", "free1", "--id", "xy = yx",
                        "--rank", "2")
@@ -210,11 +217,16 @@ def test_missing_subcommand_exits_two(capsys):
 @pytest.mark.parametrize("argv", [["render", "--monoid", "sylv"],
                                   ["object", "--monoid", "sylv", "--format", "json"]])
 def test_too_deep_to_draw_exits_two_without_traceback(argv):
-    # the 3,000-level tree is built, but drawing it recurses once per level
+    # a 3,000-level tree: render draws it, but the stdlib's json.dumps recurses
+    # once per level of the nested payload
     word = " ".join(str(i) for i in range(1, 3001))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
     proc = subprocess.run([sys.executable, "-m", "plactic_lab.cli", *argv, "--word", word],
                           env=env, capture_output=True, text=True, timeout=120)
+    if argv[0] == "render":
+        assert proc.returncode == 0 and not proc.stderr
+        assert proc.stdout.count("\n") == 3000
+        return
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

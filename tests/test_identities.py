@@ -226,6 +226,16 @@ def test_oracle_rank_validation():
         oracle(F.SYLV, 0, Identity.parse("xy = yx"), Exhaustive(1))
 
 
+def test_oracle_modes_refuse_negative_bounds():
+    # a negative bound scans nothing and would report "holds" for xy = yx
+    for make in (lambda: Exhaustive(-2), lambda: RandomSearch(trials=-3, max_len=2),
+                 lambda: RandomSearch(trials=3, max_len=-1)):
+        with pytest.raises(ValueError):
+            make()
+    assert oracle(F.SYLV, 2, Identity.parse("x = x"), Exhaustive(0)) == HoldsWithinBound(1)
+    assert oracle(F.SYLV, 2, Identity.parse("x = x"), RandomSearch(0, 0)) == HoldsWithinBound(0)
+
+
 def test_oracle_trivial_identity_with_no_shared_variables():
     verdict = oracle(F.SYLV, 2, Identity.parse("x = y"), Exhaustive(1))
     assert isinstance(verdict, CounterExample)

@@ -181,6 +181,13 @@ def test_tree_families_on_long_words(shape):
         assert equivalent(fam, w, w)
         assert hash(obj) == hash(canonical(fam, w))
         assert obj.as_counter() == counts
+        assert type(obj).from_json_dict(obj.to_json_dict()) == obj
+        nodes = len(counts) if fam is MonoidFamily.TAIG else len(w)
+        for tree in (obj.sharp, obj.plain) if fam is MonoidFamily.BAXT else (obj,):
+            assert tree.render().count("\n") == nodes - 1
+            assert tree.to_dot().count("->") == nodes - 1
+            assert repr(tree).startswith(f"{type(tree).__name__}((")
+            assert type(tree)(tree.root) == tree
     assert p_sylv(w).root_label() == p_taig(w).root_label() == w[-1]
     assert p_sylv_sharp(w).root_label() == w[0]
     assert not equivalent(MonoidFamily.SYLV, w, w[1:] + w[:1])

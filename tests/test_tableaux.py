@@ -101,6 +101,9 @@ def test_stal_rejects_bad_columns():
         StalacticTableau(((1, 2), (1, 1)))
     with pytest.raises(ValueError):
         StalacticTableau(((1, 0),))
+    for column in ((1.5, 2), (2, 1.0), (True, 1), (2, True)):  # no coercion to int
+        with pytest.raises(ValueError):
+            StalacticTableau((column,))
 
 
 def test_stal_reading_word_rebuilds():
