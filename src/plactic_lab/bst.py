@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _are_letters, _Canonical, _SearchTree, _letter_seq, _shape_key
+from .tableaux import _Canonical, _SearchTree, _letter_seq, _shape_key
+from .words import _are_letters
 
 
 def _inorder(seq) -> list:

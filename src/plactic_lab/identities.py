@@ -36,6 +36,7 @@ from .monoids import (
     canonical,
     check_rank,
 )
+from .tableaux import _spell_columns, _stal_columns
 from .words import (
     Identity,
     Word,
@@ -94,14 +95,6 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
 
 # ---------------------------------------------------------------------------
 # normal forms
-
-
-def _nf_gather(syms: tuple) -> tuple:
-    counts = Counter(syms)
-    out = []
-    for x in fp(syms):
-        out.extend([x] * counts[x])
-    return tuple(out)
 
 
 def _nf_sylv(syms: tuple) -> tuple:
@@ -415,13 +408,9 @@ def _sylv_swap(syms: list, p: int, last: Mapping) -> DerivationStep:
     first anchors x, the other y, which decides the rule direction.
     """
     a, b = syms[p], syms[p + 1]
-    la, lb = last[a], last[b]
-    if la < lb:
-        direction, q, r = LTR, la, lb
-        ex, ey = a, b
-    else:
-        direction, q, r = RTL, lb, la
-        ex, ey = b, a
+    ex, ey = (a, b) if last[a] < last[b] else (b, a)
+    q, r = last[ex], last[ey]
+    direction = LTR if ex == a else RTL
     endo = {
         "x": Word((ex,)),
         "y": Word((ey,)),
@@ -465,19 +454,11 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> DerivationS
     (both letters before the pair and after it) appear in the rule's order.
     """
     a, b = syms[p], syms[p + 1]
-    fa, fb, la, lb = first[a], first[b], last[a], last[b]
-    if fb < fa and la < lb:
-        ri, direction, ex, ey = 0, LTR, a, b
-        i1, i2, j1, j2 = fb, fa, la, lb
-    elif fa < fb and la < lb:
-        ri, direction, ex, ey = 1, LTR, a, b
-        i1, i2, j1, j2 = fa, fb, la, lb
-    elif fa < fb and lb < la:
-        ri, direction, ex, ey = 0, RTL, b, a
-        i1, i2, j1, j2 = fa, fb, lb, la
-    else:
-        ri, direction, ex, ey = 1, RTL, b, a
-        i1, i2, j1, j2 = fb, fa, lb, la
+    ex, ey = (a, b) if last[a] < last[b] else (b, a)
+    ri = int((first[a] < first[b]) == (ex == a))
+    i1, i2 = sorted((first[a], first[b]))
+    j1, j2 = last[ex], last[ey]
+    direction = LTR if ex == a else RTL
     endo = {
         "x": Word((ex,)),
         "y": Word((ey,)),
@@ -517,7 +498,9 @@ class _Theory(NamedTuple):
     derivation: Optional[Callable]   # Word -> steps to its normal form
 
 
-_GATHER = _Theory(_rules(["xyx = yxx"]), (Counter, fp), _nf_gather, _gather_steps)
+# the gathered form spells out the word's stalactic columns
+_GATHER = _Theory(_rules(["xyx = yxx"]), (Counter, fp),
+                  lambda syms: _spell_columns(_stal_columns(syms)), _gather_steps)
 _THEORIES = {
     MonoidFamily.STAL: _GATHER,
     MonoidFamily.TAIG: _GATHER,

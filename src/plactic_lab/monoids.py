@@ -18,7 +18,7 @@ import enum
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import bst, tableaux
-from .words import _symbols
+from .words import _are_letters, _symbols
 
 
 class RankViolationError(ValueError):
@@ -54,9 +54,9 @@ def check_rank(w, rank: int) -> None:
     """Ensure every letter of w lies in 1..rank."""
     if rank < 1:
         raise RankViolationError(f"rank must be >= 1, got {rank}")
-    for s in _symbols(w):
-        if not isinstance(s, int) or s < 1 or s > rank:
-            raise RankViolationError(f"letter {s!r} exceeds rank {rank}")
+    seq = _symbols(w)
+    if not (_are_letters(seq) and max(seq, default=1) <= rank):
+        raise RankViolationError(f"the word is not over the letters 1..{rank}")
 
 
 class FiniteMonoid:

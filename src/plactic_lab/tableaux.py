@@ -21,18 +21,7 @@ from itertools import chain, repeat, starmap
 from math import inf
 from operator import itemgetter
 
-from .words import Word, _symbols
-
-_INT = {int}
-
-
-def _are_letters(seq) -> bool:
-    """Whether every item of seq is a letter: an exact int >= 1.
-
-    Two passes in C: the type pass refuses variables, floats and bools, the
-    min() pass numbers below 1.
-    """
-    return _INT.issuperset(map(type, seq)) and min(seq, default=1) >= 1
+from .words import Word, _are_letters, _symbols
 
 
 def _letter_seq(w) -> tuple:
@@ -124,8 +113,7 @@ class StalacticTableau(_Canonical):
         return sum(m for _, m in self.columns)
 
     def _spell(self) -> tuple:
-        """Each column spelled out in order."""
-        return tuple(chain.from_iterable(starmap(repeat, self.columns)))
+        return _spell_columns(self.columns)
 
     def __repr__(self) -> str:
         return f"StalacticTableau({list(self.columns)!r})"
@@ -134,15 +122,10 @@ class StalacticTableau(_Canonical):
         """ASCII picture, one text column per tableau column."""
         if not self.columns:
             return "(empty)"
-        widths = [len(str(a)) for a, _ in self.columns]
         height = max(m for _, m in self.columns)
-        lines = []
-        for row in range(height):
-            cells = []
-            for (a, m), wdt in zip(self.columns, widths):
-                cells.append(str(a).rjust(wdt) if row < m else " " * wdt)
-            lines.append(" ".join(cells).rstrip())
-        return "\n".join(lines)
+        rows = ([str(a) if row < m else " " * len(str(a)) for a, m in self.columns]
+                for row in range(height))
+        return "\n".join(" ".join(cells).rstrip() for cells in rows)
 
     def to_json_dict(self) -> dict:
         return {"columns": [{"letter": a, "mult": m} for a, m in self.columns]}
@@ -168,6 +151,11 @@ def _stal_columns(seq) -> tuple:
             order.append(a)
     order.reverse()
     return tuple((a, counts[a]) for a in order)
+
+
+def _spell_columns(columns) -> tuple:
+    """Each (symbol, multiplicity) column spelled out in order."""
+    return tuple(chain.from_iterable(starmap(repeat, columns)))
 
 
 def p_stal(w) -> StalacticTableau:
@@ -212,8 +200,14 @@ def _key_of_root(root, mult, fields=None) -> tuple:
     out = []
     stack = [] if root is None else [root]
     pop, push = stack.pop, stack.append
+    seen = set()  # ids of the JSON nodes read; dicts, unlike tuples, can form a cycle
     while stack:
-        node = pop() if fields is None else fields(pop())
+        node = pop()
+        if fields is not None:
+            if id(node) in seen:
+                raise ValueError("a node occurs twice in the payload: it is no tree")
+            seen.add(id(node))
+            node = fields(node)
         if len(node) != 3 + mult:
             raise ValueError(f"tree nodes need {3 + mult} fields, got {len(node)}")
         left, right = node[-2], node[-1]

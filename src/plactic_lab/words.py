@@ -1,17 +1,19 @@
 """Words over an ordered alphabet, and the statistics that classify them.
 
 A word is a finite sequence of symbols.  Symbols come in two kinds that never
-mix inside one word: letters (integers >= 1, ordered in the usual way) and
-variables (identifier-like names, used to state identities).  Everything else
-in the package is built on the statistics defined here: content, occurrence
-counts, directional occurrence counts relative to an anchor, and the three
-occurrence skeletons ip/fp/mix.
+mix inside one word: letters (exact ints >= 1, ordered in the usual way) and
+variables (identifier-like names, used to state identities), told apart by
+_are_letters and _are_variables, the package's one symbol check.  Everything
+else in the package is built on the statistics defined here: content,
+occurrence counts, directional occurrence counts relative to an anchor, and the
+three occurrence skeletons ip/fp/mix.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter
 from dataclasses import dataclass
+from reprlib import repr as _short_repr
 from typing import Iterable, Iterator, Union
 
 Symbol = Union[int, str]
@@ -33,14 +35,30 @@ class AnchorAbsentError(ValueError):
     """Raised when a directional count is anchored at a symbol the word lacks."""
 
 
-def _validate_letter(s) -> None:
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"letters must be integers >= 1, got {s!r}")
+_INT, _STR = {int}, {str}
 
 
-def _validate_variable(s) -> None:
-    if not isinstance(s, str) or not _VARIABLE_NAME.match(s):
-        raise ValueError(f"invalid variable name {s!r}")
+def _are_letters(seq) -> bool:
+    """Whether every item of seq is a letter: an exact int >= 1.
+
+    Two passes in C: the type pass refuses variables, floats and bools, the
+    min() pass numbers below 1.
+    """
+    return _INT.issuperset(map(type, seq)) and min(seq, default=1) >= 1
+
+
+def _are_variables(seq) -> bool:
+    """Whether every item of seq is a variable: an exact str matching
+    _VARIABLE_NAME, which runs once per distinct name."""
+    return _STR.issuperset(map(type, seq)) and all(map(_VARIABLE_NAME.match, set(seq)))
+
+
+def _refusal(syms: tuple) -> str:
+    """Why syms is no word, quoting its first symbol not of the first one's kind."""
+    kind, check = (VARIABLES, _are_variables) if type(syms[0]) is str else (LETTERS, _are_letters)
+    i = next(i for i, s in enumerate(syms) if not check((s,)))
+    return (f"symbol {i}, {_short_repr(syms[i])}, is no {kind}: a word holds letters (ints >= 1)"
+            f" or variables (names matching {_VARIABLE_NAME.pattern[:-2]}), not both")
 
 
 class Word:
@@ -53,16 +71,14 @@ class Word:
 
     def __init__(self, symbols: Iterable[Symbol] = ()):
         syms = tuple(symbols)
-        kind = None
-        if syms:
-            if all(isinstance(s, str) for s in syms):
-                kind = VARIABLES
-                for s in syms:
-                    _validate_variable(s)
-            else:
-                kind = LETTERS
-                for s in syms:
-                    _validate_letter(s)
+        if not syms:
+            kind = None
+        elif _are_letters(syms):
+            kind = LETTERS
+        elif _are_variables(syms):
+            kind = VARIABLES
+        else:
+            raise ValueError(_refusal(syms))
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "kind", kind)
 
@@ -79,9 +95,8 @@ class Word:
         Text is either compact digits ("212", letters 1..9 only) or
         space-separated integers ("12 3 12").
         """
-        if isinstance(source, str):
-            return cls(_parse_letter_text(source))
-        return cls(tuple(source))
+        return _of_kind(LETTERS, cls(_parse_letter_text(source) if isinstance(source, str)
+                                     else source))
 
     @classmethod
     def variables(cls, source) -> "Word":
@@ -90,21 +105,12 @@ class Word:
         Text is either juxtaposed single-character names ("xyx") or
         space-separated names ("foo bar foo").
         """
-        if isinstance(source, str):
-            return cls(_parse_variable_text(source))
-        return cls(tuple(source))
+        return _of_kind(VARIABLES, cls(_tokens(source) if isinstance(source, str) else source))
 
     def text(self) -> str:
         """Render in the most compact form that round-trips through parsing."""
-        if not self.symbols:
-            return ""
-        if self.kind == LETTERS:
-            if all(s <= 9 for s in self.symbols):
-                return "".join(str(s) for s in self.symbols)
-            return " ".join(str(s) for s in self.symbols)
-        if all(len(s) == 1 for s in self.symbols):
-            return "".join(self.symbols)
-        return " ".join(self.symbols)
+        parts = tuple(map(str, self.symbols))
+        return ("" if all(len(p) == 1 for p in parts) else " ").join(parts)
 
     def reverse(self) -> "Word":
         return Word(self.symbols[::-1])
@@ -140,34 +146,24 @@ class Word:
         return f"Word({self.text()!r})"
 
 
-def _parse_letter_text(text: str) -> tuple:
+def _of_kind(kind: str, w: Word) -> Word:
+    if w.kind not in (None, kind):
+        raise ValueError(f"expected a {kind} word, got a {w.kind} word")
+    return w
+
+
+def _tokens(text: str) -> list:
+    """The symbols of a word's text: split at spaces if it has any, else into characters."""
     text = text.strip()
-    if not text:
-        return ()
-    if " " in text:
-        parts = text.split()
-    else:
-        parts = list(text)
-    out = []
+    return text.split() if " " in text else list(text)
+
+
+def _parse_letter_text(text: str) -> tuple:
+    parts = _tokens(text)
     for p in parts:
         if not p.isdigit():
-            raise ValueError(f"invalid letter {p!r} in {text!r}")
-        v = int(p)
-        if v < 1:
-            raise ValueError(f"letters must be >= 1, got {p!r}")
-        out.append(v)
-    return tuple(out)
-
-
-def _parse_variable_text(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    parts = text.split() if " " in text else list(text)
-    for p in parts:
-        if not _VARIABLE_NAME.match(p):
-            raise ValueError(f"invalid variable name {p!r} in {text!r}")
-    return tuple(parts)
+            raise ValueError(f"letter text holds {_short_repr(p)}, which is no decimal number")
+    return tuple(map(int, parts))
 
 
 def _symbols(w) -> tuple:

@@ -366,3 +366,11 @@ def test_from_json_rejects_invalid_trees():
                     [{"letter": 0, "mult": 1}]):
         with pytest.raises(ValueError):
             StalacticTableau.from_json_dict({"columns": columns})
+    # a payload built in process may hold a cycle; loading it stops at once
+    for cls, node in ((RightStrictBST, {"label": 1, "left": None, "right": None}),
+                      (TaigaTree, {"label": 1, "mult": 1, "left": None, "right": None})):
+        node["left"] = node
+        with pytest.raises(ValueError):
+            cls.from_json_dict(node)
+        with pytest.raises(ValueError):
+            cls.from_json_dict({**node, "left": None, "right": node})

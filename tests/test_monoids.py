@@ -1,3 +1,4 @@
+import enum
 import itertools
 import pickle
 
@@ -6,13 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plactic_lab import (
+    BaxterObject,
     Exhaustive,
     FiniteMonoid,
     Identity,
     L21,
+    LeftStrictBST,
     MonoidFamily,
     R21,
     RankViolationError,
+    RightStrictBST,
+    StalacticTableau,
+    TaigaTree,
     UnboundVariableError,
     Word,
     alphabet_cap,
@@ -133,6 +139,45 @@ def test_canonical_rejects_letters_outside_cap():
 def test_insertion_refuses_non_letters(insert, seq):
     with pytest.raises(ValueError):  # letters are integers >= 1, as in Word
         insert(seq)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+@pytest.mark.parametrize("bad", [0, -3, True, 1.5, Colour.RED, None],
+                         ids=["0", "-3", "True", "1.5", "IntEnum", "None"])
+def test_every_symbol_check_refuses_the_same_non_letters(bad):
+    # letters are exact ints >= 1 wherever the package meets them
+    seq = [2, bad, 1]
+    loaders = [
+        lambda: RightStrictBST.from_json_dict({"label": bad, "left": None, "right": None}),
+        lambda: LeftStrictBST.from_json_dict({"label": bad, "left": None, "right": None}),
+        lambda: TaigaTree.from_json_dict({"label": bad, "mult": 1, "left": None, "right": None}),
+        lambda: TaigaTree.from_json_dict({"label": 1, "mult": bad, "left": None, "right": None}),
+        lambda: StalacticTableau.from_json_dict({"columns": [{"letter": bad, "mult": 1}]}),
+        lambda: StalacticTableau.from_json_dict({"columns": [{"letter": 1, "mult": bad}]}),
+        lambda: BaxterObject.from_json_dict({"sharp": {"label": bad, "left": None, "right": None},
+                                             "plain": {"label": bad, "left": None, "right": None}}),
+    ]
+    refusers = ([lambda: Word.letters(seq), lambda: Word(seq), lambda: check_rank(seq, 9)]
+                + [lambda f=f: f(seq) for f in (p_stal, p_taig, p_sylv, p_sylv_sharp, p_baxt)]
+                + [lambda fam=fam: canonical(fam, seq) for fam in MonoidFamily] + loaders)
+    for refuse in refusers:
+        with pytest.raises(ValueError):
+            refuse()
+    # one bad symbol in a long word: the message names it, not the word
+    long = [1] * 50_000 + [bad] + [2] * 49_999
+    for refuse in (lambda: Word.letters(long), lambda: check_rank(long, 9),
+                   lambda: p_sylv(long), lambda: canonical(MonoidFamily.LEFT_ZERO, long)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert len(str(info.value)) < 200
+    for text in ("1" * 50_000 + "x", "x" * 50_000 + "1"):
+        for parse in (Word.letters, Word.variables):
+            with pytest.raises(ValueError) as info:
+                parse(text)
+            assert len(str(info.value)) < 200
 
 
 @given(letter_seqs, letter_seqs)

@@ -37,6 +37,10 @@ def test_variable_parsing():
     assert Word.variables("foo bar foo").symbols == ("foo", "bar", "foo")
     with pytest.raises(ValueError):
         Word.variables("2x")
+    assert Word.variables(["X1", "y_2"]).symbols == ("X1", "y_2")
+    for bad in ([1, 2], "12", ["x", "2x"], ["x", ""], "x y-z"):
+        with pytest.raises(ValueError):  # the named constructor enforces its kind
+            Word.variables(bad)
 
 
 def test_letter_validation():
@@ -44,6 +48,9 @@ def test_letter_validation():
         Word.letters([0])
     with pytest.raises(ValueError):
         Word.letters("1 0")
+    for bad in (["x"], "xy", [1, "x"], "1 x", [1, 2.0]):
+        with pytest.raises(ValueError):  # the named constructor enforces its kind
+            Word.letters(bad)
 
 
 def test_mixed_kinds_rejected():
