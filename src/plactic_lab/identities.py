@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -204,13 +206,9 @@ def _image_candidates(rank: int, max_len: int) -> list:
     return out
 
 
-def _counterexample(family, ident, images: dict) -> CounterExample:
-    sub = {name: Word(img) for name, img in images.items()}
-    return CounterExample(
-        substitution=sub,
-        lhs_object=canonical(family, _substitute(images, ident.lhs.symbols)),
-        rhs_object=canonical(family, _substitute(images, ident.rhs.symbols)),
-    )
+def _counterexample(family, images: dict, u: list, v: list) -> CounterExample:
+    return CounterExample(substitution={name: Word(img) for name, img in images.items()},
+                          lhs_object=canonical(family, u), rhs_object=canonical(family, v))
 
 
 def _random_images(rng: random.Random, trials: int, rank: int, max_len: int, count: int):
@@ -225,8 +223,13 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
 
     Exhaustive mode enumerates images in shortlex order, first variable most
     significant, and reports the first counterexample; Random mode replays a
-    seeded stream.  Both scan serially, one substitution at a time.
+    seeded stream.  Both scan serially, one substitution at a time, and
+    build keys only when the two substituted sides are different words.
     """
+    # whoever turns the record on has imported logging; importing it here slows start-up
+    logging = sys.modules.get("logging")
+    log = logging.getLogger("plactic_lab.oracle") if logging else None
+    start = time.perf_counter() if log and log.isEnabledFor(logging.DEBUG) else None
     row = _family(family)
     check_rank((), rank)  # rank >= 1
     if row.cap is not None and rank > row.cap:
@@ -239,13 +242,24 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
                                 len(names))
     else:
         raise TypeError(f"unknown oracle mode {mode!r}")
-    key, lhs, rhs = row.key, ident.lhs.symbols, ident.rhs.symbols
-    checked = 0
+    at = {name: i for i, name in enumerate(names)}
+    key, lhs, rhs = row.key, [at[n] for n in ident.lhs.symbols], [at[n] for n in ident.rhs.symbols]
+    checked = keyed = 0
+    # lists, not tuple(iterator): those tuples are resized and flood the free lists
     for checked, imgs in enumerate(stream, 1):
-        images = dict(zip(names, imgs))
-        if key(_substitute(images, lhs)) != key(_substitute(images, rhs)):
-            return _counterexample(family, ident, images)
-    return HoldsWithinBound(checked=checked)
+        u = [*itertools.chain.from_iterable(map(imgs.__getitem__, lhs))]
+        v = [*itertools.chain.from_iterable(map(imgs.__getitem__, rhs))]
+        if u != v:  # equal words have equal keys
+            keyed += 1
+            if key(u) != key(v):
+                verdict = _counterexample(family, dict(zip(names, imgs)), u, v)
+                break
+    else:
+        verdict = HoldsWithinBound(checked=checked)
+    if start is not None:
+        log.debug("%s rank %d %r: %d substitutions, %d keyed, %s in %.6f s", family, rank,
+                  mode, checked, keyed, type(verdict).__name__, time.perf_counter() - start)
+    return verdict
 
 
 def verdict_to_json(verdict) -> dict:

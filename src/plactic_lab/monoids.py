@@ -197,4 +197,5 @@ def canonical(family: MonoidFamily, w):
 def equivalent(family: MonoidFamily, u, v) -> bool:
     """Do u and v define the same element, i.e. the same canonical object?"""
     row = _family(family)
-    return row.key(_letters(row, u)) == row.key(_letters(row, v))
+    a, b = _letters(row, u), _letters(row, v)
+    return a == b or row.key(a) == row.key(b)

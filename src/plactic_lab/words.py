@@ -92,8 +92,8 @@ class Word:
     def letters(cls, source) -> "Word":
         """Build a letter word from an int iterable or from text.
 
-        Text is either compact digits ("212", letters 1..9 only) or
-        space-separated integers ("12 3 12").
+        Text is either compact ASCII digits ("212", letters 1..9 only) or
+        whitespace-separated integers ("12 3 12").
         """
         return _of_kind(LETTERS, cls(_parse_letter_text(source) if isinstance(source, str)
                                      else source))
@@ -103,7 +103,7 @@ class Word:
         """Build a variable word from a name iterable or from text.
 
         Text is either juxtaposed single-character names ("xyx") or
-        space-separated names ("foo bar foo").
+        whitespace-separated names ("foo bar foo").
         """
         return _of_kind(VARIABLES, cls(_tokens(source) if isinstance(source, str) else source))
 
@@ -153,15 +153,15 @@ def _of_kind(kind: str, w: Word) -> Word:
 
 
 def _tokens(text: str) -> list:
-    """The symbols of a word's text: split at spaces if it has any, else into characters."""
-    text = text.strip()
-    return text.split() if " " in text else list(text)
+    """The symbols of a word's text: split at whitespace if it has any, else into characters."""
+    parts = text.split()
+    return parts if len(parts) > 1 else list(text.strip())
 
 
 def _parse_letter_text(text: str) -> tuple:
     parts = _tokens(text)
     for p in parts:
-        if not p.isdigit():
+        if not (p.isascii() and p.isdigit()):
             raise ValueError(f"letter text holds {_short_repr(p)}, which is no decimal number")
     return tuple(map(int, parts))
 

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 import time
 
@@ -268,6 +269,67 @@ def test_find_counterexample_raises_on_satisfied_identity():
 def test_decision_matches_reference_oracle(ident):
     for fam in INSERTION:
         assert satisfies(fam, ident) == brute_holds(fam, ident, rank=2, max_len=3)
+
+
+def reference_scan(family, rank, ident, mode):
+    """The oracle written plainly: a dict per substitution, both sides always compared."""
+    names = sorted(set(ident.lhs.symbols) | set(ident.rhs.symbols))
+    if isinstance(mode, Exhaustive):
+        images = [()]
+        for length in range(1, mode.max_len + 1):
+            images.extend(itertools.product(range(1, rank + 1), repeat=length))
+        combos = itertools.product(images, repeat=len(names))
+    else:
+        rng = random.Random(mode.seed)
+        combos = []
+        for _ in range(mode.trials):
+            combo = []
+            for _ in names:
+                length = rng.randint(0, mode.max_len)
+                combo.append(tuple(rng.randint(1, rank) for _ in range(length)))
+            combos.append(combo)
+    checked = 0
+    for combo in combos:
+        checked += 1
+        sub = dict(zip(names, combo))
+        lhs = [a for nm in ident.lhs.symbols for a in sub[nm]]
+        rhs = [a for nm in ident.rhs.symbols for a in sub[nm]]
+        if canonical(family, lhs) != canonical(family, rhs):
+            return sub, canonical(family, lhs), canonical(family, rhs)
+    return checked
+
+
+@settings(deadline=None, max_examples=50)
+@given(identities, st.integers(0, 2), st.integers(0, 2**16))
+def test_oracle_matches_reference_scan(ident, max_len, seed):
+    for fam in F:
+        rank = min(2, alphabet_cap(fam) or 2)
+        for mode in (Exhaustive(max_len), RandomSearch(30, 3, seed=seed)):
+            verdict = oracle(fam, rank, ident, mode)
+            expected = reference_scan(fam, rank, ident, mode)
+            if isinstance(expected, int):
+                assert verdict == HoldsWithinBound(checked=expected)
+            else:
+                sub, lhs_object, rhs_object = expected
+                assert isinstance(verdict, CounterExample)
+                assert verdict.substitution == {nm: Word(img) for nm, img in sub.items()}
+                assert (verdict.lhs_object, verdict.rhs_object) == (lhs_object, rhs_object)
+
+
+def test_oracle_logs_one_debug_record_per_call(caplog):
+    ident = Identity.parse("xy = yx")
+    oracle(F.SYLV, 2, ident, Exhaustive(1))
+    assert not [r for r in caplog.records if r.name == "plactic_lab.oracle"]  # off by default
+    with caplog.at_level(logging.DEBUG, logger="plactic_lab.oracle"):
+        oracle(F.SYLV, 2, ident, Exhaustive(1))
+        oracle(F.STAL, 2, Identity.parse("xyx = yxx"), Exhaustive(1))
+    first, second = [r.getMessage() for r in caplog.records if r.name == "plactic_lab.oracle"]
+    # of the six substitutions up to x = 1, y = 2 only the last gives two different words
+    assert first.startswith("sylv rank 2 Exhaustive(max_len=1): 6 substitutions, 1 keyed, "
+                            "CounterExample in ")
+    # the sides differ for 2 of the 9 (x, y = 1, 2 and 2, 1)
+    assert second.startswith("stal rank 2 Exhaustive(max_len=1): 9 substitutions, 2 keyed, "
+                             "HoldsWithinBound in ")
 
 
 def test_parallel_scan_matches_sequential(monkeypatch):

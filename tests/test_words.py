@@ -30,11 +30,15 @@ def test_letter_parsing_compact_and_spaced():
     assert Word.letters("12 3 12").symbols == (12, 3, 12)
     assert Word.letters([4, 4, 1]).symbols == (4, 4, 1)
     assert Word.letters("").symbols == ()
+    # any whitespace splits, not only spaces
+    assert Word.letters("12\t3").symbols == (12, 3)
+    assert Word.letters("1\n2").symbols == (1, 2)
 
 
 def test_variable_parsing():
     assert Word.variables("xyx").symbols == ("x", "y", "x")
     assert Word.variables("foo bar foo").symbols == ("foo", "bar", "foo")
+    assert Word.variables("x\ty").symbols == ("x", "y")
     with pytest.raises(ValueError):
         Word.variables("2x")
     assert Word.variables(["X1", "y_2"]).symbols == ("X1", "y_2")
@@ -50,6 +54,10 @@ def test_letter_validation():
         Word.letters("1 0")
     for bad in (["x"], "xy", [1, "x"], "1 x", [1, 2.0]):
         with pytest.raises(ValueError):  # the named constructor enforces its kind
+            Word.letters(bad)
+    # letter text is ASCII digits: no Arabic-Indic digits, no superscripts
+    for bad in ("\u0661\u0662", "\u00b2"):
+        with pytest.raises(ValueError, match="no decimal number"):
             Word.letters(bad)
 
 
