@@ -45,10 +45,11 @@ from .words import (
     _after_table,
     _before_table,
     _first_last_positions,
+    _fp,
+    _ip,
+    _like,
     _mix_positions,
     _symbols,
-    fp,
-    ip,
 )
 
 LTR = "ltr"
@@ -61,6 +62,14 @@ class DecisionMismatchError(RuntimeError):
 
 class DerivationError(RuntimeError):
     """A derivation failed its own check; this is a bug, not a negative answer."""
+
+
+def _debug_log(name: str):
+    """The named logger if the program has turned its DEBUG records on, else None."""
+    # whoever turns a record on has imported logging; importing it here slows start-up
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger(name)
+    return log if log and log.isEnabledFor(logging.DEBUG) else None
 
 
 def _rules(text_pairs) -> tuple:
@@ -100,17 +109,13 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
 
 
 def _nf_sylv(syms: tuple) -> tuple:
-    if not syms:
-        return ()
     counts = Counter(syms)
-    order = list(fp(syms))
+    order = _fp(syms)
     after = _after_table(syms)
     out = []
-    m = len(order)
     for i, xi in enumerate(order):
         # letters strictly between the previous block and this one
-        for j in range(i + 1, m):
-            xj = order[j]
+        for xj in order[i + 1 :]:
             if i == 0:
                 g = counts[xj] - after[order[0]].get(xj, 0)
             else:
@@ -122,7 +127,7 @@ def _nf_sylv(syms: tuple) -> tuple:
 
 
 def _nf_baxt(syms: tuple) -> tuple:
-    ipidx = {s: k for k, s in enumerate(ip(syms))}
+    ipidx = {s: k for k, s in enumerate(_ip(syms))}
     out = []
     prev = -1
     for pos in sorted(_mix_positions(syms)):
@@ -134,7 +139,7 @@ def _nf_baxt(syms: tuple) -> tuple:
 
 def normal_form(family: MonoidFamily, w: Word) -> Word:
     """Canonical representative of w's class; equal exactly for equivalent words."""
-    return Word(_theory(family, "normal_form")(_symbols(w)))
+    return _like(w, _theory(family, "normal_form")(_symbols(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +231,8 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     seeded stream.  Both scan serially, one substitution at a time, and
     build keys only when the two substituted sides are different words.
     """
-    # whoever turns the record on has imported logging; importing it here slows start-up
-    logging = sys.modules.get("logging")
-    log = logging.getLogger("plactic_lab.oracle") if logging else None
-    start = time.perf_counter() if log and log.isEnabledFor(logging.DEBUG) else None
+    log = _debug_log("plactic_lab.oracle")
+    start = time.perf_counter() if log else None
     row = _family(family)
     check_rank((), rank)  # rank >= 1
     if row.cap is not None and rank > row.cap:
@@ -256,7 +259,7 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
                 break
     else:
         verdict = HoldsWithinBound(checked=checked)
-    if start is not None:
+    if log:
         log.debug("%s rank %d %r: %d substitutions, %d keyed, %s in %.6f s", family, rank,
                   mode, checked, keyed, type(verdict).__name__, time.perf_counter() - start)
     return verdict
@@ -317,26 +320,24 @@ def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep]
         if not isinstance(st.rule_index, int) or not 0 <= st.rule_index < len(sigma):
             return False
         rule = sigma[st.rule_index]
-        if st.direction == LTR:
-            src, dst = rule.lhs, rule.rhs
-        elif st.direction == RTL:
-            src, dst = rule.rhs, rule.lhs
-        else:
+        if st.direction not in (LTR, RTL):
             return False
+        src, dst = (rule.lhs, rule.rhs) if st.direction == LTR else (rule.rhs, rule.lhs)
         needed = set(src.symbols) | set(dst.symbols)
         if not needed.issubset(st.endo):
             return False
         if require_nonempty_images and any(not st.endo[v] for v in needed):
             return False
+        kind, *mixed = {st.endo[v].kind for v in needed} - {None} or {None}
+        if mixed:  # letter and variable images
+            return False
         images = {name: img.symbols for name, img in st.endo.items()}
         try:
-            before = st.prefix + Word(_substitute(images, src.symbols)) + st.suffix
-            after = st.prefix + Word(_substitute(images, dst.symbols)) + st.suffix
+            before = st.prefix + Word._make(_substitute(images, src.symbols), kind) + st.suffix
+            after = st.prefix + Word._make(_substitute(images, dst.symbols), kind) + st.suffix
         except ValueError:
             return False
-        if st.before != before or st.after != after:
-            return False
-        if prev is not None and st.before != prev:
+        if (st.before, st.after) != (before, after) or prev is not None and st.before != prev:
             return False
         prev = st.after
     return True
@@ -358,7 +359,7 @@ def _gather_steps(w: Word) -> list:
     the next copy, which is one application of the rule with x bound to the
     letter and y to the gap.
     """
-    syms = list(w.symbols)
+    syms, kind = list(w.symbols), w.kind
     steps = []
     boundary = len(syms)
     while boundary > 0:
@@ -373,24 +374,30 @@ def _gather_steps(w: Word) -> list:
             i = positions[-run - 1]
             j = positions[-run]
             gap = syms[i + 1 : j]
-            before, prefix, suffix = Word(syms), Word(syms[:i]), Word(syms[j + 1 :])
+            before = tuple(syms)
             syms[i : j + 1] = gap + [z, z]
-            steps.append(DerivationStep(before=before, after=Word(syms), rule_index=0,
-                                        direction=LTR, prefix=prefix, suffix=suffix,
-                                        endo={"x": Word((z,)), "y": Word(gap)}))
+            steps.append(_step(kind, before, tuple(syms), i, j + 1, 0, LTR, {"x": (z,), "y": gap}))
             positions = [i for i in range(boundary) if syms[i] == z]
         boundary -= len(positions)
     return steps
 
 
+def _step(kind: str, before: tuple, after: tuple, start: int, stop: int, rule_index: int,
+          direction: str, images: dict) -> DerivationStep:
+    """The step that rewrites before[start:stop]; images are runs of before, all of kind."""
+    make = Word._make
+    return DerivationStep(before=make(before, kind), after=make(after, kind),
+                          rule_index=rule_index, direction=direction,
+                          prefix=make(before[:start], kind), suffix=make(before[stop:], kind),
+                          endo={name: make(tuple(img), kind) for name, img in images.items()})
+
+
 def _swap_step(syms: list, p: int, start: int, stop: int, rule_index: int,
-               direction: str, endo: dict) -> DerivationStep:
+               direction: str, images: dict, kind: str) -> DerivationStep:
     """Swap syms[p] and syms[p + 1] in place: one rule applied to syms[start:stop]."""
-    before = Word(syms)
+    before = tuple(syms)
     syms[p], syms[p + 1] = syms[p + 1], syms[p]
-    return DerivationStep(before=before, after=Word(syms), rule_index=rule_index,
-                          direction=direction, prefix=Word(syms[:start]),
-                          suffix=Word(syms[stop:]), endo=endo)
+    return _step(kind, before, tuple(syms), start, stop, rule_index, direction, images)
 
 
 def _sort_stretches(syms: list, bounds, rank_at, swap) -> list:
@@ -415,7 +422,7 @@ def _sort_stretches(syms: list, bounds, rank_at, swap) -> list:
     return steps
 
 
-def _sylv_swap(syms: list, p: int, last: Mapping) -> DerivationStep:
+def _sylv_swap(syms: list, p: int, last: Mapping, kind: str) -> DerivationStep:
     """Swap the adjacent pair at p, p+1 as one xysxty = yxsxty application.
 
     Both letters occur again later; the one whose final occurrence comes
@@ -425,20 +432,15 @@ def _sylv_swap(syms: list, p: int, last: Mapping) -> DerivationStep:
     ex, ey = (a, b) if last[a] < last[b] else (b, a)
     q, r = last[ex], last[ey]
     direction = LTR if ex == a else RTL
-    endo = {
-        "x": Word((ex,)),
-        "y": Word((ey,)),
-        "s": Word(syms[p + 2 : q]),
-        "t": Word(syms[q + 1 : r]),
-    }
-    return _swap_step(syms, p, p, r + 1, 0, direction, endo)
+    images = {"x": (ex,), "y": (ey,), "s": syms[p + 2 : q], "t": syms[q + 1 : r]}
+    return _swap_step(syms, p, p, r + 1, 0, direction, images, kind)
 
 
 def _sylv_steps(w: Word) -> list:
     """Sort each stretch between last occurrences, emitting one step per swap."""
     syms = list(w.symbols)
     _, last = _first_last_positions(w.symbols)
-    fpidx = {s: k for k, s in enumerate(fp(w.symbols))}
+    fpidx = {s: k for k, s in enumerate(_fp(w.symbols))}
 
     def rank_at(pos):
         # the letter whose last occurrence ends the stretch sorts after the rest
@@ -446,7 +448,7 @@ def _sylv_steps(w: Word) -> list:
         return lambda c: len(fpidx) if c == xk else fpidx[c]
 
     steps = _sort_stretches(syms, sorted(last.values()), rank_at,
-                            lambda p: _sylv_swap(syms, p, last))
+                            lambda p: _sylv_swap(syms, p, last, w.kind))
     if tuple(syms) != _nf_sylv(w.symbols):
         raise DerivationError("sorting did not land on the sylvester normal form")
     return steps
@@ -461,7 +463,7 @@ def _mirror_steps(steps: Sequence[DerivationStep]) -> list:
             for st in steps]
 
 
-def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> DerivationStep:
+def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping, kind: str) -> DerivationStep:
     """Swap at p, p+1 with one of the two ten-letter rules.
 
     The rule and direction are picked so that the four anchor occurrences
@@ -473,25 +475,19 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> DerivationS
     i1, i2 = sorted((first[a], first[b]))
     j1, j2 = last[ex], last[ey]
     direction = LTR if ex == a else RTL
-    endo = {
-        "x": Word((ex,)),
-        "y": Word((ey,)),
-        "s": Word(syms[i1 + 1 : i2]),
-        "t": Word(syms[i2 + 1 : p]),
-        "h": Word(syms[p + 2 : j1]),
-        "k": Word(syms[j1 + 1 : j2]),
-    }
-    return _swap_step(syms, p, i1, j2 + 1, ri, direction, endo)
+    images = {"x": (ex,), "y": (ey,), "s": syms[i1 + 1 : i2], "t": syms[i2 + 1 : p],
+              "h": syms[p + 2 : j1], "k": syms[j1 + 1 : j2]}
+    return _swap_step(syms, p, i1, j2 + 1, ri, direction, images, kind)
 
 
 def _baxt_steps(w: Word) -> list:
     """Sort the letters strictly between first/last occurrences into ip order."""
     syms = list(w.symbols)
     first, last = _first_last_positions(w.symbols)
-    ipidx = {s: k for k, s in enumerate(ip(w.symbols))}
+    ipidx = {s: k for k, s in enumerate(_ip(w.symbols))}
     keep = sorted(_mix_positions(w.symbols))
     steps = _sort_stretches(syms, keep, lambda pos: ipidx.__getitem__,
-                            lambda p: _baxt_swap(syms, p, first, last))
+                            lambda p: _baxt_swap(syms, p, first, last, w.kind))
     if tuple(syms) != _nf_baxt(w.symbols):
         raise DerivationError("sorting did not land on the Baxter normal form")
     return steps
@@ -513,22 +509,22 @@ class _Theory(NamedTuple):
 
 
 # the gathered form spells out the word's stalactic columns
-_GATHER = _Theory(_rules(["xyx = yxx"]), (Counter, fp),
+_GATHER = _Theory(_rules(["xyx = yxx"]), (Counter, _fp),
                   lambda syms: _spell_columns(_stal_columns(syms)), _gather_steps)
 _THEORIES = {
     MonoidFamily.STAL: _GATHER,
     MonoidFamily.TAIG: _GATHER,
-    MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), (Counter, fp, _after_table),
+    MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), (Counter, _fp, _after_table),
                                _nf_sylv, _sylv_steps),
     MonoidFamily.SYLV_SHARP: _Theory(
-        _rules(["ytxsyx = ytxsxy"]), (Counter, ip, _before_table),
+        _rules(["ytxsyx = ytxsxy"]), (Counter, _ip, _before_table),
         lambda syms: _nf_sylv(syms[::-1])[::-1],
         lambda w: _mirror_steps(_sylv_steps(w.reverse()))),
     MonoidFamily.BAXT: _Theory(
         _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]),
-        (Counter, ip, fp, _after_table, _before_table), _nf_baxt, _baxt_steps),
-    MonoidFamily.LEFT_ZERO: _Theory(None, (ip,), None, None),
-    MonoidFamily.RIGHT_ZERO: _Theory(None, (fp,), None, None),
+        (Counter, _ip, _fp, _after_table, _before_table), _nf_baxt, _baxt_steps),
+    MonoidFamily.LEFT_ZERO: _Theory(None, (_ip,), None, None),
+    MonoidFamily.RIGHT_ZERO: _Theory(None, (_fp,), None, None),
     MonoidFamily.FREE_MONOGENIC: _Theory(None, (Counter,), None, None),
 }
 
@@ -575,7 +571,7 @@ def _extend_match(pattern, factor, pi, fi, bound, results) -> None:
 
 def _neighbors(word: Word, sigma: Sequence[Identity], max_word_len: int) -> list:
     """All single rewrites of word, nonempty images, deterministic order."""
-    syms = word.symbols
+    syms, kind = word.symbols, word.kind
     n = len(syms)
     out = []
     for ri, rule in enumerate(sigma):
@@ -593,11 +589,12 @@ def _neighbors(word: Word, sigma: Sequence[Identity], max_word_len: int) -> list
                         )
                         if len(replaced) > max_word_len:
                             continue
-                        after = Word(replaced)
+                        after = Word._make(replaced, kind)
                         out.append((after, DerivationStep(
                             before=word, after=after, rule_index=ri, direction=direction,
-                            prefix=Word(syms[:start]), suffix=Word(syms[end:]),
-                            endo={k: Word(v) for k, v in images.items()})))
+                            prefix=Word._make(syms[:start], kind),
+                            suffix=Word._make(syms[end:], kind),
+                            endo={k: Word._make(v, kind) for k, v in images.items()})))
     return out
 
 
@@ -612,29 +609,32 @@ def derive_search(
 
     Single steps use nonempty variable images only.  Returns the step list,
     [] when u equals v, or None when no derivation exists within the bounds.
+    Each call logs one DEBUG record to plactic_lab.derive: the outcome, the
+    depth reached and the words reached from each side.
     """
-    if u == v:
-        return []
-    forward = {u: None}
-    backward = {v: None}
+    forward, backward = {u: None}, {v: None}
     ffront, bfront = [u], [v]
     depth = 0
+    log = _debug_log("plactic_lab.derive")
 
-    def rebuild(meet: Word) -> list:
-        path = []
-        node = meet
-        while forward[node] is not None:
-            parent, step = forward[node]
-            path.append(step)
-            node = parent
-        path.reverse()
-        node = meet
-        while backward[node] is not None:
-            parent, step = backward[node]
-            path.extend(invert_steps([step]))
-            node = parent
-        return path
+    def done(steps: Optional[list]) -> Optional[list]:
+        if log:
+            outcome = ("found" if steps is not None else
+                       "step bound reached" if ffront and bfront else "frontier exhausted")
+            log.debug("%s at depth %d; words reached: %d forward, %d backward", outcome,
+                      depth, len(forward), len(backward))
+        return steps
 
+    def trail(tree: dict, node: Word) -> list:
+        """The steps of tree from its root to node."""
+        steps = []
+        while tree[node] is not None:
+            node, step = tree[node]
+            steps.append(step)
+        return steps[::-1]
+
+    if u == v:
+        return done([])
     while ffront and bfront and depth < max_steps:
         depth += 1
         if len(ffront) <= len(bfront):
@@ -649,12 +649,12 @@ def derive_search(
                 seen[nw] = (word, step)
                 new.append(nw)
                 if nw in other:
-                    return rebuild(nw)
+                    return done(trail(forward, nw) + invert_steps(trail(backward, nw)))
         if front is ffront:
             ffront = new
         else:
             bfront = new
-    return None
+    return done(None)
 
 
 # ---------------------------------------------------------------------------

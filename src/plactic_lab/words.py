@@ -64,7 +64,8 @@ def _refusal(syms: tuple) -> str:
 class Word:
     """An immutable word whose symbols are all letters or all variables.
 
-    The empty word has kind None and concatenates with either kind.
+    The empty word has kind None and concatenates with either kind.  Word(...)
+    checks outside input; _make wraps symbols taken from words already checked.
     """
 
     __slots__ = ("symbols", "kind")
@@ -79,8 +80,16 @@ class Word:
             kind = VARIABLES
         else:
             raise ValueError(_refusal(syms))
-        object.__setattr__(self, "symbols", syms)
-        object.__setattr__(self, "kind", kind)
+        _set_symbols(self, syms)
+        _set_kind(self, kind)
+
+    @classmethod
+    def _make(cls, symbols: tuple, kind) -> "Word":
+        """Wrap a tuple whose symbols are known to be of kind; no check."""
+        w = object.__new__(cls)
+        _set_symbols(w, symbols)
+        _set_kind(w, kind if symbols else None)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -113,7 +122,7 @@ class Word:
         return ("" if all(len(p) == 1 for p in parts) else " ").join(parts)
 
     def reverse(self) -> "Word":
-        return Word(self.symbols[::-1])
+        return Word._make(self.symbols[::-1], self.kind)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -123,7 +132,7 @@ class Word:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word(self.symbols[index])
+            return Word._make(self.symbols[index], self.kind)
         return self.symbols[index]
 
     def __add__(self, other: "Word") -> "Word":
@@ -131,7 +140,7 @@ class Word:
             return NotImplemented
         if self.kind and other.kind and self.kind != other.kind:
             raise ValueError("cannot concatenate letter and variable words")
-        return Word(self.symbols + other.symbols)
+        return Word._make(self.symbols + other.symbols, self.kind or other.kind)
 
     def __bool__(self) -> bool:
         return bool(self.symbols)
@@ -144,6 +153,9 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r})"
+
+
+_set_symbols, _set_kind = Word.symbols.__set__, Word.kind.__set__
 
 
 def _of_kind(kind: str, w: Word) -> Word:
@@ -221,6 +233,19 @@ def directional_occ(direction: str, anchor: Symbol, x: Symbol, w) -> int:
     return table[anchor].get(x, 0)
 
 
+def _ip(syms: tuple) -> tuple:
+    return tuple(dict.fromkeys(syms))
+
+
+def _fp(syms: tuple) -> tuple:
+    return tuple(dict.fromkeys(reversed(syms)))[::-1]
+
+
+def _like(w, syms: tuple) -> Word:
+    """syms, drawn from the symbols of w, as a word; unchecked when w is a Word."""
+    return Word._make(syms, w.kind) if isinstance(w, Word) else Word(syms)
+
+
 def skeleton(mode: str, w) -> Word:
     """Occurrence skeleton of w.
 
@@ -229,11 +254,11 @@ def skeleton(mode: str, w) -> Word:
     """
     syms = _symbols(w)
     if mode == IP:
-        return Word(dict.fromkeys(syms))
+        return _like(w, _ip(syms))
     if mode == FP:
-        return Word(tuple(dict.fromkeys(reversed(syms)))[::-1])
+        return _like(w, _fp(syms))
     if mode == MIX:
-        return Word(syms[i] for i in sorted(_mix_positions(syms)))
+        return _like(w, tuple(syms[i] for i in sorted(_mix_positions(syms))))
     raise ValueError(f"unknown skeleton mode {mode!r}")
 
 
@@ -267,7 +292,7 @@ def mix(w) -> Word:
 def restrict(w, symbols) -> Word:
     """Subword of w consisting of the occurrences of the given symbols."""
     wanted = set(symbols)
-    return Word(s for s in _symbols(w) if s in wanted)
+    return _like(w, tuple(s for s in _symbols(w) if s in wanted))
 
 
 @dataclass(frozen=True)

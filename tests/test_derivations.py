@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 
 import pytest
@@ -14,9 +15,13 @@ from plactic_lab import (
     derivation_certificate,
     derivation_to_json,
     derive_search,
+    fp,
     invert_steps,
+    ip,
+    mix,
     normal_form,
     normalize_derivation,
+    restrict,
     satisfies,
     step_from_json,
     step_to_json,
@@ -133,6 +138,15 @@ def test_verify_rejects_tampering():
                                  good.prefix, good.suffix,
                                  {k: v for k, v in good.endo.items() if k != "s"})
     assert not verify_derivation(sigma, [missing_var])
+    # images of both kinds make no word, so the step cannot be recomputed
+    mixed_images = DerivationStep(good.before, good.after, 0, good.direction,
+                                  good.prefix, good.suffix, {**good.endo, "x": Word.letters("1")})
+    assert not verify_derivation(sigma, [mixed_images])
+    # letter images make a letter factor inside a variable context
+    letter_images = DerivationStep(good.before, good.after, 0, good.direction, good.prefix,
+                                   good.suffix, {k: Word.letters([1] * len(img)) if img else img
+                                                 for k, img in good.endo.items()})
+    assert not verify_derivation(sigma, [letter_images])
 
 
 def test_verify_rejects_broken_chains():
@@ -208,6 +222,67 @@ def test_derive_search_respects_word_length_bound():
     found = derive_search(sigma, u, v, max_steps=10, max_word_len=4)
     assert found is not None
     assert verify_derivation(sigma, found)
+
+
+def test_derive_search_logs_one_debug_record_per_call(caplog):
+    sigma = basis(F.STAL)
+    xyxy, yxyx = Word.variables("xyxy"), Word.variables("yxyx")
+    derive_search(sigma, xyxy, yxyx)
+    assert not [r for r in caplog.records if r.name == "plactic_lab.derive"]  # off by default
+    with caplog.at_level(logging.DEBUG, logger="plactic_lab.derive"):
+        derive_search(sigma, xyxy, xyxy)
+        derive_search(sigma, Word.variables("xyx"), Word.variables("yxx"))
+        derive_search(sigma, xyxy, yxyx, max_steps=1)
+        derive_search(sigma, Word.variables("xy"), Word.variables("yx"))
+    assert [r.getMessage() for r in caplog.records if r.name == "plactic_lab.derive"] == [
+        "found at depth 0; words reached: 1 forward, 1 backward",
+        "found at depth 1; words reached: 2 forward, 1 backward",
+        # xyxy rewrites to yxxy and xxyy, then the bound stops the search
+        "step bound reached at depth 1; words reached: 3 forward, 1 backward",
+        # no factor of xy matches xyx with nonempty images
+        "frontier exhausted at depth 1; words reached: 1 forward, 1 backward",
+    ]
+
+
+any_words = st.one_of(st.lists(st.integers(1, 4), max_size=14).map(Word.letters),
+                      st.lists(st.sampled_from("wxyz"), max_size=14).map(Word.variables))
+
+
+def step_words(steps):
+    for step in steps:
+        yield from (step.before, step.after, step.prefix, step.suffix, *step.endo.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_words, any_words, st.data())
+def test_derived_words_match_the_checked_constructor(w, other, data):
+    # words built from checked words skip the symbol check; each must still be
+    # exactly the word that Word(...) makes of its symbols, kind included
+    i, j = data.draw(st.integers(-16, 16)), data.draw(st.integers(-16, 16))
+    stride = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+    out = [w[i:j:stride], w[i:], w[:j], w.reverse(), ip(w), fp(w), mix(w),
+           restrict(w, w.symbols[::2])]
+    if {w.kind, other.kind} == {"letter", "variable"}:
+        with pytest.raises(ValueError):
+            w + other
+    else:
+        out += [w + other, other + w]
+    for fam in INSERTION:
+        out.append(normal_form(fam, w))
+        out.extend(step_words(normalize_derivation(fam, w)))
+        if w.kind == "variable":
+            perm = Word.variables(data.draw(st.permutations(w.symbols)))
+            for ident in (Identity(w, normal_form(fam, w)), Identity(normal_form(fam, w), w),
+                          Identity(w, perm)):
+                if satisfies(fam, ident):
+                    out.extend(step_words(derivation_certificate(fam, ident)))
+    short = w[:5]
+    out.extend(step_words(derive_search(basis(F.STAL), short, normal_form(F.STAL, short),
+                                        max_steps=3, max_word_len=5) or []))
+    for word in out:
+        fresh = Word(word.symbols)
+        assert type(word) is Word
+        assert (word.symbols, word.kind) == (fresh.symbols, fresh.kind)
 
 
 def test_step_json_roundtrip():

@@ -332,33 +332,35 @@ def test_oracle_logs_one_debug_record_per_call(caplog):
                              "HoldsWithinBound in ")
 
 
-def test_parallel_scan_matches_sequential(monkeypatch):
+def test_oracle_ignores_threads_env(monkeypatch):
+    # the oracle scans serially and reads no environment variable: setting the
+    # one that used to choose a worker pool changes no verdict
     ident = Identity.parse("xyxy = yxxy")
-    seq_cex = oracle(F.BAXT, 2, ident, Exhaustive(2))
+    plain_cex = oracle(F.BAXT, 2, ident, Exhaustive(2))
     monkeypatch.setenv("PLACTIC_LAB_THREADS", "2")
-    par_cex = oracle(F.BAXT, 2, ident, Exhaustive(2))
-    assert isinstance(seq_cex, CounterExample)
-    assert seq_cex.substitution == par_cex.substitution
+    env_cex = oracle(F.BAXT, 2, ident, Exhaustive(2))
+    assert isinstance(plain_cex, CounterExample)
+    assert plain_cex.substitution == env_cex.substitution
 
-    seq_hold = oracle(F.SYLV, 2, Identity.parse("xyxy = yxxy"), Exhaustive(2))
+    plain_hold = oracle(F.SYLV, 2, Identity.parse("xyxy = yxxy"), Exhaustive(2))
     monkeypatch.setenv("PLACTIC_LAB_THREADS", "3")
-    par_hold = oracle(F.SYLV, 2, Identity.parse("xyxy = yxxy"), Exhaustive(2))
-    assert seq_hold == par_hold == HoldsWithinBound(checked=49)
+    env_hold = oracle(F.SYLV, 2, Identity.parse("xyxy = yxxy"), Exhaustive(2))
+    assert plain_hold == env_hold == HoldsWithinBound(checked=49)
 
 
-def test_parallel_scan_returns_at_first_hit(monkeypatch):
+def test_oracle_stops_at_first_hit():
     # xy = x fails in l21 only for x empty, the first candidate; every later
-    # candidate holds, and a worker scanning the second half would take ~20 s
+    # candidate holds, and scanning the 4.2 million of them would take ~20 s
     ident = Identity.parse("xy = x")
     expected = oracle(F.LEFT_ZERO, 2, ident, Exhaustive(10)).substitution
-    monkeypatch.setenv("PLACTIC_LAB_THREADS", "2")
     start = time.perf_counter()
     verdict = oracle(F.LEFT_ZERO, 2, ident, Exhaustive(10))
     assert time.perf_counter() - start < 8
     assert verdict.substitution == expected == {"x": Word(()), "y": Word((1,))}
 
 
-def test_threads_env_garbage_falls_back_to_sequential(monkeypatch):
+def test_threads_env_garbage_is_ignored(monkeypatch):
+    # a value that is no thread count is not read either
     monkeypatch.setenv("PLACTIC_LAB_THREADS", "many")
     verdict = oracle(F.STAL, 2, Identity.parse("xy = yx"), Exhaustive(1))
     assert isinstance(verdict, CounterExample)
