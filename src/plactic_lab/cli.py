@@ -14,14 +14,7 @@ import sys
 
 from . import identities, monoids, words
 from .monoids import MonoidFamily
-from .words import Word
-
-
-def _parse_any_word(text: str) -> Word:
-    try:
-        return Word.letters(text)
-    except ValueError:
-        return Word.variables(text)
+from .words import Word, _parse_word
 
 
 def _family(value: str) -> MonoidFamily:
@@ -102,7 +95,7 @@ def _cmd_check_identity(args) -> int:
 
 
 def _cmd_nf(args) -> int:
-    w = _parse_any_word(args.word)
+    w = _parse_word(args.word)
     out = identities.normal_form(args.monoid, w)
     if args.format == "json":
         print(json.dumps({"word": w.text(), "normal_form": out.text()}))
@@ -147,7 +140,7 @@ def _cmd_derive(args) -> int:
         if not (args.lhs and args.rhs):
             print("derive with --sigma requires --lhs and --rhs", file=sys.stderr)
             return 2
-        u, v = _parse_any_word(args.lhs), _parse_any_word(args.rhs)
+        u, v = _parse_word(args.lhs), _parse_word(args.rhs)
         steps = identities.derive_search(sigma, u, v, max_steps=args.max_steps,
                                          max_word_len=args.max_word_len)
         if steps is None:

@@ -49,6 +49,7 @@ from .words import (
     _ip,
     _like,
     _mix_positions,
+    _parse_word,
     _symbols,
 )
 
@@ -317,24 +318,25 @@ def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep]
     """Recompute every step from its parts and check the chain links up."""
     prev = None
     for st in steps:
-        if not isinstance(st.rule_index, int) or not 0 <= st.rule_index < len(sigma):
+        # an exact int: True would pick rule 1
+        if (type(st.rule_index) is not int or not 0 <= st.rule_index < len(sigma)
+                or st.direction not in (LTR, RTL)):
             return False
         rule = sigma[st.rule_index]
-        if st.direction not in (LTR, RTL):
-            return False
         src, dst = (rule.lhs, rule.rhs) if st.direction == LTR else (rule.rhs, rule.lhs)
         needed = set(src.symbols) | set(dst.symbols)
-        if not needed.issubset(st.endo):
+        if not needed.issubset(st.endo) or any(
+                type(w) is not Word for w in (st.before, st.after, st.prefix, st.suffix,
+                                              *st.endo.values())):
             return False
         if require_nonempty_images and any(not st.endo[v] for v in needed):
             return False
-        kind, *mixed = {st.endo[v].kind for v in needed} - {None} or {None}
-        if mixed:  # letter and variable images
+        if len({st.endo[v].kind for v in needed} - {None}) > 1:  # letter and variable images
             return False
         images = {name: img.symbols for name, img in st.endo.items()}
         try:
-            before = st.prefix + Word._make(_substitute(images, src.symbols), kind) + st.suffix
-            after = st.prefix + Word._make(_substitute(images, dst.symbols), kind) + st.suffix
+            before = st.prefix + Word._make(_substitute(images, src.symbols)) + st.suffix
+            after = st.prefix + Word._make(_substitute(images, dst.symbols)) + st.suffix
         except ValueError:
             return False
         if (st.before, st.after) != (before, after) or prev is not None and st.before != prev:
@@ -355,56 +357,45 @@ def _gather_steps(w: Word) -> list:
     """Drive a word to the gathered form using xyx = yxx only.
 
     Working right to left, the currently last letter of the unfinished prefix
-    is pulled together: each stray copy hops over the gap separating it from
-    the next copy, which is one application of the rule with x bound to the
-    letter and y to the gap.
+    is pulled together: scanning leftwards, each stray copy hops over the gap
+    separating it from the block of copies, which is one application of the
+    rule with x bound to the letter and y to the gap, and joins the block.
     """
-    syms, kind = list(w.symbols), w.kind
+    syms = list(w.symbols)
     steps = []
     boundary = len(syms)
     while boundary > 0:
         z = syms[boundary - 1]
-        positions = [i for i in range(boundary) if syms[i] == z]
-        while True:
-            run = 1
-            while run < len(positions) and positions[-run - 1] == positions[-run] - 1:
-                run += 1
-            if run == len(positions):
-                break
-            i = positions[-run - 1]
-            j = positions[-run]
-            gap = syms[i + 1 : j]
-            before = tuple(syms)
-            syms[i : j + 1] = gap + [z, z]
-            steps.append(_step(kind, before, tuple(syms), i, j + 1, 0, LTR, {"x": (z,), "y": gap}))
-            positions = [i for i in range(boundary) if syms[i] == z]
-        boundary -= len(positions)
+        start = boundary - 1  # the block of copies of z is syms[start:boundary]
+        for i in range(start - 1, -1, -1):
+            if syms[i] == z:
+                if i < start - 1:
+                    gap = syms[i + 1 : start]
+                    before = tuple(syms)
+                    syms[i : start + 1] = gap + [z, z]
+                    steps.append(_step(before, tuple(syms), i, start + 1, 0, LTR,
+                                       {"x": (z,), "y": gap}))
+                start -= 1
+        boundary = start
     return steps
 
 
-def _step(kind: str, before: tuple, after: tuple, start: int, stop: int, rule_index: int,
+def _step(before: tuple, after: tuple, start: int, stop: int, rule_index: int,
           direction: str, images: dict) -> DerivationStep:
-    """The step that rewrites before[start:stop]; images are runs of before, all of kind."""
+    """The step that rewrites before[start:stop] into after; images are runs of before."""
     make = Word._make
-    return DerivationStep(before=make(before, kind), after=make(after, kind),
+    return DerivationStep(before=make(before), after=make(after),
                           rule_index=rule_index, direction=direction,
-                          prefix=make(before[:start], kind), suffix=make(before[stop:], kind),
-                          endo={name: make(tuple(img), kind) for name, img in images.items()})
+                          prefix=make(before[:start]), suffix=make(before[stop:]),
+                          endo={name: make(tuple(img)) for name, img in images.items()})
 
 
-def _swap_step(syms: list, p: int, start: int, stop: int, rule_index: int,
-               direction: str, images: dict, kind: str) -> DerivationStep:
-    """Swap syms[p] and syms[p + 1] in place: one rule applied to syms[start:stop]."""
-    before = tuple(syms)
-    syms[p], syms[p + 1] = syms[p + 1], syms[p]
-    return _step(kind, before, tuple(syms), start, stop, rule_index, direction, images)
-
-
-def _sort_stretches(syms: list, bounds, rank_at, swap) -> list:
+def _sort_stretches(syms: list, bounds, rank_at, rule_at) -> list:
     """Bubble sort, in place, each stretch strictly between consecutive bounds.
 
-    rank_at(pos) is the sort key of the stretch that ends at pos; swap(p)
-    exchanges syms[p] and syms[p + 1] and returns the step that does it.
+    rank_at(pos) is the sort key of the stretch that ends at pos; rule_at(p)
+    is the rule application (start, stop, rule_index, direction, images) that
+    swaps syms[p] and syms[p + 1], one step each.
     """
     steps = []
     prev = -1
@@ -416,14 +407,16 @@ def _sort_stretches(syms: list, bounds, rank_at, swap) -> list:
             for p in range(prev + 1, pos - 1):
                 a, c = syms[p], syms[p + 1]
                 if a != c and rank(a) > rank(c):
-                    steps.append(swap(p))
+                    applied, before = rule_at(p), tuple(syms)
+                    syms[p], syms[p + 1] = c, a
+                    steps.append(_step(before, tuple(syms), *applied))
                     changed = True
         prev = pos
     return steps
 
 
-def _sylv_swap(syms: list, p: int, last: Mapping, kind: str) -> DerivationStep:
-    """Swap the adjacent pair at p, p+1 as one xysxty = yxsxty application.
+def _sylv_swap(syms: list, p: int, last: Mapping) -> tuple:
+    """The xysxty = yxsxty application that swaps the adjacent pair at p, p+1.
 
     Both letters occur again later; the one whose final occurrence comes
     first anchors x, the other y, which decides the rule direction.
@@ -433,7 +426,7 @@ def _sylv_swap(syms: list, p: int, last: Mapping, kind: str) -> DerivationStep:
     q, r = last[ex], last[ey]
     direction = LTR if ex == a else RTL
     images = {"x": (ex,), "y": (ey,), "s": syms[p + 2 : q], "t": syms[q + 1 : r]}
-    return _swap_step(syms, p, p, r + 1, 0, direction, images, kind)
+    return p, r + 1, 0, direction, images
 
 
 def _sylv_steps(w: Word) -> list:
@@ -448,7 +441,7 @@ def _sylv_steps(w: Word) -> list:
         return lambda c: len(fpidx) if c == xk else fpidx[c]
 
     steps = _sort_stretches(syms, sorted(last.values()), rank_at,
-                            lambda p: _sylv_swap(syms, p, last, w.kind))
+                            lambda p: _sylv_swap(syms, p, last))
     if tuple(syms) != _nf_sylv(w.symbols):
         raise DerivationError("sorting did not land on the sylvester normal form")
     return steps
@@ -463,8 +456,8 @@ def _mirror_steps(steps: Sequence[DerivationStep]) -> list:
             for st in steps]
 
 
-def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping, kind: str) -> DerivationStep:
-    """Swap at p, p+1 with one of the two ten-letter rules.
+def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
+    """The application of one of the two ten-letter rules that swaps p, p+1.
 
     The rule and direction are picked so that the four anchor occurrences
     (both letters before the pair and after it) appear in the rule's order.
@@ -477,7 +470,7 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping, kind: str) -> 
     direction = LTR if ex == a else RTL
     images = {"x": (ex,), "y": (ey,), "s": syms[i1 + 1 : i2], "t": syms[i2 + 1 : p],
               "h": syms[p + 2 : j1], "k": syms[j1 + 1 : j2]}
-    return _swap_step(syms, p, i1, j2 + 1, ri, direction, images, kind)
+    return i1, j2 + 1, ri, direction, images
 
 
 def _baxt_steps(w: Word) -> list:
@@ -487,7 +480,7 @@ def _baxt_steps(w: Word) -> list:
     ipidx = {s: k for k, s in enumerate(_ip(w.symbols))}
     keep = sorted(_mix_positions(w.symbols))
     steps = _sort_stretches(syms, keep, lambda pos: ipidx.__getitem__,
-                            lambda p: _baxt_swap(syms, p, first, last, w.kind))
+                            lambda p: _baxt_swap(syms, p, first, last))
     if tuple(syms) != _nf_baxt(w.symbols):
         raise DerivationError("sorting did not land on the Baxter normal form")
     return steps
@@ -542,59 +535,47 @@ def derivation_certificate(family: MonoidFamily, ident: Identity) -> list:
 # bounded search for derivations over arbitrary rule systems
 
 
-def _match_pattern(pattern: tuple, factor: tuple) -> list:
-    """All consistent variable -> nonempty tuple maps with image concat = factor."""
-    results = []
-    _extend_match(pattern, factor, 0, 0, {}, results)
-    results.sort(key=lambda d: tuple(sorted(d.items())))
-    return results
+def _matches(pattern: tuple, syms: tuple, start: int) -> list:
+    """Every (end, images) by which pattern spells syms[start:end].
 
-
-def _extend_match(pattern, factor, pi, fi, bound, results) -> None:
-    """Extend the map bound so that pattern[pi:] matches factor[fi:]."""
-    if pi == len(pattern):
-        if fi == len(factor):
-            results.append(dict(bound))
-        return
-    name = pattern[pi]
-    if name in bound:
-        img = bound[name]
-        if factor[fi : fi + len(img)] == img:
-            _extend_match(pattern, factor, pi + 1, fi + len(img), bound, results)
-        return
-    slack = len(factor) - fi - (len(pattern) - pi - 1)
-    for length in range(1, slack + 1):
-        bound[name] = factor[fi : fi + length]
-        _extend_match(pattern, factor, pi + 1, fi + length, bound, results)
-        del bound[name]
+    Each variable's image is a nonempty tuple; sorted by end, then by the
+    sorted images.
+    """
+    n, last = len(syms), len(pattern) - 1
+    out = []
+    stack = [(0, start, {})]  # pattern position, word position, images so far
+    while stack:
+        pi, fi, bound = stack.pop()
+        if pi > last:
+            out.append((fi, bound))
+            continue
+        name = pattern[pi]
+        img = bound.get(name)
+        if img is not None:
+            if syms[fi : fi + len(img)] == img:
+                stack.append((pi + 1, fi + len(img), bound))
+            continue
+        # leave at least one symbol for each later pattern position
+        for stop in range(fi + 1, n - last + pi + 1):
+            stack.append((pi + 1, stop, {**bound, name: syms[fi:stop]}))
+    out.sort(key=lambda m: (m[0], sorted(m[1].items())))
+    return out
 
 
 def _neighbors(word: Word, sigma: Sequence[Identity], max_word_len: int) -> list:
     """All single rewrites of word, nonempty images, deterministic order."""
-    syms, kind = word.symbols, word.kind
-    n = len(syms)
+    syms = word.symbols
     out = []
     for ri, rule in enumerate(sigma):
         for direction, src, dst in ((LTR, rule.lhs, rule.rhs), (RTL, rule.rhs, rule.lhs)):
-            if not set(dst.symbols).issubset(set(src.symbols)):
+            if not src or not set(dst.symbols).issubset(src.symbols):
                 continue
-            plen = len(src.symbols)
-            if plen == 0:
-                continue
-            for start in range(n):
-                for end in range(start + plen, n + 1):
-                    for images in _match_pattern(src.symbols, syms[start:end]):
-                        replaced = (
-                            syms[:start] + _substitute(images, dst.symbols) + syms[end:]
-                        )
-                        if len(replaced) > max_word_len:
-                            continue
-                        after = Word._make(replaced, kind)
-                        out.append((after, DerivationStep(
-                            before=word, after=after, rule_index=ri, direction=direction,
-                            prefix=Word._make(syms[:start], kind),
-                            suffix=Word._make(syms[end:], kind),
-                            endo={k: Word._make(v, kind) for k, v in images.items()})))
+            for start in range(len(syms)):
+                for end, images in _matches(src.symbols, syms, start):
+                    after = syms[:start] + _substitute(images, dst.symbols) + syms[end:]
+                    if len(after) <= max_word_len:
+                        step = _step(syms, after, start, end, ri, direction, images)
+                        out.append((step.after, step))
     return out
 
 
@@ -612,6 +593,8 @@ def derive_search(
     Each call logs one DEBUG record to plactic_lab.derive: the outcome, the
     depth reached and the words reached from each side.
     """
+    if max_steps < 0 or max_word_len < 0:
+        raise ValueError(f"max_steps and max_word_len must be >= 0: {max_steps}, {max_word_len}")
     forward, backward = {u: None}, {v: None}
     ffront, bfront = [u], [v]
     depth = 0
@@ -673,17 +656,14 @@ def step_to_json(step: DerivationStep) -> dict:
     }
 
 
-def step_from_json(data: dict, kind: str = "variable") -> DerivationStep:
-    parse = Word.variables if kind == "variable" else Word.letters
-    return DerivationStep(
-        before=parse(data["before"]),
-        after=parse(data["after"]),
-        rule_index=data["rule"],
-        direction=data["direction"],
-        prefix=parse(data["prefix"]),
-        suffix=parse(data["suffix"]),
-        endo={name: parse(img) for name, img in data["endo"].items()},
-    )
+def step_from_json(data: dict) -> DerivationStep:
+    """Read each text as the kind it spells; texts of both kinds are refused."""
+    words = {k: _parse_word(data[k]) for k in ("before", "after", "prefix", "suffix")}
+    endo = {name: _parse_word(img) for name, img in data["endo"].items()}
+    if len({w.kind for w in (*words.values(), *endo.values())} - {None}) > 1:
+        raise ValueError("a step's texts spell both letter and variable words")
+    return DerivationStep(rule_index=data["rule"], direction=data["direction"], endo=endo,
+                          **words)
 
 
 def derivation_to_json(steps: Iterable[DerivationStep]) -> list:

@@ -64,32 +64,30 @@ def _refusal(syms: tuple) -> str:
 class Word:
     """An immutable word whose symbols are all letters or all variables.
 
-    The empty word has kind None and concatenates with either kind.  Word(...)
-    checks outside input; _make wraps symbols taken from words already checked.
+    Its kind is read from its first symbol; the empty word has kind None and
+    concatenates with either kind.  Word(...) checks outside input; _make
+    wraps symbols taken from words already checked.
     """
 
-    __slots__ = ("symbols", "kind")
+    __slots__ = ("symbols",)
 
     def __init__(self, symbols: Iterable[Symbol] = ()):
         syms = tuple(symbols)
-        if not syms:
-            kind = None
-        elif _are_letters(syms):
-            kind = LETTERS
-        elif _are_variables(syms):
-            kind = VARIABLES
-        else:
+        if syms and not (_are_letters(syms) or _are_variables(syms)):
             raise ValueError(_refusal(syms))
         _set_symbols(self, syms)
-        _set_kind(self, kind)
 
     @classmethod
-    def _make(cls, symbols: tuple, kind) -> "Word":
-        """Wrap a tuple whose symbols are known to be of kind; no check."""
+    def _make(cls, symbols: tuple) -> "Word":
+        """Wrap a tuple of symbols known to make a word; no check."""
         w = object.__new__(cls)
         _set_symbols(w, symbols)
-        _set_kind(w, kind if symbols else None)
         return w
+
+    @property
+    def kind(self):
+        """The kind of the first symbol, "letter" or "variable"; None for the empty word."""
+        return (LETTERS if type(self.symbols[0]) is int else VARIABLES) if self.symbols else None
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -122,7 +120,7 @@ class Word:
         return ("" if all(len(p) == 1 for p in parts) else " ").join(parts)
 
     def reverse(self) -> "Word":
-        return Word._make(self.symbols[::-1], self.kind)
+        return Word._make(self.symbols[::-1])
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -132,15 +130,16 @@ class Word:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word._make(self.symbols[index], self.kind)
+            return Word._make(self.symbols[index])
         return self.symbols[index]
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        if self.kind and other.kind and self.kind != other.kind:
+        a, b = self.symbols, other.symbols
+        if a and b and type(a[0]) is not type(b[0]):
             raise ValueError("cannot concatenate letter and variable words")
-        return Word._make(self.symbols + other.symbols, self.kind or other.kind)
+        return Word._make(a + b)
 
     def __bool__(self) -> bool:
         return bool(self.symbols)
@@ -155,7 +154,7 @@ class Word:
         return f"Word({self.text()!r})"
 
 
-_set_symbols, _set_kind = Word.symbols.__set__, Word.kind.__set__
+_set_symbols = Word.symbols.__set__
 
 
 def _of_kind(kind: str, w: Word) -> Word:
@@ -176,6 +175,14 @@ def _parse_letter_text(text: str) -> tuple:
         if not (p.isascii() and p.isdigit()):
             raise ValueError(f"letter text holds {_short_repr(p)}, which is no decimal number")
     return tuple(map(int, parts))
+
+
+def _parse_word(text: str) -> Word:
+    """A word's text read as the kind it spells: letters if it can be, else variables."""
+    try:
+        return Word.letters(text)
+    except ValueError:
+        return Word.variables(text)
 
 
 def _symbols(w) -> tuple:
@@ -243,7 +250,7 @@ def _fp(syms: tuple) -> tuple:
 
 def _like(w, syms: tuple) -> Word:
     """syms, drawn from the symbols of w, as a word; unchecked when w is a Word."""
-    return Word._make(syms, w.kind) if isinstance(w, Word) else Word(syms)
+    return Word._make(syms) if isinstance(w, Word) else Word(syms)
 
 
 def skeleton(mode: str, w) -> Word:

@@ -188,6 +188,11 @@ def test_derive_search_with_sigma_file(tmp_path, capsys):
     assert "no derivation" in err
     code, _, err = run(capsys, "derive", "--sigma", str(sigma))
     assert code == 2
+    # a negative bound is a usage error, not a failed search
+    for flag in ("--max-steps", "--max-word-len"):
+        code, _, err = run(capsys, "derive", "--sigma", str(sigma), "--lhs", "xyx",
+                           "--rhs", "yxx", flag, "-1")
+        assert code == 2 and err.startswith("error: ")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -147,6 +148,15 @@ def test_verify_rejects_tampering():
                                    good.suffix, {k: Word.letters([1] * len(img)) if img else img
                                                  for k, img in good.endo.items()})
     assert not verify_derivation(sigma, [letter_images])
+    # a tuple where a word belongs makes no step
+    tuple_endo = replace(good, endo={k: img.symbols for k, img in good.endo.items()})
+    assert not verify_derivation(sigma, [tuple_endo])
+    assert not verify_derivation(sigma, [replace(good, prefix=good.prefix.symbols)])
+    # True equals 1, but it is no rule index
+    baxt = derivation_certificate(F.BAXT, Identity.parse("xyxyxy = xyyxxy"))
+    assert [step.rule_index for step in baxt] == [1]
+    assert verify_derivation(basis(F.BAXT), baxt)
+    assert not verify_derivation(basis(F.BAXT), [replace(baxt[0], rule_index=True)])
 
 
 def test_verify_rejects_broken_chains():
@@ -224,6 +234,33 @@ def test_derive_search_respects_word_length_bound():
     assert verify_derivation(sigma, found)
 
 
+def test_derive_search_refuses_negative_bounds():
+    sigma, w = basis(F.STAL), Word.variables("xyx")
+    for bounds in ({"max_steps": -1}, {"max_word_len": -1}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            derive_search(sigma, w, Word.variables("yxx"), **bounds)
+
+
+def test_derive_search_matches_a_rule_side_longer_than_the_recursion_limit():
+    names = [f"x{i}" for i in range(1200)]
+    sigma = [Identity(Word.variables(names), Word.variables(["x0"]))]
+    steps = derive_search(sigma, Word.variables("a" * 1200), Word.variables("a"),
+                          max_steps=1, max_word_len=1300)
+    assert steps is not None and len(steps) == 1
+    assert steps[0].endo == {name: Word.variables("a") for name in names}
+    assert verify_derivation(sigma, steps)
+
+
+def test_derive_search_rewrites_every_factor_in_order():
+    # neighbours come in order of start, then end: the leftmost square first
+    sigma = [Identity.parse("xx = x")]
+    w = Word.variables("aaab")
+    steps = derive_search(sigma, w, Word.variables("ab"), max_steps=2, max_word_len=4)
+    assert [step.after.text() for step in steps] == ["aab", "ab"]
+    assert [(len(step.prefix), len(step.suffix)) for step in steps] == [(0, 2), (0, 1)]
+    assert verify_derivation(sigma, steps)
+
+
 def test_derive_search_logs_one_debug_record_per_call(caplog):
     sigma = basis(F.STAL)
     xyxy, yxyx = Word.variables("xyxy"), Word.variables("yxyx")
@@ -298,9 +335,16 @@ def test_letter_step_json_roundtrip():
     steps = normalize_derivation(F.SYLV, w)
     assert steps, "example word is not normal, so steps must exist"
     payload = json.loads(json.dumps(derivation_to_json(steps)))
-    restored = [step_from_json(d, kind="letter") for d in payload]
+    restored = [step_from_json(d) for d in payload]
     assert restored == steps
     assert verify_derivation(basis(F.SYLV), restored)
+
+
+def test_step_json_refuses_mixed_kinds():
+    step = step_to_json(normalize_derivation(F.SYLV, Word.letters("212212"))[0])
+    step["endo"] = {name: "x" * len(img) for name, img in step["endo"].items()}
+    with pytest.raises(ValueError, match="both letter and variable"):
+        step_from_json(step)
 
 
 def test_mirrored_steps_use_sharp_basis_instances():
