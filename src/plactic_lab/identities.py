@@ -11,6 +11,12 @@ brute force oracle, which substitutes letter words for variables and
 compares the raw keys of monoids._FAMILIES; the two are cross-validated in
 the test suite.
 
+The sylv and baxt normal forms are each described once, as bounds (positions
+that stay in place) and a sort key for every stretch between two bounds:
+normal_form sorts each stretch in O(n log n), and the derivation performs the
+same sort one adjacent swap, one basis rule application, at a time.  sylvsharp
+is the mirror image of sylv.
+
 Derivation steps apply one basis rule inside a context.  Step endomorphisms
 may assign the empty word to a rule variable (substituting the unit element);
 this is what makes short consequences of long rules reachable, e.g.
@@ -26,7 +32,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .monoids import (
     MonoidFamily,
@@ -109,30 +115,42 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
 # normal forms
 
 
-def _nf_sylv(syms: tuple) -> tuple:
-    counts = Counter(syms)
-    order = _fp(syms)
-    after = _after_table(syms)
-    out = []
-    for i, xi in enumerate(order):
-        # letters strictly between the previous block and this one
-        for xj in order[i + 1 :]:
-            if i == 0:
-                g = counts[xj] - after[order[0]].get(xj, 0)
-            else:
-                g = after[order[i - 1]].get(xj, 0) - after[xi].get(xj, 0)
-            out.extend([xj] * g)
-        e = counts[xi] if i == 0 else after[order[i - 1]].get(xi, 0)
-        out.extend([xi] * e)
-    return tuple(out)
+def _sylv_stretches(syms: tuple) -> tuple:
+    """The sylvester normal form as (bounds, rank_at): see _sorted_stretches.
+
+    The bounds are the last occurrences.  In each stretch, the letter whose
+    last occurrence ends it sorts after the rest; the others sort in fp order.
+    """
+    _, last = _first_last_positions(syms)
+    fpidx = {s: k for k, s in enumerate(_fp(syms))}
+
+    def rank_at(pos):
+        xk = syms[pos]
+        return lambda c: len(fpidx) if c == xk else fpidx[c]
+
+    return sorted(last.values()), rank_at
 
 
-def _nf_baxt(syms: tuple) -> tuple:
+def _baxt_stretches(syms: tuple) -> tuple:
+    """The Baxter normal form as (bounds, rank_at): see _sorted_stretches.
+
+    The bounds are the first and last occurrences; every stretch sorts in ip order.
+    """
     ipidx = {s: k for k, s in enumerate(_ip(syms))}
-    out = []
-    prev = -1
-    for pos in sorted(_mix_positions(syms)):
-        out.extend(sorted(syms[prev + 1 : pos], key=ipidx.__getitem__))
+    return sorted(_mix_positions(syms)), lambda pos: ipidx.__getitem__
+
+
+def _sorted_stretches(syms: tuple, stretches: Callable) -> tuple:
+    """syms with each stretch strictly between consecutive bounds sorted.
+
+    stretches(syms) gives the sorted bound positions, whose symbols stay in
+    place, and rank_at: rank_at(pos) is the sort key of the stretch ending at
+    pos.  The last symbol is always a bound.
+    """
+    bounds, rank_at = stretches(syms)
+    out, prev = [], -1
+    for pos in bounds:
+        out += sorted(syms[prev + 1 : pos], key=rank_at(pos))
         out.append(syms[pos])
         prev = pos
     return tuple(out)
@@ -320,7 +338,7 @@ def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep]
     for st in steps:
         # an exact int: True would pick rule 1
         if (type(st.rule_index) is not int or not 0 <= st.rule_index < len(sigma)
-                or st.direction not in (LTR, RTL)):
+                or st.direction not in (LTR, RTL) or not isinstance(st.endo, dict)):
             return False
         rule = sigma[st.rule_index]
         src, dst = (rule.lhs, rule.rhs) if st.direction == LTR else (rule.rhs, rule.lhs)
@@ -390,14 +408,16 @@ def _step(before: tuple, after: tuple, start: int, stop: int, rule_index: int,
                           endo={name: make(tuple(img)) for name, img in images.items()})
 
 
-def _sort_stretches(syms: list, bounds, rank_at, rule_at) -> list:
-    """Bubble sort, in place, each stretch strictly between consecutive bounds.
+def _sort_steps(w: Word, stretches: Callable, swap: Callable) -> Iterator[DerivationStep]:
+    """Bubble sort the stretches of w (see _sorted_stretches), one step per swap.
 
-    rank_at(pos) is the sort key of the stretch that ends at pos; rule_at(p)
-    is the rule application (start, stop, rule_index, direction, images) that
-    swaps syms[p] and syms[p + 1], one step each.
+    swap(syms, p, first, last) is the rule application (start, stop,
+    rule_index, direction, images) that swaps syms[p] and syms[p + 1]; it
+    reads only the first and last occurrences that are bounds, which stay put.
     """
-    steps = []
+    syms = list(w.symbols)
+    first, last = _first_last_positions(w.symbols)
+    bounds, rank_at = stretches(w.symbols)
     prev = -1
     for pos in bounds:
         rank = rank_at(pos)
@@ -407,15 +427,16 @@ def _sort_stretches(syms: list, bounds, rank_at, rule_at) -> list:
             for p in range(prev + 1, pos - 1):
                 a, c = syms[p], syms[p + 1]
                 if a != c and rank(a) > rank(c):
-                    applied, before = rule_at(p), tuple(syms)
+                    applied, before = swap(syms, p, first, last), tuple(syms)
                     syms[p], syms[p + 1] = c, a
-                    steps.append(_step(before, tuple(syms), *applied))
+                    yield _step(before, tuple(syms), *applied)
                     changed = True
         prev = pos
-    return steps
+    if tuple(syms) != _sorted_stretches(w.symbols, stretches):
+        raise DerivationError("sorting one swap at a time did not land on the normal form")
 
 
-def _sylv_swap(syms: list, p: int, last: Mapping) -> tuple:
+def _sylv_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
     """The xysxty = yxsxty application that swaps the adjacent pair at p, p+1.
 
     Both letters occur again later; the one whose final occurrence comes
@@ -429,25 +450,7 @@ def _sylv_swap(syms: list, p: int, last: Mapping) -> tuple:
     return p, r + 1, 0, direction, images
 
 
-def _sylv_steps(w: Word) -> list:
-    """Sort each stretch between last occurrences, emitting one step per swap."""
-    syms = list(w.symbols)
-    _, last = _first_last_positions(w.symbols)
-    fpidx = {s: k for k, s in enumerate(_fp(w.symbols))}
-
-    def rank_at(pos):
-        # the letter whose last occurrence ends the stretch sorts after the rest
-        xk = syms[pos]
-        return lambda c: len(fpidx) if c == xk else fpidx[c]
-
-    steps = _sort_stretches(syms, sorted(last.values()), rank_at,
-                            lambda p: _sylv_swap(syms, p, last))
-    if tuple(syms) != _nf_sylv(w.symbols):
-        raise DerivationError("sorting did not land on the sylvester normal form")
-    return steps
-
-
-def _mirror_steps(steps: Sequence[DerivationStep]) -> list:
+def _mirror_steps(steps: Iterable[DerivationStep]) -> list:
     """Reverse every word in a derivation; xysxty rules become ytxsyx rules."""
     return [DerivationStep(before=st.before.reverse(), after=st.after.reverse(),
                            rule_index=st.rule_index, direction=st.direction,
@@ -473,19 +476,6 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
     return i1, j2 + 1, ri, direction, images
 
 
-def _baxt_steps(w: Word) -> list:
-    """Sort the letters strictly between first/last occurrences into ip order."""
-    syms = list(w.symbols)
-    first, last = _first_last_positions(w.symbols)
-    ipidx = {s: k for k, s in enumerate(_ip(w.symbols))}
-    keep = sorted(_mix_positions(w.symbols))
-    steps = _sort_stretches(syms, keep, lambda pos: ipidx.__getitem__,
-                            lambda p: _baxt_swap(syms, p, first, last))
-    if tuple(syms) != _nf_baxt(w.symbols):
-        raise DerivationError("sorting did not land on the Baxter normal form")
-    return steps
-
-
 def normalize_derivation(family: MonoidFamily, w: Word) -> list:
     """A verified derivation from w to normal_form(family, w), basis rules only.
 
@@ -508,14 +498,18 @@ _THEORIES = {
     MonoidFamily.STAL: _GATHER,
     MonoidFamily.TAIG: _GATHER,
     MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), (Counter, _fp, _after_table),
-                               _nf_sylv, _sylv_steps),
+                               lambda syms: _sorted_stretches(syms, _sylv_stretches),
+                               lambda w: list(_sort_steps(w, _sylv_stretches, _sylv_swap))),
+    # the mirror of sylv: the unmirrored steps are never held as a list
     MonoidFamily.SYLV_SHARP: _Theory(
         _rules(["ytxsyx = ytxsxy"]), (Counter, _ip, _before_table),
-        lambda syms: _nf_sylv(syms[::-1])[::-1],
-        lambda w: _mirror_steps(_sylv_steps(w.reverse()))),
+        lambda syms: _sorted_stretches(syms[::-1], _sylv_stretches)[::-1],
+        lambda w: _mirror_steps(_sort_steps(w.reverse(), _sylv_stretches, _sylv_swap))),
     MonoidFamily.BAXT: _Theory(
         _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]),
-        (Counter, _ip, _fp, _after_table, _before_table), _nf_baxt, _baxt_steps),
+        (Counter, _ip, _fp, _after_table, _before_table),
+        lambda syms: _sorted_stretches(syms, _baxt_stretches),
+        lambda w: list(_sort_steps(w, _baxt_stretches, _baxt_swap))),
     MonoidFamily.LEFT_ZERO: _Theory(None, (_ip,), None, None),
     MonoidFamily.RIGHT_ZERO: _Theory(None, (_fp,), None, None),
     MonoidFamily.FREE_MONOGENIC: _Theory(None, (Counter,), None, None),

@@ -234,10 +234,12 @@ def directional_occ(direction: str, anchor: Symbol, x: Symbol, w) -> int:
     """
     if direction not in (AFTER, BEFORE):
         raise ValueError(f"unknown direction {direction!r}")
-    table = (_after_table if direction == AFTER else _before_table)(_symbols(w))
-    if anchor not in table:
+    syms = _symbols(w)
+    if anchor not in syms:
         raise AnchorAbsentError(f"symbol {anchor!r} does not occur")
-    return table[anchor].get(x, 0)
+    if direction == AFTER:  # after the last anchor is before the first one of the reversal
+        syms = syms[::-1]
+    return syms[: syms.index(anchor)].count(x)
 
 
 def _ip(syms: tuple) -> tuple:

@@ -1,3 +1,7 @@
+import tracemalloc
+
+import pytest
+
 acceptance_lines = []
 
 
@@ -6,3 +10,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def peak_bytes():
+    """Run f(*args) under tracemalloc; return its result and the peak bytes allocated."""
+    def run(f, *args):
+        tracemalloc.start()
+        try:
+            return f(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -157,6 +158,9 @@ def test_verify_rejects_tampering():
     assert [step.rule_index for step in baxt] == [1]
     assert verify_derivation(basis(F.BAXT), baxt)
     assert not verify_derivation(basis(F.BAXT), [replace(baxt[0], rule_index=True)])
+    # an endo that is no dict of images
+    assert not verify_derivation(sigma, [replace(good, endo=None)])
+    assert not verify_derivation(sigma, [replace(good, endo=5)])
 
 
 def test_verify_rejects_broken_chains():
@@ -345,6 +349,39 @@ def test_step_json_refuses_mixed_kinds():
     step["endo"] = {name: "x" * len(img) for name, img in step["endo"].items()}
     with pytest.raises(ValueError, match="both letter and variable"):
         step_from_json(step)
+
+
+def test_sylvsharp_certificate_costs_no_more_than_sylv(peak_bytes):
+    # sylvsharp mirrors the sylv steps of the reversed word one at a time
+    rng = random.Random(1)
+    w = Word.variables([rng.choice("abcdefgh") for _ in range(150)])
+    sylv, sylv_peak = peak_bytes(normalize_derivation, F.SYLV, w.reverse())
+    sharp, sharp_peak = peak_bytes(normalize_derivation, F.SYLV_SHARP, w)
+    assert len(sharp) == len(sylv) > 1000
+    assert sharp_peak <= 1.3 * sylv_peak
+
+
+def test_normal_forms_and_steps_are_pinned():
+    # the normal form text and step JSON of 400 seeded words in every insertion family,
+    # plus the certificate from each variable word to a shuffle of it, where the family allows
+    rng = random.Random(12)
+    digest = hashlib.sha256()
+    for i in range(400):
+        k = rng.randint(1, 6)
+        if i % 2:
+            w = Word.letters([rng.randint(1, k) for _ in range(rng.randint(0, 30))])
+            v = None
+        else:
+            w = Word.variables([rng.choice("abcdef"[:k]) for _ in range(rng.randint(0, 30))])
+            v = Word.variables(rng.sample(w.symbols, len(w)))
+        for fam in INSERTION:
+            steps = normalize_derivation(fam, w)
+            if v is not None and satisfies(fam, Identity(w, v)):
+                steps = steps + derivation_certificate(fam, Identity(w, v))
+            digest.update(json.dumps([normal_form(fam, w).text(),
+                                      derivation_to_json(steps)]).encode())
+    assert digest.hexdigest() == (
+        "dc19ee713182975b5eadbc51af40ced3c6540a804ba7f9adede341db30223ecd")
 
 
 def test_mirrored_steps_use_sharp_basis_instances():

@@ -171,6 +171,30 @@ def test_normal_form_idempotent_and_equivalent(w):
         assert satisfies(fam, Identity(w, nf))
 
 
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_normal_form_on_long_words(copies):
+    # shuffled permutations of 1..k, concatenated: 10^5 letters in all
+    rng = random.Random(copies)
+    k = 10**5 // copies
+    w = Word.letters([a for _ in range(copies) for a in rng.sample(range(1, k + 1), k)])
+    for fam in (F.SYLV, F.SYLV_SHARP, F.BAXT):
+        nf = normal_form(fam, w)
+        assert normal_form(fam, nf) == nf
+        assert equivalent(fam, w, nf)
+        # last occurrences stay put, and in baxt first ones too: a doubled word moves
+        # in sylv and sylvsharp, only a tripled one in baxt
+        assert (nf != w) == (copies > (2 if fam is F.BAXT else 1))
+
+
+def test_normal_form_memory_is_linear(peak_bytes):
+    # 4,000 distinct letters: a table of the counts after every letter holds 8 million
+    w = Word.letters(random.Random(0).sample(range(1, 4001), 4000))
+    for fam in (F.SYLV, F.SYLV_SHARP, F.BAXT):
+        nf, peak = peak_bytes(normal_form, fam, w)
+        assert nf == w
+        assert peak < 8 * 2**20, fam
+
+
 def test_apply_substitution():
     sub = {"x": Word.letters("21"), "y": Word.letters("3")}
     assert apply_substitution(sub, Word.variables("xyx")).text() == "21321"

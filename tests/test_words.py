@@ -148,6 +148,16 @@ def test_directional_occ_missing_anchor():
         directional_occ("sideways", 1, 1, EXAMPLE)
 
 
+def test_directional_occ_is_one_scan(peak_bytes):
+    # 4,000 distinct symbols: a table of the counts after every symbol holds 8 million
+    w = Word.letters(list(range(1, 4001)) * 2)
+    for call, count in ((("after", 1, 2), 1), (("after", 4000, 2), 0),
+                        (("before", 4000, 2), 1), (("before", 1, 2), 0)):
+        result, peak = peak_bytes(directional_occ, *call, w)
+        assert result == count
+        assert peak < 2**20, call
+
+
 def test_restrict():
     assert restrict(EXAMPLE, {1, 3}).text() == "31311"
     assert restrict(EXAMPLE, set()).symbols == ()
