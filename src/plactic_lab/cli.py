@@ -136,7 +136,11 @@ def _describe_step(step) -> str:
 
 def _cmd_derive(args) -> int:
     if args.sigma:
-        sigma = words.load_identity_system(args.sigma)
+        try:
+            sigma = words.load_identity_system(args.sigma)
+        except OSError as exc:  # a missing file is an error, not "no derivation"
+            print(f"error: cannot read {args.sigma}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         if not (args.lhs and args.rhs):
             print("derive with --sigma requires --lhs and --rhs", file=sys.stderr)
             return 2

@@ -1,15 +1,15 @@
 """Identity checking: exact decisions, normal forms, oracles, derivations.
 
 Each of the eight families has one row in _THEORIES: its finite identity
-basis, the word statistics that decide satisfaction (an identity holds
-exactly when both sides agree on every statistic), a normal form for
-variable words such that an identity holds exactly when both sides have the
-same normal form, and the rewriting that derives that normal form with basis
-rules only.  The three reference monoids l21, r21 and free1 have statistics
-but no basis, normal form or derivation.  Decisions are independent of the
+basis, the invariant that decides satisfaction (an identity holds exactly
+when both sides have equal invariants), a normal form for variable words
+such that an identity holds exactly when both sides have the same normal
+form, and the rewriting that derives that normal form with basis rules only.
+The three reference monoids l21, r21 and free1 have an invariant but no
+basis, normal form or derivation.  The invariants, the normal forms and the
 brute force oracle, which substitutes letter words for variables and
-compares the raw keys of monoids._FAMILIES; the two are cross-validated in
-the test suite.
+compares the raw keys of monoids._FAMILIES, are written separately and
+cross-validated in the test suite.
 
 The sylv and baxt normal forms are each described once, as bounds (positions
 that stay in place) and a sort key for every stretch between two bounds:
@@ -48,11 +48,10 @@ from .tableaux import _spell_columns, _stal_columns
 from .words import (
     Identity,
     Word,
-    _after_table,
-    _before_table,
     _first_last_positions,
     _fp,
     _ip,
+    _last_stretches,
     _like,
     _mix_positions,
     _parse_word,
@@ -103,12 +102,12 @@ def basis(family: MonoidFamily) -> tuple:
 def satisfies(family: MonoidFamily, ident: Identity) -> bool:
     """Decide whether the family satisfies the identity, for every rank >= 2.
 
-    The conditions compare word statistics of the two sides: evaluations,
-    the ip/fp skeletons, and the directional occurrence tables, in the
-    combination appropriate to the family.
+    The sides must have equal invariants, after Cain, Malheiro and Ribeiro:
+    stal and taig compare ev and fp; sylv adds how many y follow the last x,
+    for all x and y; sylvsharp is the mirror image of sylv; baxt needs both.
     """
-    u, v = ident.lhs.symbols, ident.rhs.symbols
-    return all(stat(u) == stat(v) for stat in _lookup(_THEORIES, family).stats)
+    invariant = _lookup(_THEORIES, family).invariant
+    return invariant(ident.lhs.symbols) == invariant(ident.rhs.symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +296,11 @@ def find_counterexample(family: MonoidFamily, ident: Identity, cap: int = 6) -> 
     """Search with growing image length for a substitution separating the sides.
 
     Uses rank 2, or the family's alphabet cap when that is smaller.
-    Raises DecisionMismatchError if nothing is found up to image length cap;
-    that would mean the exact decision and the oracle disagree.
+    Raises DecisionMismatchError if nothing is found up to image length cap
+    (>= 1); that would mean the exact decision and the oracle disagree.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     rank = min(2, alphabet_cap(family) or 2)
     for max_len in range(1, cap + 1):
         verdict = oracle(family, rank, ident, Exhaustive(max_len))
@@ -486,33 +487,33 @@ def normalize_derivation(family: MonoidFamily, w: Word) -> list:
 
 class _Theory(NamedTuple):
     basis: Optional[tuple]
-    stats: tuple                     # an identity holds iff its sides agree on each
+    invariant: Callable              # symbol tuple -> value, equal iff an identity holds
     normal_form: Optional[Callable]  # symbol tuple -> symbol tuple
     derivation: Optional[Callable]   # Word -> steps to its normal form
 
 
 # the gathered form spells out the word's stalactic columns
-_GATHER = _Theory(_rules(["xyx = yxx"]), (Counter, _fp),
+_GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: (Counter(syms), _fp(syms)),
                   lambda syms: _spell_columns(_stal_columns(syms)), _gather_steps)
 _THEORIES = {
     MonoidFamily.STAL: _GATHER,
     MonoidFamily.TAIG: _GATHER,
-    MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), (Counter, _fp, _after_table),
+    MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), _last_stretches,
                                lambda syms: _sorted_stretches(syms, _sylv_stretches),
                                lambda w: list(_sort_steps(w, _sylv_stretches, _sylv_swap))),
     # the mirror of sylv: the unmirrored steps are never held as a list
     MonoidFamily.SYLV_SHARP: _Theory(
-        _rules(["ytxsyx = ytxsxy"]), (Counter, _ip, _before_table),
+        _rules(["ytxsyx = ytxsxy"]), lambda syms: _last_stretches(syms[::-1]),
         lambda syms: _sorted_stretches(syms[::-1], _sylv_stretches)[::-1],
         lambda w: _mirror_steps(_sort_steps(w.reverse(), _sylv_stretches, _sylv_swap))),
     MonoidFamily.BAXT: _Theory(
         _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]),
-        (Counter, _ip, _fp, _after_table, _before_table),
+        lambda syms: (_last_stretches(syms), _last_stretches(syms[::-1])),
         lambda syms: _sorted_stretches(syms, _baxt_stretches),
         lambda w: list(_sort_steps(w, _baxt_stretches, _baxt_swap))),
-    MonoidFamily.LEFT_ZERO: _Theory(None, (_ip,), None, None),
-    MonoidFamily.RIGHT_ZERO: _Theory(None, (_fp,), None, None),
-    MonoidFamily.FREE_MONOGENIC: _Theory(None, (Counter,), None, None),
+    MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None, None),
+    MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None, None),
+    MonoidFamily.FREE_MONOGENIC: _Theory(None, Counter, None, None),
 }
 
 

@@ -209,20 +209,17 @@ def ev_leq(a: Counter, b: Counter) -> bool:
     return all(v <= b.get(k, 0) for k, v in a.items())
 
 
-def _after_table(syms: tuple) -> dict:
-    """For every symbol, the counts of the symbols after its last occurrence."""
-    seen: dict = {}
-    table = {}
-    for s in reversed(syms):
-        if s not in table:
-            table[s] = seen.copy()
-        seen[s] = seen.get(s, 0) + 1
-    return table
-
-
-def _before_table(syms: tuple) -> dict:
-    """For every symbol, the counts of the symbols before its first occurrence."""
-    return _after_table(syms[::-1])
+def _last_stretches(syms: tuple) -> list:
+    """For each last occurrence, in order: its symbol and the sorted symbols since the
+    previous one.  Two words share it exactly when they share ev, fp and every "after"
+    count, since what follows x's entry is what follows x's last occurrence.  O(n) memory.
+    """
+    last = {s: i for i, s in enumerate(syms)}
+    out, prev = [], 0
+    for pos in sorted(last.values()):
+        out.append((syms[pos], sorted(syms[prev:pos])))
+        prev = pos + 1
+    return out
 
 
 def directional_occ(direction: str, anchor: Symbol, x: Symbol, w) -> int:
@@ -272,13 +269,9 @@ def skeleton(mode: str, w) -> Word:
 
 
 def _first_last_positions(syms: tuple) -> tuple[dict, dict]:
-    first: dict = {}
-    last: dict = {}
-    for i, s in enumerate(syms):
-        if s not in first:
-            first[s] = i
-        last[s] = i
-    return first, last
+    """Each symbol's first and last position in syms."""
+    n = len(syms) - 1
+    return {s: n - i for i, s in enumerate(reversed(syms))}, {s: i for i, s in enumerate(syms)}
 
 
 def _mix_positions(syms: tuple) -> set:

@@ -195,6 +195,15 @@ def test_derive_search_with_sigma_file(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_unreadable_sigma_file_exits_two(tmp_path, capsys):
+    # exit 1 would read as "no derivation found"
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, "derive", "--sigma", str(path), "--lhs", "x",
+                             "--rhs", "x")
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equiv", "--monoid", "nope", "--lhs", "1", "--rhs", "1"])

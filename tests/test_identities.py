@@ -2,6 +2,7 @@ import itertools
 import logging
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -22,9 +23,13 @@ from plactic_lab import (
     apply_substitution,
     basis,
     canonical,
+    con,
+    directional_occ,
     equivalent,
     ev,
     find_counterexample,
+    fp,
+    ip,
     normal_form,
     normalize_derivation,
     oracle,
@@ -104,6 +109,40 @@ def test_satisfies_known_cases():
     assert satisfies(F.LEFT_ZERO, Identity.parse("xyy = xy"))
     assert not satisfies(F.LEFT_ZERO, Identity.parse("xy = yx"))
     assert satisfies(F.RIGHT_ZERO, Identity.parse("xxy = xy"))
+
+
+def paper_holds(family, ident):
+    """Cain, Malheiro and Ribeiro's characterisation as stated, from public statistics only.
+
+    sylv: equal ev and fp, and for every pair x, y as many y after the last x;
+    sylvsharp: equal ev and ip, and as many y before the first x; baxt: all of these.
+    """
+    u, v = ident.lhs, ident.rhs
+    conditions = {F.SYLV: [(fp, "after")], F.SYLV_SHARP: [(ip, "before")],
+                  F.BAXT: [(fp, "after"), (ip, "before")]}[family]
+    if ev(u) != ev(v):
+        return False
+    for skeleton, direction in conditions:
+        if skeleton(u) != skeleton(v):
+            return False
+        for x, y in itertools.product(con(u), repeat=2):
+            if directional_occ(direction, x, y, u) != directional_occ(direction, x, y, v):
+                return False
+    return True
+
+
+def test_satisfies_matches_the_paper_condition():
+    # every balanced pair (v a rearrangement of u) up to 5 letters over x, y, z
+    held = Counter()
+    for n in range(6):
+        for u in itertools.product("xyz", repeat=n):
+            for v in set(itertools.permutations(u)):
+                ident = Identity(Word.variables(u), Word.variables(v))
+                for fam in (F.SYLV, F.SYLV_SHARP, F.BAXT):
+                    expected = paper_holds(fam, ident)
+                    assert satisfies(fam, ident) == expected, (fam, ident)
+                    held[fam] += expected
+    assert held == {F.SYLV: 508, F.SYLV_SHARP: 508, F.BAXT: 364}
 
 
 @given(identities)
@@ -195,6 +234,18 @@ def test_normal_form_memory_is_linear(peak_bytes):
         assert peak < 8 * 2**20, fam
 
 
+def test_satisfies_memory_is_linear(peak_bytes):
+    # 4,000 distinct variables: tables of the counts after every variable hold 16 million
+    # entries for the two sides
+    names = [f"v{i}" for i in range(4000)]
+    lhs = Word.variables(names + names)
+    rhs = Word.variables(names[::-1] + names)
+    for fam, expected in ((F.SYLV, True), (F.SYLV_SHARP, False), (F.BAXT, False)):
+        holds, peak = peak_bytes(satisfies, fam, Identity(lhs, rhs))
+        assert holds == expected, fam
+        assert peak < 8 * 2**20, fam
+
+
 def test_apply_substitution():
     sub = {"x": Word.letters("21"), "y": Word.letters("3")}
     assert apply_substitution(sub, Word.variables("xyx")).text() == "21321"
@@ -283,6 +334,13 @@ def test_find_counterexample_uses_rank_one_for_monogenic():
 def test_find_counterexample_raises_on_satisfied_identity():
     with pytest.raises(DecisionMismatchError):
         find_counterexample(F.STAL, Identity.parse("xyx = yxx"), cap=2)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_find_counterexample_refuses_a_cap_below_one(cap):
+    # nothing would be searched, so no disagreement could have been found
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        find_counterexample(F.STAL, Identity.parse("xy = yx"), cap=cap)
 
 
 @settings(deadline=None, max_examples=60)
