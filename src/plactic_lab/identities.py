@@ -652,13 +652,17 @@ def step_to_json(step: DerivationStep) -> dict:
 
 
 def step_from_json(data: dict) -> DerivationStep:
-    """Read each text as the kind it spells; texts of both kinds are refused."""
-    words = {k: _parse_word(data[k]) for k in ("before", "after", "prefix", "suffix")}
-    endo = {name: _parse_word(img) for name, img in data["endo"].items()}
+    """Read each text as the kind it spells; ValueError if texts of both kinds occur,
+    or if the payload is no step_to_json payload."""
+    try:
+        words = {k: _parse_word(data[k]) for k in ("before", "after", "prefix", "suffix")}
+        endo = {name: _parse_word(img) for name, img in data["endo"].items()}
+        rule, direction = data["rule"], data["direction"]
+    except (KeyError, TypeError, AttributeError):  # a missing field, or one of a wrong type
+        raise ValueError("not a valid DerivationStep payload") from None
     if len({w.kind for w in (*words.values(), *endo.values())} - {None}) > 1:
         raise ValueError("a step's texts spell both letter and variable words")
-    return DerivationStep(rule_index=data["rule"], direction=data["direction"], endo=endo,
-                          **words)
+    return DerivationStep(rule_index=rule, direction=direction, endo=endo, **words)
 
 
 def derivation_to_json(steps: Iterable[DerivationStep]) -> list:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import plactic_lab
-from plactic_lab import identities
+from plactic_lab import Identity, MonoidFamily, Word, canonical, equivalent, identities
 from plactic_lab.cli import main
 
 
@@ -209,9 +209,13 @@ def test_usage_errors_exit_two(capsys):
         main(["equiv", "--monoid", "nope", "--lhs", "1", "--rhs", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
-    code, _, err = run(capsys, "equiv", "--monoid", "sylv", "--lhs", "x1",
-                       "--rhs", "11")
-    assert code == 2 and "error" in err
+    # every error the subcommands report is one line that says so
+    for argv in (["equiv", "--monoid", "sylv", "--lhs", "x1", "--rhs", "11"],
+                 ["render", "--monoid", "stal", "--word", "21", "--format", "dot"],
+                 ["derive"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
     # --format offers only the values the subcommand uses
     for argv in (["render", "--monoid", "sylv", "--word", "12", "--format", "json"],
                  ["equiv", "--monoid", "sylv", "--lhs", "1", "--rhs", "1", "--format", "dot"]):
@@ -244,3 +248,55 @@ def test_too_deep_to_draw_exits_two_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_closed_pipe_keeps_exit_code_without_traceback():
+    # `plactic-lab render ... | head -1`: the reader leaves after one line of 3,000
+    word = " ".join(str(i) for i in range(1, 3001))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "plactic_lab.cli", "render", "--monoid",
+                             "sylv", "--word", word], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "3000\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""
+    # a stdout closed before the start (`>&-`) is no error either
+    proc = subprocess.run(["sh", "-c", '"$0" -m plactic_lab.cli stats --word 12 >&-',
+                           sys.executable], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+F = MonoidFamily
+_JSON_CASES = [
+    (["object", "--monoid", "baxt", "--word", "3613151265"],
+     lambda: canonical(F.BAXT, Word.letters("3613151265")).to_json_dict()),
+    (["equiv", "--monoid", "sylv", "--lhs", "212", "--rhs", "122"],
+     lambda: {"equivalent": equivalent(F.SYLV, Word.letters("212"), Word.letters("122"))}),
+    (["stats", "--word", "3613151265"],
+     lambda: {"con": [1, 2, 3, 5, 6], "ev": {"1": 3, "2": 1, "3": 2, "5": 2, "6": 2},
+              "ip": "36152", "fp": "31265", "mix": "361351265"}),
+    (["check-identity", "--monoid", "baxt", "--id", "xyxy = yxxy"],
+     lambda: {"identity": "xyxy = yxxy",
+              "holds": identities.satisfies(F.BAXT, Identity.parse("xyxy = yxxy"))}),
+    (["nf", "--monoid", "sylv", "--word", "yxsxty"],
+     lambda: {"word": "yxsxty",
+              "normal_form": identities.normal_form(F.SYLV, Word.variables("yxsxty")).text()}),
+    (["oracle", "--monoid", "sylv", "--id", "xyx = yxx", "--max-len", "1"],
+     lambda: identities.verdict_to_json(identities.oracle(
+         F.SYLV, 2, Identity.parse("xyx = yxx"), identities.Exhaustive(max_len=1)))),
+    (["derive", "--monoid", "sylv", "--id", "xyxy = yxxy"],
+     lambda: identities.derivation_to_json(
+         identities.derivation_certificate(F.SYLV, Identity.parse("xyxy = yxxy")))),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _JSON_CASES, ids=[a[0] for a, _ in _JSON_CASES])
+def test_json_is_one_sorted_line_of_the_library_value(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code in (0, 1)
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == expected()
+    assert out == json.dumps(expected(), sort_keys=True) + "\n"

@@ -349,6 +349,13 @@ def test_step_json_refuses_mixed_kinds():
     step["endo"] = {name: "x" * len(img) for name, img in step["endo"].items()}
     with pytest.raises(ValueError, match="both letter and variable"):
         step_from_json(step)
+    # a payload that is no step at all is refused the same way, like every loader
+    good = step_to_json(normalize_derivation(F.SYLV, Word.letters("212212"))[0])
+    for bad in ({k: v for k, v in good.items() if k != "before"},
+                {k: v for k, v in good.items() if k != "rule"},
+                dict(good, before=5), dict(good, endo=None), [good]):
+        with pytest.raises(ValueError, match="not a valid DerivationStep payload"):
+            step_from_json(bad)
 
 
 def test_sylvsharp_certificate_costs_no_more_than_sylv(peak_bytes):
