@@ -6,121 +6,50 @@ multiplicities, strict binary search trees, and pairs of trees), decides word
 equivalence and identity satisfaction exactly, produces explicit derivations
 over the finite identity bases, and cross-checks everything against brute
 force substitution oracles.
+
+Public names load on first use (PEP 562): _SOURCES names the submodule of
+each, and importing the package alone loads none of them.  Submodules resolve
+as attributes too; building an object never loads identities.py.
 """
-from .words import (
-    AnchorAbsentError,
-    Identity,
-    Word,
-    con,
-    directional_occ,
-    ev,
-    ev_leq,
-    fp,
-    ip,
-    load_identity_system,
-    mix,
-    occ,
-    restrict,
-    skeleton,
-)
-from .tableaux import StalacticTableau, TaigaTree, p_stal, p_taig
-from .bst import BaxterObject, LeftStrictBST, RightStrictBST, p_baxt, p_sylv, p_sylv_sharp
-from .monoids import (
-    L21,
-    R21,
-    FiniteMonoid,
-    MonoidFamily,
-    RankViolationError,
-    UnboundVariableError,
-    alphabet_cap,
-    canonical,
-    check_rank,
-    equivalent,
-    eval_in_finite,
-)
-from .identities import (
-    CounterExample,
-    DecisionMismatchError,
-    DerivationError,
-    DerivationStep,
-    Exhaustive,
-    HoldsWithinBound,
-    RandomSearch,
-    apply_substitution,
-    basis,
-    derivation_certificate,
-    derivation_to_json,
-    derive_search,
-    find_counterexample,
-    invert_steps,
-    normal_form,
-    normalize_derivation,
-    oracle,
-    satisfies,
-    step_from_json,
-    step_to_json,
-    verdict_to_json,
-    verify_derivation,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorAbsentError",
-    "BaxterObject",
-    "CounterExample",
-    "DecisionMismatchError",
-    "DerivationError",
-    "DerivationStep",
-    "Exhaustive",
-    "FiniteMonoid",
-    "HoldsWithinBound",
-    "Identity",
-    "L21",
-    "LeftStrictBST",
-    "MonoidFamily",
-    "R21",
-    "RandomSearch",
-    "RankViolationError",
-    "RightStrictBST",
-    "StalacticTableau",
-    "TaigaTree",
-    "UnboundVariableError",
-    "Word",
-    "alphabet_cap",
-    "apply_substitution",
-    "basis",
-    "canonical",
-    "check_rank",
-    "con",
-    "derivation_certificate",
-    "derivation_to_json",
-    "derive_search",
-    "directional_occ",
-    "equivalent",
-    "ev",
-    "ev_leq",
-    "eval_in_finite",
-    "find_counterexample",
-    "fp",
-    "invert_steps",
-    "ip",
-    "load_identity_system",
-    "mix",
-    "normal_form",
-    "normalize_derivation",
-    "occ",
-    "oracle",
-    "p_baxt",
-    "p_stal",
-    "p_sylv",
-    "p_sylv_sharp",
-    "p_taig",
-    "restrict",
-    "satisfies",
-    "skeleton",
-    "step_from_json",
-    "step_to_json",
-    "verdict_to_json",
-    "verify_derivation",
-]
+_SOURCES = {
+    "words": ("AnchorAbsentError", "Word", "con", "directional_occ", "ev", "ev_leq", "fp",
+              "ip", "mix", "occ", "restrict", "skeleton"),
+    "tableaux": ("StalacticTableau", "TaigaTree", "p_stal", "p_taig"),
+    "bst": ("BaxterObject", "LeftStrictBST", "RightStrictBST", "p_baxt", "p_sylv",
+            "p_sylv_sharp"),
+    "monoids": ("L21", "R21", "FiniteMonoid", "MonoidFamily", "RankViolationError",
+                "UnboundVariableError", "alphabet_cap", "canonical", "check_rank",
+                "equivalent", "eval_in_finite"),
+    "identities": ("CounterExample", "DecisionMismatchError", "DerivationError",
+                   "DerivationStep", "Exhaustive", "HoldsWithinBound", "Identity",
+                   "RandomSearch", "apply_substitution", "basis", "derivation_certificate",
+                   "derivation_to_json", "derive_search", "find_counterexample",
+                   "invert_steps", "load_identity_system", "normal_form",
+                   "normalize_derivation", "oracle", "satisfies", "step_from_json",
+                   "step_to_json", "verdict_to_json", "verify_derivation"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = name if name in _SOURCES else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in python -X importtime;
+    # it binds the submodule in this module's globals
+    __import__(f"{__name__}.{module}")
+    source = sys.modules[f"{__name__}.{module}"]
+    if name == module:
+        return source
+    value = globals()[name] = getattr(source, name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_SOURCES})

@@ -8,15 +8,19 @@ stdout, JSON as one line with sorted keys.  Exit codes: 0 for positive results
 usage or parse errors, for a derivation that fails its own check, and for an
 input too large or too deep (a RecursionError or a MemoryError), with one
 ``error: ...`` line on stderr.  A reader closing stdout early changes no code.
+
+A call loads only what it runs: identities (and with it dataclasses) only for
+check-identity, nf, oracle and derive, and the parser is built once per process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from . import identities, monoids, words
+from . import monoids, words
 from .monoids import MonoidFamily
 from .words import Word, _parse_word
 
@@ -70,13 +74,17 @@ def _stats(args):
 
 
 def _check_identity(args):
-    ident = words.Identity.parse(args.id)
+    from . import identities
+
+    ident = identities.Identity.parse(args.id)
     holds = identities.satisfies(args.monoid, ident)
     return 0 if holds else 1, {"json": lambda: {"identity": ident.text(), "holds": holds},
                                "text": lambda: ["holds" if holds else "does not hold"]}
 
 
 def _nf(args):
+    from . import identities
+
     w = _parse_word(args.word)
     out = identities.normal_form(args.monoid, w)
     return 0, {"json": lambda: {"word": w.text(), "normal_form": out.text()},
@@ -84,7 +92,9 @@ def _nf(args):
 
 
 def _oracle(args):
-    ident = words.Identity.parse(args.id)
+    from . import identities
+
+    ident = identities.Identity.parse(args.id)
     mode = (identities.Exhaustive(max_len=args.max_len) if args.trials is None else
             identities.RandomSearch(trials=args.trials, max_len=args.max_len, seed=args.seed))
     verdict = identities.oracle(args.monoid, args.rank, ident, mode)
@@ -106,9 +116,11 @@ def _describe_step(step) -> str:
 
 
 def _derive(args):
+    from . import identities
+
     if args.sigma:
         try:
-            sigma = words.load_identity_system(args.sigma)
+            sigma = identities.load_identity_system(args.sigma)
         except OSError as exc:  # a missing file is an error, not "no derivation"
             raise ValueError(f"cannot read {args.sigma}: {exc.strerror or exc}") from None
         if not (args.lhs and args.rhs):
@@ -121,7 +133,7 @@ def _derive(args):
     else:
         if not args.id:
             raise ValueError("derive requires --id or --sigma")
-        ident = words.Identity.parse(args.id)
+        ident = identities.Identity.parse(args.id)
         if not identities.satisfies(args.monoid, ident):
             print(f"{args.monoid} does not satisfy {ident.text()}", file=sys.stderr)
             return 1, None
@@ -160,7 +172,9 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(prog="plactic-lab", description="Insertion algorithms, "
         "identity checking, and derivations for the stalactic, taiga, sylvester, "
         "#-sylvester, and Baxter monoids.")
@@ -174,6 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _derivation_error() -> tuple:
+    """identities.DerivationError once a subcommand has loaded identities, else nothing:
+    only a loaded module can raise it, and main must not load it for the rest."""
+    loaded = sys.modules.get(f"{__package__}.identities")
+    return (loaded.DerivationError,) if loaded else ()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -182,7 +203,7 @@ def main(argv=None) -> int:
             return code
         value = forms[args.format]()
         lines = [json.dumps(value, sort_keys=True)] if args.format == "json" else value
-    except (ValueError, KeyError, identities.DerivationError) as exc:
+    except (ValueError, KeyError, *_derivation_error()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:

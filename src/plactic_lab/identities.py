@@ -1,4 +1,8 @@
-"""Identity checking: exact decisions, normal forms, oracles, derivations.
+"""Identities and their checking: exact decisions, normal forms, oracles, derivations.
+
+Identity (two variable words) and load_identity_system are defined here, the
+one module of the package that uses dataclasses; the CLI loads it only for
+check-identity, nf, oracle and derive.
 
 Each of the eight families has one row in _THEORIES: its finite identity
 basis, the invariant that decides satisfaction (an identity holds exactly
@@ -46,7 +50,7 @@ from .monoids import (
 )
 from .tableaux import _spell_columns, _stal_columns
 from .words import (
-    Identity,
+    LETTERS,
     Word,
     _first_last_positions,
     _fp,
@@ -76,6 +80,52 @@ def _debug_log(name: str):
     logging = sys.modules.get("logging")
     log = logging and logging.getLogger(name)
     return log if log and log.isEnabledFor(logging.DEBUG) else None
+
+
+@dataclass(frozen=True)
+class Identity:
+    """A formal identity between two variable words."""
+
+    lhs: Word
+    rhs: Word
+
+    def __post_init__(self):
+        for side in (self.lhs, self.rhs):
+            if side.kind == LETTERS:
+                raise ValueError("identity sides must be variable words")
+
+    @classmethod
+    def parse(cls, text: str) -> "Identity":
+        """Parse "xyx = yxx"; also accepts the unicode approx sign."""
+        norm = text.replace("≈", "=")
+        if norm.count("=") != 1:
+            raise ValueError(f"identity must contain exactly one '=': {text!r}")
+        left, right = norm.split("=")
+        return cls(Word.variables(left.strip()), Word.variables(right.strip()))
+
+    def text(self) -> str:
+        return f"{self.lhs.text()} = {self.rhs.text()}"
+
+    def variables(self) -> tuple:
+        """Sorted names occurring on either side."""
+        return tuple(sorted(set(self.lhs.symbols) | set(self.rhs.symbols)))
+
+    def is_trivial(self) -> bool:
+        return self.lhs == self.rhs
+
+    def __repr__(self) -> str:
+        return f"Identity({self.text()!r})"
+
+
+def load_identity_system(path) -> list:
+    """Read identities from a file, one per line; '#' starts a comment."""
+    rules = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                rules.append(Identity.parse(line))
+    return rules
 
 
 def _rules(text_pairs) -> tuple:
@@ -653,13 +703,17 @@ def step_to_json(step: DerivationStep) -> dict:
 
 def step_from_json(data: dict) -> DerivationStep:
     """Read each text as the kind it spells; ValueError if texts of both kinds occur,
-    or if the payload is no step_to_json payload."""
+    or if the payload is no step_to_json payload: the rule an exact int >= 0, the
+    direction "ltr" or "rtl"."""
     try:
         words = {k: _parse_word(data[k]) for k in ("before", "after", "prefix", "suffix")}
         endo = {name: _parse_word(img) for name, img in data["endo"].items()}
         rule, direction = data["rule"], data["direction"]
     except (KeyError, TypeError, AttributeError):  # a missing field, or one of a wrong type
         raise ValueError("not a valid DerivationStep payload") from None
+    if type(rule) is not int or rule < 0 or direction not in (LTR, RTL):
+        raise ValueError(f"not a valid DerivationStep payload: rule {rule!r}, "
+                         f"direction {direction!r}")
     if len({w.kind for w in (*words.values(), *endo.values())} - {None}) > 1:
         raise ValueError("a step's texts spell both letter and variable words")
     return DerivationStep(rule_index=rule, direction=direction, endo=endo, **words)

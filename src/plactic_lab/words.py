@@ -6,13 +6,13 @@ variables (identifier-like names, used to state identities), told apart by
 _are_letters and _are_variables, the package's one symbol check.  Everything
 else in the package is built on the statistics defined here: content,
 occurrence counts, directional occurrence counts relative to an anchor, and the
-three occurrence skeletons ip/fp/mix.
+three occurrence skeletons ip/fp/mix.  Identities between variable words live
+in identities.py, so building objects never loads the identity machinery.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from reprlib import repr as _short_repr
 from typing import Iterable, Iterator, Union
 
@@ -296,48 +296,3 @@ def restrict(w, symbols) -> Word:
     wanted = set(symbols)
     return _like(w, tuple(s for s in _symbols(w) if s in wanted))
 
-
-@dataclass(frozen=True)
-class Identity:
-    """A formal identity between two variable words."""
-
-    lhs: Word
-    rhs: Word
-
-    def __post_init__(self):
-        for side in (self.lhs, self.rhs):
-            if side.kind == LETTERS:
-                raise ValueError("identity sides must be variable words")
-
-    @classmethod
-    def parse(cls, text: str) -> "Identity":
-        """Parse "xyx = yxx"; also accepts the unicode approx sign."""
-        norm = text.replace("≈", "=")
-        if norm.count("=") != 1:
-            raise ValueError(f"identity must contain exactly one '=': {text!r}")
-        left, right = norm.split("=")
-        return cls(Word.variables(left.strip()), Word.variables(right.strip()))
-
-    def text(self) -> str:
-        return f"{self.lhs.text()} = {self.rhs.text()}"
-
-    def variables(self) -> tuple:
-        """Sorted names occurring on either side."""
-        return tuple(sorted(set(self.lhs.symbols) | set(self.rhs.symbols)))
-
-    def is_trivial(self) -> bool:
-        return self.lhs == self.rhs
-
-    def __repr__(self) -> str:
-        return f"Identity({self.text()!r})"
-
-
-def load_identity_system(path) -> list:
-    """Read identities from a file, one per line; '#' starts a comment."""
-    rules = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rules.append(Identity.parse(line))
-    return rules

@@ -300,3 +300,32 @@ def test_json_is_one_sorted_line_of_the_library_value(capsys, argv, expected):
     assert out.endswith("\n") and out.count("\n") == 1
     assert json.loads(out) == expected()
     assert out == json.dumps(expected(), sort_keys=True) + "\n"
+
+
+def _fresh_process(argv, env):
+    return subprocess.run([sys.executable, "-m", "plactic_lab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cached_parser_leaks_no_state_between_calls(capsys, monkeypatch):
+    from plactic_lab import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
+    # the text call comes after a json call and a usage error of the same subcommand
+    calls = [["object", "--monoid", "baxt", "--word", "3121", "--format", "json"],
+             ["object", "--monoid", "nope", "--word", "3121"],
+             ["object", "--monoid", "baxt", "--word", "3121"],
+             ["equiv", "--help"],
+             ["equiv", "--monoid", "sylv", "--lhs", "12", "--rhs", "21"]]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = _fresh_process(argv, env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert [_fresh_process(argv, env).returncode for argv in calls] == [0, 2, 0, 0, 1]

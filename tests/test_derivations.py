@@ -353,7 +353,10 @@ def test_step_json_refuses_mixed_kinds():
     good = step_to_json(normalize_derivation(F.SYLV, Word.letters("212212"))[0])
     for bad in ({k: v for k, v in good.items() if k != "before"},
                 {k: v for k, v in good.items() if k != "rule"},
-                dict(good, before=5), dict(good, endo=None), [good]):
+                dict(good, before=5), dict(good, endo=None), [good],
+                # each loaded at the parent; no basis can verify such a step
+                dict(good, rule="0"), dict(good, rule=True), dict(good, rule=-1),
+                dict(good, rule=1.0), dict(good, direction="sideways")):
         with pytest.raises(ValueError, match="not a valid DerivationStep payload"):
             step_from_json(bad)
 
