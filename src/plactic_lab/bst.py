@@ -169,12 +169,8 @@ class BaxterObject(_Canonical):
         return {"sharp": self.sharp.to_json_dict(), "plain": self.plain.to_json_dict()}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "BaxterObject":
-        """The pair of a to_json_dict payload; ValueError if it is not one."""
-        try:
-            sharp, plain = data["sharp"], data["plain"]
-        except (KeyError, TypeError):  # a missing field, or no object at all
-            raise ValueError("not a valid BaxterObject payload") from None
+    def _from_json(cls, data: dict) -> "BaxterObject":
+        sharp, plain = data["sharp"], data["plain"]
         return cls(LeftStrictBST.from_json_dict(sharp), RightStrictBST.from_json_dict(plain))
 
 

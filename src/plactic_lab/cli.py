@@ -1,22 +1,24 @@
-"""Command line front end: one table of subcommands, one output path.
+"""Command line front end: one table of subcommands, one output path, one failure path.
 
 A subcommand maps the parsed arguments to its exit code and its output: one
 thunk per ``--format`` value, returning a JSON value or the text lines (``None``
 for no output).  ``main`` runs only the requested thunk and writes all of
 stdout, JSON as one line with sorted keys.  Exit codes: 0 for positive results
-(equivalent, identity holds, derivation found), 1 for negative ones, 2 for
-usage or parse errors, for a derivation that fails its own check, and for an
-input too large or too deep (a RecursionError or a MemoryError), with one
-``error: ...`` line on stderr.  A reader closing stdout early changes no code.
+(equivalent, identity holds, derivation found), 1 for negative ones, and 2 for
+any failure, while computing the answer or while writing it: usage or parse
+errors, a derivation that fails its own check, an input too large or too deep
+(a RecursionError or a MemoryError), or a stdout that cannot be written, such
+as a full disk.  A failure writes one ``error: ...`` line on stderr.  A reader
+closing stdout early changes no code.
 
 A call loads only what it runs: identities (and with it dataclasses) only for
-check-identity, nf, oracle and derive, and the parser is built once per process.
+check-identity, nf, oracle and derive, json only for JSON output, and the
+parser is built once per process.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -188,38 +190,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _derivation_error() -> tuple:
-    """identities.DerivationError once a subcommand has loaded identities, else nothing:
-    only a loaded module can raise it, and main must not load it for the rest."""
-    loaded = sys.modules.get(f"{__package__}.identities")
-    return (loaded.DerivationError,) if loaded else ()
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = None  # the answer's exit code, once it is known
     try:
         code, forms = args.func(args)
-        if forms is None:
-            return code
-        value = forms[args.format]()
-        lines = [json.dumps(value, sort_keys=True)] if args.format == "json" else value
-    except (ValueError, KeyError, *_derivation_error()) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RecursionError, MemoryError) as exc:
+        if forms is not None:
+            lines = forms[args.format]()
+            if args.format == "json":
+                import json  # only JSON output needs it
+                lines = [json.dumps(lines, sort_keys=True)]
+            for line in lines:
+                print(line)
+            print(end="", flush=True)  # a write fails here, not at exit; no-op without stdout
+        return code
+    except Exception as exc:
+        if code is not None and isinstance(exc, OSError):
+            # writing stdout failed: send what is left to devnull, as the Python
+            # docs' note on SIGPIPE advises, lest the exit flush fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):  # the reader left: the answer stands
+                return code
         # a resource limit is an error, and must not read as a negative answer
-        print(f"error: input too large or too deep ({type(exc).__name__})", file=sys.stderr)
+        limit = isinstance(exc, (RecursionError, MemoryError))
+        print(f"error: input too large or too deep ({type(exc).__name__})" if limit
+              else f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        for line in lines:
-            print(line)
-        if sys.stdout is not None:  # None when stdout was closed at start
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; send what is left to devnull, as the Python
-        # docs' note on SIGPIPE advises, so the answer's exit code stands
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
 
 
 if __name__ == "__main__":

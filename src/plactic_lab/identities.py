@@ -35,7 +35,7 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .monoids import (
@@ -48,7 +48,6 @@ from .monoids import (
     canonical,
     check_rank,
 )
-from .tableaux import _spell_columns, _stal_columns
 from .words import (
     LETTERS,
     Word,
@@ -162,6 +161,11 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
 
 # ---------------------------------------------------------------------------
 # normal forms
+
+
+def _gathered(syms: tuple) -> tuple:
+    """The gathered form: the copies of each symbol together, symbols in fp order."""
+    return tuple(sorted(syms, key={s: k for k, s in enumerate(_fp(syms))}.__getitem__))
 
 
 def _sylv_stretches(syms: tuple) -> tuple:
@@ -379,7 +383,7 @@ class DerivationStep:
     direction: str
     prefix: Word
     suffix: Word
-    endo: dict = field(compare=True)
+    endo: dict
 
 
 def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep],
@@ -542,9 +546,8 @@ class _Theory(NamedTuple):
     derivation: Optional[Callable]   # Word -> steps to its normal form
 
 
-# the gathered form spells out the word's stalactic columns
-_GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: (Counter(syms), _fp(syms)),
-                  lambda syms: _spell_columns(_stal_columns(syms)), _gather_steps)
+_GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: (Counter(syms), _fp(syms)), _gathered,
+                  _gather_steps)
 _THEORIES = {
     MonoidFamily.STAL: _GATHER,
     MonoidFamily.TAIG: _GATHER,

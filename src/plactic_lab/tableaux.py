@@ -7,12 +7,12 @@ the fp skeleton of the word).  A taiga tree is a binary search tree over the
 distinct letters, each node carrying a multiplicity.
 
 Every canonical object of an insertion family, here and in bst, is a
-_Canonical: the family's equivalence key plus the word that built it, with one
-immutability, pickling, equality, hash, reading word and product for all.
-_SearchTree, the tree class behind TaigaTree and the two strict trees of bst,
-keys a tree by its flat preorder (built by _shape_key in one stack pass),
-which all its methods walk with an explicit stack, at any depth: counting,
-validity, JSON round trip (rejecting invalid trees) and ASCII/DOT pictures.
+_Canonical: the family's equivalence key plus the word that built it, with
+one immutability, pickling, equality, hash, reading word, product and JSON
+loader for all.  _SearchTree, the tree class behind TaigaTree and the two
+strict trees of bst, keys a tree by its flat preorder (built by _shape_key
+in one stack pass), which all its methods walk with an explicit stack, at
+any depth: counting, validity, JSON round trip and ASCII/DOT pictures.
 """
 from __future__ import annotations
 
@@ -40,7 +40,9 @@ class _Canonical:
     tuple (for a Baxter pair from outside, a word found to build it), or None
     for a tableau or tree from outside, whose reading word the class spells
     (_spell).  Constructors check outside input; _make wraps a key known to
-    be valid.  _insert is the family's insertion, for products.
+    be valid.  from_json_dict is the one loader: a class's _from_json turns a
+    payload into an object, None if invalid.  _insert, the family's insertion,
+    makes products.
     """
 
     __slots__ = ("_key", "_word")
@@ -75,6 +77,17 @@ class _Canonical:
         if type(other) is not type(self):
             return NotImplemented
         return self._insert(self.reading_word() + other.reading_word())
+
+    @classmethod
+    def from_json_dict(cls, data):
+        """The object of a to_json_dict payload; ValueError if either is invalid."""
+        try:
+            obj = cls._from_json(data)
+        except (KeyError, TypeError):  # a missing field, or a field of the wrong type
+            obj = None
+        if obj is None:
+            raise ValueError(f"not a valid {cls.__name__} payload")
+        return obj
 
 
 class StalacticTableau(_Canonical):
@@ -113,7 +126,8 @@ class StalacticTableau(_Canonical):
         return sum(m for _, m in self.columns)
 
     def _spell(self) -> tuple:
-        return _spell_columns(self.columns)
+        """Each column's letter, repeated by its multiplicity, from left to right."""
+        return tuple(chain.from_iterable(starmap(repeat, self.columns)))
 
     def __repr__(self) -> str:
         return f"StalacticTableau({list(self.columns)!r})"
@@ -131,12 +145,8 @@ class StalacticTableau(_Canonical):
         return {"columns": [{"letter": a, "mult": m} for a, m in self.columns]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "StalacticTableau":
-        """The tableau of a to_json_dict payload; ValueError if it is not one."""
-        try:
-            return cls((c["letter"], c["mult"]) for c in data["columns"])
-        except (KeyError, TypeError):  # a missing field, or a field of the wrong type
-            raise ValueError("not a valid StalacticTableau payload") from None
+    def _from_json(cls, data: dict) -> "StalacticTableau":
+        return cls((c["letter"], c["mult"]) for c in data["columns"])
 
 
 def _stal_columns(seq) -> tuple:
@@ -151,11 +161,6 @@ def _stal_columns(seq) -> tuple:
             order.append(a)
     order.reverse()
     return tuple((a, counts[a]) for a in order)
-
-
-def _spell_columns(columns) -> tuple:
-    """Each (symbol, multiplicity) column spelled out in order."""
-    return tuple(chain.from_iterable(starmap(repeat, columns)))
 
 
 def p_stal(w) -> StalacticTableau:
@@ -339,15 +344,9 @@ class _SearchTree(_Canonical):
         return _unflatten(self._key, 2 + self._MULT, self._JSON_NODE)
 
     @classmethod
-    def from_json_dict(cls, data):
-        """The tree of a to_json_dict payload; ValueError if it is not a valid tree."""
-        try:
-            tree = cls._make(_key_of_root(data, cls._MULT, cls._JSON))
-            if tree.is_valid():
-                return tree
-        except (KeyError, TypeError):  # a missing field, or a node that is no dict
-            pass
-        raise ValueError(f"not a valid {cls.__name__} payload")
+    def _from_json(cls, data):
+        tree = cls._make(_key_of_root(data, cls._MULT, cls._JSON))
+        return tree if tree.is_valid() else None
 
     def to_dot(self) -> str:
         """DOT digraph; children are tagged L/R so the shape is unambiguous.  The

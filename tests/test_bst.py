@@ -215,6 +215,10 @@ def test_tree_equality_is_type_exact():
     b = LeftStrictBST((1, None, None))
     assert a != b
     assert hash(a) != hash(b)
+    # only objects of one class multiply
+    for other in (b, 3):
+        with pytest.raises(TypeError):
+            p_sylv("12") * other
 
 
 def test_json_roundtrip():
@@ -261,6 +265,11 @@ def test_baxter_component_mismatch_rejected():
         BaxterObject(p_sylv_sharp("12"), p_sylv("21"))
     with pytest.raises(ValueError):  # only a word of non-letters builds the pair
         BaxterObject(LeftStrictBST((0.5, None, None)), RightStrictBST((0.5, None, None)))
+    with pytest.raises(ValueError):  # trees of different sizes
+        BaxterObject(p_sylv_sharp("12"), p_sylv("1"))
+    for sharp, plain in ((p_sylv("12"), p_sylv("12")), (p_sylv_sharp("12"), "12")):
+        with pytest.raises(TypeError):  # each argument must be a tree of its side
+            BaxterObject(sharp, plain)
 
 
 def test_baxter_pairs_load_exactly_when_a_word_builds_them():
@@ -287,6 +296,27 @@ def test_baxter_json_roundtrip_and_reading_word():
     restored = BaxterObject.from_json_dict(data)
     assert restored == b
     assert p_baxt(restored.reading_word()) == b
+
+
+_SHARP, _PLAIN = p_sylv_sharp("12").to_json_dict(), p_sylv("12").to_json_dict()
+_ONE = {"label": 1, "left": None, "right": None}
+_NO_SHARP, _NO_PLAIN = "not a valid LeftStrictBST payload", "not a valid RightStrictBST payload"
+_BAD_BAXTER_PAYLOADS = [  # (payload, the message that refuses it)
+    ({"sharp": {**_SHARP, "label": 3}, "plain": _PLAIN}, _NO_SHARP),  # 2 right of 3
+    ({"sharp": _SHARP, "plain": {**_PLAIN, "left": {**_PLAIN["left"], "label": 3}}},
+     _NO_PLAIN),  # 3 left of 2
+    ({"sharp": 5, "plain": 5}, _NO_SHARP),
+    ({"sharp": [1, None, None], "plain": [1, None, None]}, _NO_SHARP),
+    ({"sharp": {"label": 1, "left": None}, "plain": _PLAIN}, _NO_SHARP),  # no "right" field
+    # labels equal to a letter that are no letters
+    ({"sharp": _ONE, "plain": {**_ONE, "label": True}}, _NO_PLAIN),
+    ({"sharp": _ONE, "plain": {**_ONE, "label": 1.0}}, _NO_PLAIN),
+    ({"sharp": {**_SHARP, "right": {**_SHARP["right"], "label": 2.0}},
+      "plain": {**_PLAIN, "label": 2.0}}, _NO_SHARP),
+    # two valid trees that no word builds together
+    ({"sharp": _SHARP, "plain": p_sylv("21").to_json_dict()},
+     "no letter word builds this pair of trees"),
+]
 
 
 @given(letter_seqs, letter_seqs)
@@ -347,6 +377,9 @@ def test_from_json_rejects_invalid_trees():
         BaxterObject.from_json_dict(data)
     with pytest.raises(ValueError):  # no "plain" field
         BaxterObject.from_json_dict({"sharp": None})
+    for data, message in _BAD_BAXTER_PAYLOADS:
+        with pytest.raises(ValueError, match=message):
+            BaxterObject.from_json_dict(data)
     with pytest.raises(ValueError):  # no "mult" field
         StalacticTableau.from_json_dict({"columns": [{"letter": 1}]})
     # labels and multiplicities are letters: exact ints >= 1

@@ -269,6 +269,39 @@ def test_closed_pipe_keeps_exit_code_without_traceback():
     assert proc.returncode == 0 and proc.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("ident", ["xyxy = yxxy", "xy = yx"], ids=["holds", "fails"])
+def test_unwritable_stdout_exits_two(buffering, ident):
+    # a full disk is an error for either answer: exit 1 would read as "does not hold"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *buffering, "-m", "plactic_lab.cli",
+                               "check-identity", "--monoid", "sylv", "--id", ident],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_failure_mid_output_exits_two(capsys, monkeypatch):
+    # the text of derive is written step by step; a failure after the first line
+    # is still one error line and exit 2
+    from plactic_lab import cli
+
+    def describe(step):
+        if described:
+            raise RuntimeError("cannot describe the second step")
+        described.append(step)
+        return "first step"
+
+    described = []
+    monkeypatch.setattr(cli, "_describe_step", describe)
+    code, out, err = run(capsys, "derive", "--monoid", "sylv", "--id", "xyxyxy = xxyyxy")
+    assert (code, out, err) == (2, "first step\n", "error: cannot describe the second step\n")
+
+
 F = MonoidFamily
 _JSON_CASES = [
     (["object", "--monoid", "baxt", "--word", "3613151265"],

@@ -161,6 +161,8 @@ def test_verify_rejects_tampering():
     # an endo that is no dict of images
     assert not verify_derivation(sigma, [replace(good, endo=None)])
     assert not verify_derivation(sigma, [replace(good, endo=5)])
+    # a letter prefix before variable images makes no word
+    assert not verify_derivation(sigma, [replace(good, prefix=Word.letters("1"))])
 
 
 def test_verify_rejects_broken_chains():

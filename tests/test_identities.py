@@ -216,12 +216,12 @@ def test_normal_form_on_long_words(copies):
     rng = random.Random(copies)
     k = 10**5 // copies
     w = Word.letters([a for _ in range(copies) for a in rng.sample(range(1, k + 1), k)])
-    for fam in (F.SYLV, F.SYLV_SHARP, F.BAXT):
+    for fam in (F.STAL, F.TAIG, F.SYLV, F.SYLV_SHARP, F.BAXT):
         nf = normal_form(fam, w)
         assert normal_form(fam, nf) == nf
         assert equivalent(fam, w, nf)
         # last occurrences stay put, and in baxt first ones too: a doubled word moves
-        # in sylv and sylvsharp, only a tripled one in baxt
+        # in every family but baxt, only a tripled one in baxt
         assert (nf != w) == (copies > (2 if fam is F.BAXT else 1))
 
 
@@ -310,6 +310,8 @@ def test_oracle_modes_refuse_negative_bounds():
             make()
     assert oracle(F.SYLV, 2, Identity.parse("x = x"), Exhaustive(0)) == HoldsWithinBound(1)
     assert oracle(F.SYLV, 2, Identity.parse("x = x"), RandomSearch(0, 0)) == HoldsWithinBound(0)
+    with pytest.raises(TypeError, match="unknown oracle mode"):  # a mode of neither kind
+        oracle(F.SYLV, 2, Identity.parse("x = x"), "exhaustive")
 
 
 def test_oracle_trivial_identity_with_no_shared_variables():

@@ -1,7 +1,7 @@
 """The package loads a submodule only when one of its names is used, and the
 CLI loads identities (and with it dataclasses) only for the subcommands that
-need it.  Each check runs in a child interpreter, whose sys.modules starts empty
-of the package."""
+need it, and json only to write JSON.  Each check runs in a child interpreter,
+whose sys.modules starts empty of the package."""
 import importlib
 import json
 import os
@@ -15,19 +15,22 @@ import plactic_lab
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
 HEAVY = ("plactic_lab.identities", "dataclasses")
 
-# run the CLI as `python -m plactic_lab.cli` does, then report what it loaded
+# run the CLI as `python -m plactic_lab.cli` does, then report which of the
+# watched modules it loaded, before the report itself loads json
 _CLI_PROBE = """
-import json, runpy, sys
+import runpy, sys
 try:
     runpy.run_module("plactic_lab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(set(%r) & set(sys.modules))]), file=sys.stderr)
-""" % (HEAVY,)
+loaded = sorted(set(%r) & set(sys.modules))
+import json
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
 
 
-def _loaded_after_cli(*argv):
-    proc = subprocess.run([sys.executable, "-c", _CLI_PROBE, *argv], env=ENV,
+def _loaded_after_cli(*argv, watch=HEAVY):
+    proc = subprocess.run([sys.executable, "-c", _CLI_PROBE % (watch,), *argv], env=ENV,
                           capture_output=True, text=True, timeout=120)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     return code, loaded
@@ -56,6 +59,12 @@ def test_cli_without_identities_loads_neither(argv, exit_code):
 def test_check_identity_loads_identities():
     code, loaded = _loaded_after_cli("check-identity", "--monoid", "sylv", "--id", "xyxy = yxxy")
     assert code == 0 and "plactic_lab.identities" in loaded
+
+
+def test_only_json_output_loads_json():
+    argv = ["object", "--monoid", "baxt", "--word", "3121"]
+    assert _loaded_after_cli(*argv, watch=("json",)) == (0, [])
+    assert _loaded_after_cli(*argv, "--format", "json", watch=("json",)) == (0, ["json"])
 
 
 def test_all_is_the_table_of_names():

@@ -81,6 +81,10 @@ def test_adjoined_zero_tables():
 def test_finite_monoid_validation():
     with pytest.raises(ValueError):
         FiniteMonoid("bad", ("1", "a"), "1", {("1", "1"): "1"})
+    with pytest.raises(ValueError, match="duplicate elements"):
+        FiniteMonoid("twice", ("1", "1"), "1", {("1", "1"): "1"})
+    with pytest.raises(ValueError, match="unit must be an element"):
+        FiniteMonoid("no-such-unit", ("a",), "1", {("a", "a"): "a"})
     table = {
         (x, y): "a" for x, y in itertools.product(("1", "a"), repeat=2)
     }

@@ -66,6 +66,8 @@ def test_mixed_kinds_rejected():
         Word([1, "x"])
     with pytest.raises(ValueError):
         Word.letters("12") + Word.variables("xy")
+    with pytest.raises(TypeError):  # only a word concatenates with a word
+        Word.letters("1") + 3
 
 
 def test_empty_word_concatenates_with_both_kinds():
