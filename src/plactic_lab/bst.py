@@ -11,7 +11,8 @@ _inorder: they are its Cartesian trees with the largest (right strict) or the
 smallest (left strict) position at the root, built by tableaux._shape_key.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
-A pair of trees from outside is accepted only with a word that builds both.
+A pair from outside is accepted only with a word, read off both in-orders, that
+builds both trees (see _twin_witness and _SearchTree._in_order_parents).
 """
 from __future__ import annotations
 
@@ -40,26 +41,7 @@ def _baxt_key(seq) -> tuple:
     return _shape_key(seq, order, False), _shape_key(seq, order, True)
 
 
-def _inorder_parents(key, forward) -> list:
-    """Parent of each node of a valid strict tree, nodes numbered by in-order.
-
-    The root's parent is None.  Equal labels lie on one path, so a left strict
-    tree's in-order (forward) lists them in preorder, a right strict tree's in
-    reverse preorder.
-    """
-    labels, masks = key[0::2], key[1::2]
-    n = len(masks)
-    order = sorted(range(n) if forward else range(n - 1, -1, -1), key=labels.__getitem__)
-    rank = sorted(range(n), key=order.__getitem__)
-    up, pending = [None] * n, []  # pending: nodes whose right child is still to come
-    for i in range(n - 1):
-        if masks[i] & 2:
-            pending.append(i)
-        up[rank[i + 1]] = rank[i] if masks[i] & 1 else rank[pending.pop()]
-    return up
-
-
-def _twin_witness(sharp_key, plain_key) -> tuple:
+def _twin_witness(sharp, plain) -> tuple:
     """A word that builds both trees, if any does; the caller checks it.
 
     Letter k of the trees' common in-order must come after its left strict
@@ -69,10 +51,10 @@ def _twin_witness(sharp_key, plain_key) -> tuple:
     a Cartesian tree is fixed by its in-order and its heap order; a cycle
     leaves letters out, so the check fails.
     """
-    if len(sharp_key) != len(plain_key):
+    labels, sharp_up = sharp._in_order_parents()
+    plain_labels, plain_up = plain._in_order_parents()
+    if labels != plain_labels:
         return ()
-    labels = sorted(sharp_key[0::2])
-    sharp_up, plain_up = _inorder_parents(sharp_key, True), _inorder_parents(plain_key, False)
     n = len(labels)
     after, need = [[] for _ in range(n)], [0] * n
     for k, a, b in zip(range(n), sharp_up, plain_up):
@@ -137,7 +119,7 @@ class BaxterObject(_Canonical):
         if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
             raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
         key = (sharp._key, plain._key)
-        witness = _twin_witness(*key)
+        witness = _twin_witness(sharp, plain)
         if not _are_letters(witness) or _baxt_key(witness) != key:
             raise ValueError("no letter word builds this pair of trees")
         super().__init__(key, witness)

@@ -215,8 +215,11 @@ def main(argv=None) -> int:
                 return code
         # a resource limit is an error, and must not read as a negative answer
         limit = isinstance(exc, (RecursionError, MemoryError))
-        print(f"error: input too large or too deep ({type(exc).__name__})" if limit
-              else f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: input too large or too deep ({type(exc).__name__})" if limit
+                  else f"error: {exc}", file=sys.stderr)
+        except OSError:  # stderr cannot be written either: the exit code still says it
+            pass
         return 2
 
 

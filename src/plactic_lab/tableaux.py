@@ -289,17 +289,31 @@ class _SearchTree(_Canonical):
         return self._preorder() if self._FORWARD else self._preorder()[::-1]
 
     def in_order(self) -> tuple:
-        """Labels in in-order; a node waits on the stack while its left subtree is read."""
-        key, width, out, waiting = self._key, 2 + self._MULT, [], []
-        for label, mask in zip(key[0::width], key[width - 1::width]):
+        """Labels in in-order."""
+        return self._in_order_parents()[0]
+
+    def _in_order_parents(self) -> tuple:
+        """Labels in in-order, and each node's parent as an in-order index (the
+        root's is None).  A node waits on the stack while its left subtree is
+        read.  In preorder a node's left child comes next; without one, the next
+        node is the right child of the last node read."""
+        key, width = self._key, 2 + self._MULT
+        masks = key[width - 1::width]
+        order, parent, waiting = [], [-1], []  # order: preorder indices in in-order
+        for i, mask in enumerate(masks):
             if mask & 1:
-                waiting.append((label, mask))
+                waiting.append(i)
+                parent.append(i)
                 continue
-            out.append(label)
+            order.append(i)
             while not mask & 2 and waiting:
-                label, mask = waiting.pop()
-                out.append(label)
-        return tuple(out)
+                i = waiting.pop()
+                order.append(i)
+                mask = masks[i]
+            parent.append(i)  # the last node read; unused after the last node
+        rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+        rank.append(None)  # rank[-1], the root's parent
+        return tuple(map(key[0::width].__getitem__, order)), [rank[parent[i]] for i in order]
 
     def is_valid(self) -> bool:
         """Search-tree order with this class's strictness, and letters as labels

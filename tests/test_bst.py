@@ -267,6 +267,10 @@ def test_baxter_component_mismatch_rejected():
         BaxterObject(LeftStrictBST((0.5, None, None)), RightStrictBST((0.5, None, None)))
     with pytest.raises(ValueError):  # trees of different sizes
         BaxterObject(p_sylv_sharp("12"), p_sylv("1"))
+    # labels that do not compare: the pair is refused before any is ordered
+    with pytest.raises(ValueError, match="^no letter word builds this pair of trees$"):
+        BaxterObject(LeftStrictBST((1, None, ("a", None, None))),
+                     RightStrictBST((1, None, ("a", None, None))))
     for sharp, plain in ((p_sylv("12"), p_sylv("12")), (p_sylv_sharp("12"), "12")):
         with pytest.raises(TypeError):  # each argument must be a tree of its side
             BaxterObject(sharp, plain)

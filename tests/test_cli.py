@@ -285,6 +285,19 @@ def test_unwritable_stdout_exits_two(buffering, ident):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("argv", [["object", "--monoid", "sylv", "--word", "120"],
+                                  ["derive", "--monoid", "sylv", "--id", "xy = yx"]],
+                         ids=["bad-word", "unsatisfied"])
+def test_unwritable_stderr_exits_two(argv):
+    # the error line cannot be written, yet exit 1 would read as a negative answer
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "plactic_lab.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=full, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
 def test_failure_mid_output_exits_two(capsys, monkeypatch):
     # the text of derive is written step by step; a failure after the first line
     # is still one error line and exit 2

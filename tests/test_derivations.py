@@ -87,6 +87,14 @@ def test_unit_images_reach_short_consequences():
     assert empties
 
 
+def test_nonempty_images_are_required_on_both_sides():
+    # y occurs only on the target side of x = xy; its empty image must count too
+    a, unit = Word.variables("a"), Word.variables("")
+    step = DerivationStep(a, a, 0, "ltr", unit, unit, {"x": a, "y": unit})
+    assert verify_derivation([Identity.parse("x = xy")], [step])
+    assert not verify_derivation([Identity.parse("x = xy")], [step], require_nonempty_images=True)
+
+
 def test_certificates_connect_the_sides():
     cases = [
         (F.STAL, "xyxzx = yzxxx"),
@@ -163,6 +171,11 @@ def test_verify_rejects_tampering():
     assert not verify_derivation(sigma, [replace(good, endo=5)])
     # a letter prefix before variable images makes no word
     assert not verify_derivation(sigma, [replace(good, prefix=Word.letters("1"))])
+    # sides without a common variable: each substituted side is of one kind
+    unit = Word.variables("")
+    across = DerivationStep(Word.letters("1"), Word.variables("z"), 0, "ltr", unit, unit,
+                            {"x": Word.letters("1"), "y": Word.variables("z")})
+    assert not verify_derivation([Identity.parse("x = y")], [across])
 
 
 def test_verify_rejects_broken_chains():
