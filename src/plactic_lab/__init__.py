@@ -24,7 +24,7 @@ _SOURCES = {
     "monoids": ("L21", "R21", "FiniteMonoid", "MonoidFamily", "RankViolationError",
                 "UnboundVariableError", "alphabet_cap", "canonical", "check_rank",
                 "equivalent", "eval_in_finite"),
-    "identities": ("CounterExample", "DecisionMismatchError", "DerivationError",
+    "identities": ("CounterExample", "DecisionMismatchError", "Derivation", "DerivationError",
                    "DerivationStep", "Exhaustive", "HoldsWithinBound", "Identity",
                    "RandomSearch", "apply_substitution", "basis", "derivation_certificate",
                    "derivation_to_json", "derive_search", "find_counterexample",

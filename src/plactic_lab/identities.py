@@ -21,12 +21,12 @@ normal_form sorts each stretch in O(n log n), and the derivation performs the
 same sort one adjacent swap, one basis rule application, at a time.  sylvsharp
 is the mirror image of sylv.
 
-Derivation steps apply one basis rule inside a context.  Step endomorphisms
-may assign the empty word to a rule variable (substituting the unit element);
-this is what makes short consequences of long rules reachable, e.g.
-xyxy = yxxy from xysxty = yxsxty.  verify_derivation can optionally reject
-empty images to model the stricter semigroup notion, and derive_search
-explores nonempty images only.
+A Derivation holds its start word and one rule application per step, each
+O(1): where, which rule, which way and the lengths of the images, which are
+read off the word when it is replayed.  An image may be empty, substituting
+the unit element; this makes short consequences of long rules reachable, e.g.
+xyxy = yxxy from xysxty = yxsxty.  verify_derivation can reject empty images
+(the semigroup notion), and derive_search explores nonempty images only.
 """
 from __future__ import annotations
 
@@ -386,47 +386,152 @@ class DerivationStep:
     endo: dict
 
 
+class Derivation:
+    """A derivation held as its start word and one rule application per step.
+
+    An application (start, rule_index, direction, lengths) rewrites the factor
+    at start by rules[rule_index] read in direction; lengths are those of the
+    images of names[rule_index], the rule's variables in some order, which are
+    read off the word.  end is the last word.  len replays nothing and [i] the
+    first i + 1 applications; iterating replays them on one list, one step at a time.
+    """
+
+    __slots__ = ("rules", "start", "apps", "end", "names")
+
+    def __init__(self, rules: Sequence[Identity], start: Word, apps: Iterable, end: Word,
+                 names: Sequence[Sequence[str]]):
+        self.rules, self.start, self.apps, self.end = tuple(rules), start, tuple(apps), end
+        self.names = tuple(names)
+
+    def __len__(self) -> int:
+        return len(self.apps)
+
+    def __iter__(self) -> Iterator[DerivationStep]:
+        return map(_replayed_step, _replay(self.rules, self))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        skip = range(len(self.apps))[index]  # IndexError when out of range
+        return _replayed_step(next(itertools.islice(_replay(self.rules, self), skip, None), False))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Derivation)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __add__(self, other) -> list:
+        return [*self, *other] if isinstance(other, (list, Derivation)) else NotImplemented
+
+    def __radd__(self, other) -> list:
+        return [*other, *self] if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Derivation({self.start.text()!r} => {self.end.text()!r}, steps={len(self)})"
+
+
+def _replay(sigma: Sequence[Identity], steps, require_nonempty_images: bool = False):
+    """Replay a derivation on one list, rebuilding each rule application from sigma.
+
+    Yields (word, start, stop, rule_index, direction, images, target side) before
+    each rewrite of word[start:stop]; at the first failed check it yields False
+    and stops.  A Derivation must have sigma as its rules and a reordering of each
+    rule's variables as its names, its images are read off the word and its
+    replay must reach its end; a step's images come from its endo, and its words
+    must match the replay.
+    """
+    compact, layouts = type(steps) is Derivation, {LTR: {}, RTL: {}}
+    word = list(steps.start.symbols) if compact else None
+    for item in steps.apps if compact else steps:
+        if compact:
+            start, ri, direction, lengths = item
+        elif not isinstance(item.endo, dict) or any(type(w) is not Word for w in (
+                item.before, item.after, item.prefix, item.suffix, *item.endo.values())):
+            break
+        else:
+            word = list(item.before.symbols) if word is None else word
+            start, ri, direction = len(item.prefix), item.rule_index, item.direction
+        # an exact int: True would pick rule 1
+        if type(ri) is not int or not 0 <= ri < len(sigma) or direction not in (LTR, RTL):
+            break
+        layout = layouts[direction].get(ri)
+        if layout is None:
+            rule = sigma[ri]
+            names = steps.names[ri] if compact and ri < len(steps.names) else rule.variables()
+            if compact and (steps.rules != tuple(sigma) or sorted(names) != [*rule.variables()]):
+                names = ()  # no application passes the length check below
+            src, dst = (rule.lhs, rule.rhs) if direction == LTR else (rule.rhs, rule.lhs)
+            at = {name: k for k, name in enumerate(names)}
+            layout = layouts[direction][ri] = (names, src.symbols, dst.symbols,
+                                               [at.get(n) for n in src], dict.fromkeys(names))
+        names, src, dst, reads, known = layout  # a Derivation's images are all unknown
+        if not compact:
+            if (not item.endo.keys() >= set(names) or item.before.symbols != tuple(word)
+                    or len({item.endo[name].kind for name in names} - {None}) > 1):  # both kinds
+                break
+            known = {name: [*item.endo[name].symbols] for name in names}
+            lengths = [len(img) for img in known.values()]
+        elif (not names or type(start) is not int or start < 0 or type(lengths) is not tuple
+              or len(lengths) != len(names)):
+            break
+        stop, images = _read_images(word, start, src, reads, lengths, known)
+        if stop > len(word) or require_nonempty_images and not all(lengths):
+            break
+        yield word, start, stop, ri, direction, images, dst
+        target = _substitute(images, dst)
+        word[start:stop] = target
+        if not compact and (item.after.symbols, item.prefix.symbols, item.suffix.symbols) != (
+                tuple(word), tuple(word[:start]), tuple(word[start + len(target):])):
+            break
+    else:
+        if not compact or tuple(word) == steps.end.symbols:
+            return
+    yield False
+
+
+def _read_images(word: list, pos: int, side: tuple, reads: list, lengths, known: dict) -> tuple:
+    """Where side's factor from pos ends, and its images in known's order: each one
+    not known (None) is read off word where its variable first occurs, lengths[reads[i]]
+    symbols for side[i], and each is compared wherever else its variable occurs.
+    The end lies past word's end at a failure.  A function of its own, since
+    tracemalloc's cost per allocation grows with the length of the allocating function."""
+    images = dict(known)
+    for name, k in zip(side, reads):
+        size, seen = lengths[k], images[name]
+        piece = word[pos : pos + size] if type(size) is int and size >= 0 else None
+        if piece is None or seen is not None and seen != piece:
+            return len(word) + 1, images
+        images[name] = piece
+        pos += size
+    return len(word) + 1 if None in images.values() else pos, images
+
+
+def _replayed_step(item) -> DerivationStep:
+    """The step of an item that _replay yields; DerivationError for its False."""
+    if not item:
+        raise DerivationError("the applications do not replay from the start word to the end")
+    return _step(*item)
+
+
 def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep],
                       require_nonempty_images: bool = False) -> bool:
-    """Recompute every step from its parts and check the chain links up."""
-    prev = None
-    for st in steps:
-        # an exact int: True would pick rule 1
-        if (type(st.rule_index) is not int or not 0 <= st.rule_index < len(sigma)
-                or st.direction not in (LTR, RTL) or not isinstance(st.endo, dict)):
-            return False
-        rule = sigma[st.rule_index]
-        src, dst = (rule.lhs, rule.rhs) if st.direction == LTR else (rule.rhs, rule.lhs)
-        needed = set(src.symbols) | set(dst.symbols)
-        if not needed.issubset(st.endo) or any(
-                type(w) is not Word for w in (st.before, st.after, st.prefix, st.suffix,
-                                              *st.endo.values())):
-            return False
-        if require_nonempty_images and any(not st.endo[v] for v in needed):
-            return False
-        if len({st.endo[v].kind for v in needed} - {None}) > 1:  # letter and variable images
-            return False
-        images = {name: img.symbols for name, img in st.endo.items()}
-        try:
-            before = st.prefix + Word._make(_substitute(images, src.symbols)) + st.suffix
-            after = st.prefix + Word._make(_substitute(images, dst.symbols)) + st.suffix
-        except ValueError:
-            return False
-        if (st.before, st.after) != (before, after) or prev is not None and st.before != prev:
-            return False
-        prev = st.after
-    return True
+    """Replay a Derivation or a list of steps, rebuilding each rule application."""
+    return all(_replay(sigma, steps, require_nonempty_images))
 
 
-def invert_steps(steps: Sequence[DerivationStep]) -> list:
+def invert_steps(steps: Sequence[DerivationStep]) -> Derivation | list:
     """Run a derivation backwards: reverse the order and flip each step."""
+    if type(steps) is Derivation:
+        flipped = [(start, ri, RTL if d == LTR else LTR, lengths)
+                   for start, ri, d, lengths in reversed(steps.apps)]
+        return Derivation(steps.rules, steps.end, flipped, steps.start, steps.names)
     return [DerivationStep(before=st.after, after=st.before, rule_index=st.rule_index,
                            direction=RTL if st.direction == LTR else LTR,
                            prefix=st.prefix, suffix=st.suffix, endo=st.endo)
             for st in reversed(steps)]
 
 
-def _gather_steps(w: Word) -> list:
+def _gather_steps(w: Word, rules: tuple) -> Derivation:
     """Drive a word to the gathered form using xyx = yxx only.
 
     Working right to left, the currently last letter of the unfinished prefix
@@ -434,8 +539,7 @@ def _gather_steps(w: Word) -> list:
     separating it from the block of copies, which is one application of the
     rule with x bound to the letter and y to the gap, and joins the block.
     """
-    syms = list(w.symbols)
-    steps = []
+    syms, apps = list(w.symbols), []
     boundary = len(syms)
     while boundary > 0:
         z = syms[boundary - 1]
@@ -443,36 +547,38 @@ def _gather_steps(w: Word) -> list:
         for i in range(start - 1, -1, -1):
             if syms[i] == z:
                 if i < start - 1:
-                    gap = syms[i + 1 : start]
-                    before = tuple(syms)
-                    syms[i : start + 1] = gap + [z, z]
-                    steps.append(_step(before, tuple(syms), i, start + 1, 0, LTR,
-                                       {"x": (z,), "y": gap}))
+                    syms[i : start + 1] = syms[i + 1 : start] + [z, z]
+                    apps.append((i, 0, LTR, (1, start - i - 1)))
                 start -= 1
         boundary = start
-    return steps
+    return Derivation(rules, w, apps, Word._make(tuple(syms)), ["xy"])
 
 
-def _step(before: tuple, after: tuple, start: int, stop: int, rule_index: int,
-          direction: str, images: dict) -> DerivationStep:
-    """The step that rewrites before[start:stop] into after; images are runs of before."""
-    make = Word._make
+def _step(before: Sequence, start: int, stop: int, rule_index: int, direction: str,
+          images: dict, target_side: tuple) -> DerivationStep:
+    """The step rewriting before[start:stop] into target_side under images, runs of before."""
+    make, before = Word._make, tuple(before)
+    after = before[:start] + _substitute(images, target_side) + before[stop:]
     return DerivationStep(before=make(before), after=make(after),
                           rule_index=rule_index, direction=direction,
                           prefix=make(before[:start]), suffix=make(before[stop:]),
                           endo={name: make(tuple(img)) for name, img in images.items()})
 
 
-def _sort_steps(w: Word, stretches: Callable, swap: Callable) -> Iterator[DerivationStep]:
-    """Bubble sort the stretches of w (see _sorted_stretches), one step per swap.
+def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable, names: tuple,
+                mirrored: bool = False) -> Derivation:
+    """Bubble sort the stretches of w (see _sorted_stretches), one application per swap.
 
-    swap(syms, p, first, last) is the rule application (start, stop,
-    rule_index, direction, images) that swaps syms[p] and syms[p + 1]; it
-    reads only the first and last occurrences that are bounds, which stay put.
+    swap(syms, p, first, last) is the application (start, stop, rule_index,
+    direction, lengths of the images of names) that swaps syms[p] and syms[p + 1];
+    it reads only the first and last occurrences that are bounds, which stay put.
+    mirrored sorts w reversed and mirrors each start to n - stop: the xysxty rules
+    of sylv become the ytxsyx rules of sylvsharp.
     """
-    syms = list(w.symbols)
-    first, last = _first_last_positions(w.symbols)
-    bounds, rank_at = stretches(w.symbols)
+    given = w.symbols[::-1] if mirrored else w.symbols
+    syms, n, apps = list(given), len(given), []
+    first, last = _first_last_positions(given)
+    bounds, rank_at = stretches(given)
     prev = -1
     for pos in bounds:
         rank = rank_at(pos)
@@ -482,13 +588,16 @@ def _sort_steps(w: Word, stretches: Callable, swap: Callable) -> Iterator[Deriva
             for p in range(prev + 1, pos - 1):
                 a, c = syms[p], syms[p + 1]
                 if a != c and rank(a) > rank(c):
-                    applied, before = swap(syms, p, first, last), tuple(syms)
+                    start, stop, ri, direction, lengths = swap(syms, p, first, last)
+                    apps.append((n - stop if mirrored else start, ri, direction, lengths))
                     syms[p], syms[p + 1] = c, a
-                    yield _step(before, tuple(syms), *applied)
                     changed = True
         prev = pos
-    if tuple(syms) != _sorted_stretches(w.symbols, stretches):
+    end = tuple(syms)
+    if end != _sorted_stretches(given, stretches):
         raise DerivationError("sorting one swap at a time did not land on the normal form")
+    return Derivation(rules, w, apps, Word._make(end[::-1] if mirrored else end),
+                      [names] * len(rules))
 
 
 def _sylv_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
@@ -496,22 +605,12 @@ def _sylv_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
 
     Both letters occur again later; the one whose final occurrence comes
     first anchors x, the other y, which decides the rule direction.
+    The images of x, y, s, t are ex, ey, syms[p+2:q] and syms[q+1:r].
     """
     a, b = syms[p], syms[p + 1]
     ex, ey = (a, b) if last[a] < last[b] else (b, a)
     q, r = last[ex], last[ey]
-    direction = LTR if ex == a else RTL
-    images = {"x": (ex,), "y": (ey,), "s": syms[p + 2 : q], "t": syms[q + 1 : r]}
-    return p, r + 1, 0, direction, images
-
-
-def _mirror_steps(steps: Iterable[DerivationStep]) -> list:
-    """Reverse every word in a derivation; xysxty rules become ytxsyx rules."""
-    return [DerivationStep(before=st.before.reverse(), after=st.after.reverse(),
-                           rule_index=st.rule_index, direction=st.direction,
-                           prefix=st.suffix.reverse(), suffix=st.prefix.reverse(),
-                           endo={name: img.reverse() for name, img in st.endo.items()})
-            for st in steps]
+    return p, r + 1, 0, LTR if ex == a else RTL, (1, 1, q - p - 2, r - q - 1)
 
 
 def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
@@ -519,31 +618,31 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
 
     The rule and direction are picked so that the four anchor occurrences
     (both letters before the pair and after it) appear in the rule's order.
+    The images of x, y, s, t, h, k are ex, ey, syms[i1+1:i2], syms[i2+1:p],
+    syms[p+2:j1] and syms[j1+1:j2].
     """
     a, b = syms[p], syms[p + 1]
     ex, ey = (a, b) if last[a] < last[b] else (b, a)
     ri = int((first[a] < first[b]) == (ex == a))
     i1, i2 = sorted((first[a], first[b]))
     j1, j2 = last[ex], last[ey]
-    direction = LTR if ex == a else RTL
-    images = {"x": (ex,), "y": (ey,), "s": syms[i1 + 1 : i2], "t": syms[i2 + 1 : p],
-              "h": syms[p + 2 : j1], "k": syms[j1 + 1 : j2]}
-    return i1, j2 + 1, ri, direction, images
+    return (i1, j2 + 1, ri, LTR if ex == a else RTL,
+            (1, 1, i2 - i1 - 1, p - i2 - 1, j1 - p - 2, j2 - j1 - 1))
 
 
-def normalize_derivation(family: MonoidFamily, w: Word) -> list:
+def normalize_derivation(family: MonoidFamily, w: Word) -> Derivation:
     """A verified derivation from w to normal_form(family, w), basis rules only.
 
-    Returns the empty list when w is already normal.
+    It has no steps when w is already normal.
     """
-    return _theory(family, "derivation")(w)
+    return _theory(family, "derivation")(w, basis(family))
 
 
 class _Theory(NamedTuple):
     basis: Optional[tuple]
     invariant: Callable              # symbol tuple -> value, equal iff an identity holds
     normal_form: Optional[Callable]  # symbol tuple -> symbol tuple
-    derivation: Optional[Callable]   # Word -> steps to its normal form
+    derivation: Optional[Callable]   # (Word, basis) -> Derivation to its normal form
 
 
 _GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: (Counter(syms), _fp(syms)), _gathered,
@@ -553,30 +652,32 @@ _THEORIES = {
     MonoidFamily.TAIG: _GATHER,
     MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), _last_stretches,
                                lambda syms: _sorted_stretches(syms, _sylv_stretches),
-                               lambda w: list(_sort_steps(w, _sylv_stretches, _sylv_swap))),
-    # the mirror of sylv: the unmirrored steps are never held as a list
+                               lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap,
+                                                                "xyst")),
     MonoidFamily.SYLV_SHARP: _Theory(
         _rules(["ytxsyx = ytxsxy"]), lambda syms: _last_stretches(syms[::-1]),
         lambda syms: _sorted_stretches(syms[::-1], _sylv_stretches)[::-1],
-        lambda w: _mirror_steps(_sort_steps(w.reverse(), _sylv_stretches, _sylv_swap))),
+        lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap, "xyst",
+                                     mirrored=True)),
     MonoidFamily.BAXT: _Theory(
         _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]),
         lambda syms: (_last_stretches(syms), _last_stretches(syms[::-1])),
         lambda syms: _sorted_stretches(syms, _baxt_stretches),
-        lambda w: list(_sort_steps(w, _baxt_stretches, _baxt_swap))),
+        lambda w, rules: _sort_steps(w, rules, _baxt_stretches, _baxt_swap,
+                                     "xysthk")),
     MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None, None),
     MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None, None),
     MonoidFamily.FREE_MONOGENIC: _Theory(None, Counter, None, None),
 }
 
 
-def derivation_certificate(family: MonoidFamily, ident: Identity) -> list:
+def derivation_certificate(family: MonoidFamily, ident: Identity) -> Derivation:
     """Derivation from lhs to rhs through the shared normal form."""
     if not satisfies(family, ident):
         raise ValueError(f"{family} does not satisfy {ident.text()!r}")
     down = normalize_derivation(family, ident.lhs)
     up = invert_steps(normalize_derivation(family, ident.rhs))
-    return down + up
+    return Derivation(down.rules, ident.lhs, down.apps + up.apps, ident.rhs, down.names)
 
 
 # ---------------------------------------------------------------------------
@@ -610,21 +711,17 @@ def _matches(pattern: tuple, syms: tuple, start: int) -> list:
     return out
 
 
-def _neighbors(word: Word, sigma: Sequence[Identity], max_word_len: int) -> list:
-    """All single rewrites of word, nonempty images, deterministic order."""
-    syms = word.symbols
-    out = []
+def _neighbors(syms: tuple, sigma: Sequence[Identity]) -> Iterator[tuple]:
+    """Every single rewrite of syms with nonempty images, in a fixed order, as
+    (after, (start, end, rule_index, direction, images, target side))."""
     for ri, rule in enumerate(sigma):
         for direction, src, dst in ((LTR, rule.lhs, rule.rhs), (RTL, rule.rhs, rule.lhs)):
             if not src or not set(dst.symbols).issubset(src.symbols):
                 continue
             for start in range(len(syms)):
                 for end, images in _matches(src.symbols, syms, start):
-                    after = syms[:start] + _substitute(images, dst.symbols) + syms[end:]
-                    if len(after) <= max_word_len:
-                        step = _step(syms, after, start, end, ri, direction, images)
-                        out.append((step.after, step))
-    return out
+                    yield (syms[:start] + _substitute(images, dst.symbols) + syms[end:],
+                           (start, end, ri, direction, images, dst.symbols))
 
 
 def derive_search(
@@ -639,29 +736,32 @@ def derive_search(
     Single steps use nonempty variable images only.  Returns the step list,
     [] when u equals v, or None when no derivation exists within the bounds.
     Each call logs one DEBUG record to plactic_lab.derive: the outcome, the
-    depth reached and the words reached from each side.
+    depth reached, the words reached from each side and, when there are any,
+    the rewrites pruned because they are longer than max_word_len.
     """
     if max_steps < 0 or max_word_len < 0:
         raise ValueError(f"max_steps and max_word_len must be >= 0: {max_steps}, {max_word_len}")
     forward, backward = {u: None}, {v: None}
     ffront, bfront = [u], [v]
-    depth = 0
+    depth = pruned = 0
     log = _debug_log("plactic_lab.derive")
 
     def done(steps: Optional[list]) -> Optional[list]:
         if log:
             outcome = ("found" if steps is not None else
                        "step bound reached" if ffront and bfront else "frontier exhausted")
-            log.debug("%s at depth %d; words reached: %d forward, %d backward", outcome,
-                      depth, len(forward), len(backward))
+            log.debug("%s at depth %d; words reached: %d forward, %d backward%s", outcome,
+                      depth, len(forward), len(backward),
+                      f"; {pruned} rewrites longer than max_word_len pruned" if pruned else "")
         return steps
 
     def trail(tree: dict, node: Word) -> list:
         """The steps of tree from its root to node."""
         steps = []
         while tree[node] is not None:
-            node, step = tree[node]
-            steps.append(step)
+            parent, app = tree[node]
+            steps.append(_step(parent.symbols, *app))
+            node = parent
         return steps[::-1]
 
     if u == v:
@@ -674,10 +774,14 @@ def derive_search(
             front, seen, other = bfront, backward, forward
         new = []
         for word in front:
-            for nw, step in _neighbors(word, sigma, max_word_len):
+            for after, app in _neighbors(word.symbols, sigma):
+                if len(after) > max_word_len:
+                    pruned += 1
+                    continue
+                nw = Word._make(after)
                 if nw in seen:
                     continue
-                seen[nw] = (word, step)
+                seen[nw] = (word, app)
                 new.append(nw)
                 if nw in other:
                     return done(trail(forward, nw) + invert_steps(trail(backward, nw)))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import pickle
 import random
 from dataclasses import replace
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plactic_lab import (
+    Derivation,
+    DerivationError,
     DerivationStep,
     Identity,
     MonoidFamily,
@@ -416,3 +419,118 @@ def test_mirrored_steps_use_sharp_basis_instances():
     assert verify_derivation(basis(F.SYLV_SHARP), steps)
     for step in steps:
         assert step.rule_index == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_words)
+def test_a_derivation_is_the_sequence_of_its_steps(w):
+    # each family's derivation to the normal form and, for a variable word, the
+    # certificate from its normal form back to it
+    for fam in INSERTION:
+        derivations = [normalize_derivation(fam, w)]
+        if w.kind == "variable":
+            derivations.append(derivation_certificate(fam, Identity(normal_form(fam, w), w)))
+        for d in derivations:
+            assert type(d) is Derivation
+            steps = list(d)
+            assert verify_derivation(basis(fam), d) and verify_derivation(basis(fam), steps)
+            assert steps == [d[i] for i in range(len(d))] == d
+            assert bool(d) == bool(steps)
+            if d:
+                assert (d[0].before, d[-1].after) == (d.start, d.end)
+            assert pickle.loads(pickle.dumps(d)) == d
+        down = derivations[0]
+        if down:
+            assert down[0].before == w and down[-1].after == normal_form(fam, w)
+
+
+def test_a_derivation_supports_the_list_operations():
+    d = normalize_derivation(F.SYLV, Word.variables("yxzxyzx"))
+    steps = list(d)
+    assert len(d) == len(steps) == 4
+    assert d[-1] == steps[-1] and d[-4] == steps[0]
+    assert d[1:3] == steps[1:3] and d[::-1] == steps[::-1]
+    for total in (d + d, d + steps, steps + d):
+        assert type(total) is list and total == steps + steps
+    assert d != steps[:-1] and d != steps[::-1] and d != tuple(steps) and d != "steps"
+    assert d == Derivation(d.rules, d.start, d.apps, d.end, d.names)
+    assert invert_steps(d) == invert_steps(steps)
+    assert repr(d) == "Derivation('yxzxyzx' => 'zxxyyzx', steps=4)"
+    with pytest.raises(IndexError):
+        d[4]
+    with pytest.raises(IndexError):
+        d[-5]
+    # the lengths follow the names, and the images come out in their order
+    plain = Derivation(d.rules, d.start, [(s, ri, di, (k[2], k[3], k[0], k[1]))
+                                           for s, ri, di, k in d.apps], d.end, ["stxy"])
+    assert plain == d and [list(st.endo) for st in plain] == [["s", "t", "x", "y"]] * 4
+
+
+def test_verify_rejects_tampered_applications():
+    sigma = basis(F.BAXT)
+    d = normalize_derivation(F.BAXT, Word.variables("xyyxyxxy"))
+    assert len(d) == 3 and verify_derivation(sigma, d)
+    start, ri, direction, lengths = d.apps[1]
+    assert ri == 1
+    flipped = "ltr" if direction == "rtl" else "rtl"
+    bad_apps = [
+        (-1, ri, direction, lengths), (len(d.start) + 1, ri, direction, lengths),
+        (start + 1, ri, direction, lengths),  # a window that does not spell the rule's side
+        (start, ri, direction, lengths[:-1]), (start, ri, direction, lengths + (0,)),
+        (start, ri, direction, lengths[:2] + (-1,) + lengths[3:]),
+        (start, ri, direction, list(lengths)), (start, ri, direction, (1.0,) + lengths[1:]),
+        (start, True, direction, lengths), (start, 2, direction, lengths),
+        (start, ri, "down", lengths), (start, ri, flipped, lengths),
+        (start, 0, direction, lengths),
+    ]
+    for app in bad_apps:
+        apps = [d.apps[0], app, d.apps[2]]
+        tampered = Derivation(d.rules, d.start, apps, d.end, d.names)
+        assert not verify_derivation(sigma, tampered), app
+        with pytest.raises(DerivationError):
+            list(tampered)
+    # the replay must reach the recorded end word
+    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.start, d.names))
+    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps[:2], d.end, d.names))
+    # its rules must be sigma, and its names a reordering of each rule's variables
+    assert not verify_derivation(sigma[::-1], d) and not verify_derivation(basis(F.SYLV), d)
+    # a renamed rule spells the same rewrite, but the steps name the derivation's own rule
+    stal = normalize_derivation(F.STAL, Word.variables("xyx"))
+    renamed = [Identity.parse("yxy = xyy")]
+    assert verify_derivation(basis(F.STAL), stal)
+    assert not verify_derivation(renamed, stal) and not verify_derivation(renamed, list(stal))
+    for names in (("xysthk", "xystkk"), ("xysthk",), ("xystk", "xystk")):
+        assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.end, names))
+    plain = [rule.variables() for rule in d.rules]
+    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.end, plain))
+    assert not verify_derivation(sigma, d, require_nonempty_images=True)  # s and t are empty
+
+
+def test_a_400_letter_certificate_builds_and_verifies_in_little_memory(peak_bytes):
+    # each step is one O(1) application, replayed on one list; at the parent
+    # design of six words per step this certificate peaked at about 366 MB
+    rng = random.Random(1)
+    w = Word.variables([rng.choice("abcdefgh") for _ in range(400)])
+
+    def build_and_verify():
+        d = normalize_derivation(F.SYLV_SHARP, w)
+        return len(d), verify_derivation(basis(F.SYLV_SHARP), d)
+
+    (steps, ok), peak = peak_bytes(build_and_verify)
+    assert (steps, ok) == (34350, True)
+    assert peak <= 20_000_000
+
+
+def test_derive_record_counts_the_rewrites_the_length_bound_prunes(caplog):
+    sigma, x, xxxx = [Identity.parse("x = xx")], Word.variables("x"), Word.variables("xxxx")
+    derive_search(sigma, x, xxxx, max_steps=10, max_word_len=3)
+    assert not caplog.records  # off by default
+    with caplog.at_level(logging.DEBUG, logger="plactic_lab.derive"):
+        derive_search(sigma, x, xxxx, max_steps=10, max_word_len=3)
+        derive_search(sigma, x, xxxx, max_steps=10, max_word_len=4)
+    # the rewrite xx -> xxxx is pruned, and so are the six of xxx, all longer than 3
+    assert [r.getMessage() for r in caplog.records if r.name == "plactic_lab.derive"] == [
+        "frontier exhausted at depth 3; words reached: 3 forward, 1 backward; "
+        "7 rewrites longer than max_word_len pruned",
+        "found at depth 2; words reached: 4 forward, 1 backward",
+    ]
