@@ -391,29 +391,34 @@ class Derivation:
 
     An application (start, rule_index, direction, lengths) rewrites the factor
     at start by rules[rule_index] read in direction; lengths are those of the
-    images of names[rule_index], the rule's variables in some order, which are
-    read off the word.  end is the last word.  len replays nothing and [i] the
-    first i + 1 applications; iterating replays them on one list, one step at a time.
+    images of the rule's variables in sorted order, which are read off the word.
+    end is the last word.  len replays nothing, [i] the first i + 1 applications
+    and [-i] the last i, backwards from end, so iterate rather than index; an
+    iteration replays them all on one list, one step at a time.
     """
 
-    __slots__ = ("rules", "start", "apps", "end", "names")
+    __slots__ = ("rules", "start", "apps", "end")
 
-    def __init__(self, rules: Sequence[Identity], start: Word, apps: Iterable, end: Word,
-                 names: Sequence[Sequence[str]]):
+    def __init__(self, rules: Sequence[Identity], start: Word, apps: Iterable, end: Word):
         self.rules, self.start, self.apps, self.end = tuple(rules), start, tuple(apps), end
-        self.names = tuple(names)
 
     def __len__(self) -> int:
         return len(self.apps)
 
     def __iter__(self) -> Iterator[DerivationStep]:
-        return map(_replayed_step, _replay(self.rules, self))
+        for item in _replay(self.rules, self):
+            if not item:
+                raise DerivationError("the applications do not replay from start to end")
+            yield _step(*item)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
-        skip = range(len(self.apps))[index]  # IndexError when out of range
-        return _replayed_step(next(itertools.islice(_replay(self.rules, self), skip, None), False))
+        at = range(len(self.apps))[index]  # IndexError when out of range
+        if index >= 0 or any(set(r.lhs.symbols) != set(r.rhs.symbols) for r in self.rules):
+            return next(itertools.islice(self, at, None))
+        back = invert_steps(Derivation(self.rules, self.start, self.apps[at:], self.end))
+        return invert_steps([next(itertools.islice(back, -1 - index, None))])[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, Derivation)):
@@ -431,71 +436,64 @@ class Derivation:
 
 
 def _replay(sigma: Sequence[Identity], steps, require_nonempty_images: bool = False):
-    """Replay a derivation on one list, rebuilding each rule application from sigma.
-
-    Yields (word, start, stop, rule_index, direction, images, target side) before
-    each rewrite of word[start:stop]; at the first failed check it yields False
-    and stops.  A Derivation must have sigma as its rules and a reordering of each
-    rule's variables as its names, its images are read off the word and its
-    replay must reach its end; a step's images come from its endo, and its words
-    must match the replay.
-    """
-    compact, layouts = type(steps) is Derivation, {LTR: {}, RTL: {}}
-    word = list(steps.start.symbols) if compact else None
+    """Replay a Derivation or a list of steps on one list, rebuilding each rule
+    application from sigma.  Yields (word, start, stop, rule_index, direction,
+    images, target side) before each rewrite of word[start:stop], and False, then
+    stops, at the first failed check.  A Derivation's images are read off the word;
+    it must have sigma as its rules and reach its end.  A step's images are its
+    endo's, of one kind, and its words must match the replay."""
+    compact, layouts = type(steps) is Derivation, {}
+    word = ([*steps.start.symbols] if compact and steps.rules == tuple(sigma)
+            and type(steps.start) is Word is type(steps.end) else None)
     for item in steps.apps if compact else steps:
-        if compact:
-            start, ri, direction, lengths = item
-        elif not isinstance(item.endo, dict) or any(type(w) is not Word for w in (
+        if compact and word is not None and type(item) is tuple and len(item) == 4:
+            (start, ri, direction, lengths), step = item, None
+        elif compact or not isinstance(item.endo, dict) or any(type(w) is not Word for w in (
                 item.before, item.after, item.prefix, item.suffix, *item.endo.values())):
             break
         else:
-            word = list(item.before.symbols) if word is None else word
-            start, ri, direction = len(item.prefix), item.rule_index, item.direction
+            start, ri, direction, step = len(item.prefix), item.rule_index, item.direction, item
+            word = [*item.before.symbols] if word is None else word
         # an exact int: True would pick rule 1
-        if type(ri) is not int or not 0 <= ri < len(sigma) or direction not in (LTR, RTL):
+        if (type(ri) is not int or not 0 <= ri < len(sigma) or direction not in (LTR, RTL)
+                or type(start) is not int or start < 0):
             break
-        layout = layouts[direction].get(ri)
-        if layout is None:
+        if (ri, direction) not in layouts:
             rule = sigma[ri]
-            names = steps.names[ri] if compact and ri < len(steps.names) else rule.variables()
-            if compact and (steps.rules != tuple(sigma) or sorted(names) != [*rule.variables()]):
-                names = ()  # no application passes the length check below
             src, dst = (rule.lhs, rule.rhs) if direction == LTR else (rule.rhs, rule.lhs)
-            at = {name: k for k, name in enumerate(names)}
-            layout = layouts[direction][ri] = (names, src.symbols, dst.symbols,
-                                               [at.get(n) for n in src], dict.fromkeys(names))
-        names, src, dst, reads, known = layout  # a Derivation's images are all unknown
-        if not compact:
-            if (not item.endo.keys() >= set(names) or item.before.symbols != tuple(word)
-                    or len({item.endo[name].kind for name in names} - {None}) > 1):  # both kinds
+            names = rule.variables()  # a Derivation's lengths follow this order
+            layouts[ri, direction] = (src.symbols, dst.symbols, [*map(names.index, src)],
+                                      dict.fromkeys(names))
+        src, dst, reads, known = layouts[ri, direction]  # each name maps to None: no image yet
+        if step is not None:
+            if (not step.endo.keys() >= known.keys() or step.before.symbols != tuple(word)
+                    or len({step.endo[name].kind for name in known} - {None}) > 1):  # both kinds
                 break
-            known = {name: [*item.endo[name].symbols] for name in names}
-            lengths = [len(img) for img in known.values()]
-        elif (not names or type(start) is not int or start < 0 or type(lengths) is not tuple
-              or len(lengths) != len(names)):
-            break
+            known = {name: [*step.endo[name].symbols] for name in known}
+            lengths = tuple(map(len, known.values()))
         stop, images = _read_images(word, start, src, reads, lengths, known)
-        if stop > len(word) or require_nonempty_images and not all(lengths):
+        if stop > len(word) or require_nonempty_images and not all(images.values()):
             break
         yield word, start, stop, ri, direction, images, dst
         target = _substitute(images, dst)
         word[start:stop] = target
-        if not compact and (item.after.symbols, item.prefix.symbols, item.suffix.symbols) != (
+        if step is not None and (step.after.symbols, step.prefix.symbols, step.suffix.symbols) != (
                 tuple(word), tuple(word[:start]), tuple(word[start + len(target):])):
             break
     else:
-        if not compact or tuple(word) == steps.end.symbols:
+        if not compact or word is not None and tuple(word) == steps.end.symbols:
             return
     yield False
 
 
 def _read_images(word: list, pos: int, side: tuple, reads: list, lengths, known: dict) -> tuple:
-    """Where side's factor from pos ends, and its images in known's order: each one
-    not known (None) is read off word where its variable first occurs, lengths[reads[i]]
-    symbols for side[i], and each is compared wherever else its variable occurs.
-    The end lies past word's end at a failure.  A function of its own, since
-    tracemalloc's cost per allocation grows with the length of the allocating function."""
+    """Where side's factor from pos ends (past word's end at a failure), and the images
+    of known's names: one not known (None) is read off word where side first uses it,
+    lengths[reads[i]] symbols for side[i], and each later occurrence must spell it.
+    Kept out of _replay: tracemalloc's cost per allocation grows with function length."""
     images = dict(known)
+    if type(lengths) is not tuple or len(lengths) != len(images):
+        return len(word) + 1, images
     for name, k in zip(side, reads):
         size, seen = lengths[k], images[name]
         piece = word[pos : pos + size] if type(size) is int and size >= 0 else None
@@ -504,13 +502,6 @@ def _read_images(word: list, pos: int, side: tuple, reads: list, lengths, known:
         images[name] = piece
         pos += size
     return len(word) + 1 if None in images.values() else pos, images
-
-
-def _replayed_step(item) -> DerivationStep:
-    """The step of an item that _replay yields; DerivationError for its False."""
-    if not item:
-        raise DerivationError("the applications do not replay from the start word to the end")
-    return _step(*item)
 
 
 def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep],
@@ -524,7 +515,7 @@ def invert_steps(steps: Sequence[DerivationStep]) -> Derivation | list:
     if type(steps) is Derivation:
         flipped = [(start, ri, RTL if d == LTR else LTR, lengths)
                    for start, ri, d, lengths in reversed(steps.apps)]
-        return Derivation(steps.rules, steps.end, flipped, steps.start, steps.names)
+        return Derivation(steps.rules, steps.end, flipped, steps.start)
     return [DerivationStep(before=st.after, after=st.before, rule_index=st.rule_index,
                            direction=RTL if st.direction == LTR else LTR,
                            prefix=st.prefix, suffix=st.suffix, endo=st.endo)
@@ -551,7 +542,7 @@ def _gather_steps(w: Word, rules: tuple) -> Derivation:
                     apps.append((i, 0, LTR, (1, start - i - 1)))
                 start -= 1
         boundary = start
-    return Derivation(rules, w, apps, Word._make(tuple(syms)), ["xy"])
+    return Derivation(rules, w, apps, Word._make(tuple(syms)))
 
 
 def _step(before: Sequence, start: int, stop: int, rule_index: int, direction: str,
@@ -565,13 +556,13 @@ def _step(before: Sequence, start: int, stop: int, rule_index: int, direction: s
                           endo={name: make(tuple(img)) for name, img in images.items()})
 
 
-def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable, names: tuple,
+def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable,
                 mirrored: bool = False) -> Derivation:
     """Bubble sort the stretches of w (see _sorted_stretches), one application per swap.
 
     swap(syms, p, first, last) is the application (start, stop, rule_index,
-    direction, lengths of the images of names) that swaps syms[p] and syms[p + 1];
-    it reads only the first and last occurrences that are bounds, which stay put.
+    direction, lengths) that swaps syms[p] and syms[p + 1]; it reads only the
+    first and last occurrences that are bounds, which stay put.
     mirrored sorts w reversed and mirrors each start to n - stop: the xysxty rules
     of sylv become the ytxsyx rules of sylvsharp.
     """
@@ -596,8 +587,7 @@ def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable, name
     end = tuple(syms)
     if end != _sorted_stretches(given, stretches):
         raise DerivationError("sorting one swap at a time did not land on the normal form")
-    return Derivation(rules, w, apps, Word._make(end[::-1] if mirrored else end),
-                      [names] * len(rules))
+    return Derivation(rules, w, apps, Word._make(end[::-1] if mirrored else end))
 
 
 def _sylv_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
@@ -605,12 +595,12 @@ def _sylv_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
 
     Both letters occur again later; the one whose final occurrence comes
     first anchors x, the other y, which decides the rule direction.
-    The images of x, y, s, t are ex, ey, syms[p+2:q] and syms[q+1:r].
+    The images of s, t, x, y are syms[p+2:q], syms[q+1:r], ex and ey.
     """
     a, b = syms[p], syms[p + 1]
     ex, ey = (a, b) if last[a] < last[b] else (b, a)
     q, r = last[ex], last[ey]
-    return p, r + 1, 0, LTR if ex == a else RTL, (1, 1, q - p - 2, r - q - 1)
+    return p, r + 1, 0, LTR if ex == a else RTL, (q - p - 2, r - q - 1, 1, 1)
 
 
 def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
@@ -618,8 +608,8 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
 
     The rule and direction are picked so that the four anchor occurrences
     (both letters before the pair and after it) appear in the rule's order.
-    The images of x, y, s, t, h, k are ex, ey, syms[i1+1:i2], syms[i2+1:p],
-    syms[p+2:j1] and syms[j1+1:j2].
+    The images of h, k, s, t, x, y are syms[p+2:j1], syms[j1+1:j2], syms[i1+1:i2],
+    syms[i2+1:p], ex and ey.
     """
     a, b = syms[p], syms[p + 1]
     ex, ey = (a, b) if last[a] < last[b] else (b, a)
@@ -627,7 +617,7 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
     i1, i2 = sorted((first[a], first[b]))
     j1, j2 = last[ex], last[ey]
     return (i1, j2 + 1, ri, LTR if ex == a else RTL,
-            (1, 1, i2 - i1 - 1, p - i2 - 1, j1 - p - 2, j2 - j1 - 1))
+            (j1 - p - 2, j2 - j1 - 1, i2 - i1 - 1, p - i2 - 1, 1, 1))
 
 
 def normalize_derivation(family: MonoidFamily, w: Word) -> Derivation:
@@ -652,19 +642,16 @@ _THEORIES = {
     MonoidFamily.TAIG: _GATHER,
     MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), _last_stretches,
                                lambda syms: _sorted_stretches(syms, _sylv_stretches),
-                               lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap,
-                                                                "xyst")),
+                               lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap)),
     MonoidFamily.SYLV_SHARP: _Theory(
         _rules(["ytxsyx = ytxsxy"]), lambda syms: _last_stretches(syms[::-1]),
         lambda syms: _sorted_stretches(syms[::-1], _sylv_stretches)[::-1],
-        lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap, "xyst",
-                                     mirrored=True)),
+        lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap, mirrored=True)),
     MonoidFamily.BAXT: _Theory(
         _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]),
         lambda syms: (_last_stretches(syms), _last_stretches(syms[::-1])),
         lambda syms: _sorted_stretches(syms, _baxt_stretches),
-        lambda w, rules: _sort_steps(w, rules, _baxt_stretches, _baxt_swap,
-                                     "xysthk")),
+        lambda w, rules: _sort_steps(w, rules, _baxt_stretches, _baxt_swap)),
     MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None, None),
     MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None, None),
     MonoidFamily.FREE_MONOGENIC: _Theory(None, Counter, None, None),
@@ -677,7 +664,7 @@ def derivation_certificate(family: MonoidFamily, ident: Identity) -> Derivation:
         raise ValueError(f"{family} does not satisfy {ident.text()!r}")
     down = normalize_derivation(family, ident.lhs)
     up = invert_steps(normalize_derivation(family, ident.rhs))
-    return Derivation(down.rules, ident.lhs, down.apps + up.apps, ident.rhs, down.names)
+    return Derivation(down.rules, ident.lhs, down.apps + up.apps, ident.rhs)
 
 
 # ---------------------------------------------------------------------------

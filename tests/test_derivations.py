@@ -434,7 +434,8 @@ def test_a_derivation_is_the_sequence_of_its_steps(w):
             assert type(d) is Derivation
             steps = list(d)
             assert verify_derivation(basis(fam), d) and verify_derivation(basis(fam), steps)
-            assert steps == [d[i] for i in range(len(d))] == d
+            assert steps == [d[i] for i in range(len(d))] == [d[i - len(d)] for i in range(len(d))]
+            assert steps == d
             assert bool(d) == bool(steps)
             if d:
                 assert (d[0].before, d[-1].after) == (d.start, d.end)
@@ -453,17 +454,19 @@ def test_a_derivation_supports_the_list_operations():
     for total in (d + d, d + steps, steps + d):
         assert type(total) is list and total == steps + steps
     assert d != steps[:-1] and d != steps[::-1] and d != tuple(steps) and d != "steps"
-    assert d == Derivation(d.rules, d.start, d.apps, d.end, d.names)
+    assert d == Derivation(d.rules, d.start, d.apps, d.end)
     assert invert_steps(d) == invert_steps(steps)
     assert repr(d) == "Derivation('yxzxyzx' => 'zxxyyzx', steps=4)"
     with pytest.raises(IndexError):
         d[4]
     with pytest.raises(IndexError):
         d[-5]
-    # the lengths follow the names, and the images come out in their order
-    plain = Derivation(d.rules, d.start, [(s, ri, di, (k[2], k[3], k[0], k[1]))
-                                           for s, ri, di, k in d.apps], d.end, ["stxy"])
-    assert plain == d and [list(st.endo) for st in plain] == [["s", "t", "x", "y"]] * 4
+    # a rule whose target side drops a variable cannot be read backwards from the end
+    erase = [Identity.parse("xy = x")]
+    a, ab = Word.variables("a"), Word.variables("ab")
+    d = Derivation(erase, ab, [(0, 0, "ltr", (1, 1))], a)
+    assert verify_derivation(erase, d)
+    assert d[-1] == d[0] == DerivationStep(ab, a, 0, "ltr", a[:0], a[:0], {"x": a, "y": ab[1:]})
 
 
 def test_verify_rejects_tampered_applications():
@@ -482,27 +485,26 @@ def test_verify_rejects_tampered_applications():
         (start, True, direction, lengths), (start, 2, direction, lengths),
         (start, ri, "down", lengths), (start, ri, flipped, lengths),
         (start, 0, direction, lengths),
+        (start, ri, direction), (start, ri, direction, lengths, 0), [start, ri, direction, lengths],
     ]
     for app in bad_apps:
         apps = [d.apps[0], app, d.apps[2]]
-        tampered = Derivation(d.rules, d.start, apps, d.end, d.names)
+        tampered = Derivation(d.rules, d.start, apps, d.end)
         assert not verify_derivation(sigma, tampered), app
         with pytest.raises(DerivationError):
             list(tampered)
     # the replay must reach the recorded end word
-    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.start, d.names))
-    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps[:2], d.end, d.names))
-    # its rules must be sigma, and its names a reordering of each rule's variables
+    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.start))
+    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps[:2], d.end))
+    # its start and end must be words, and its rules sigma
+    assert not verify_derivation(sigma, Derivation(d.rules, d.start.symbols, d.apps, d.end))
+    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.end.text()))
     assert not verify_derivation(sigma[::-1], d) and not verify_derivation(basis(F.SYLV), d)
     # a renamed rule spells the same rewrite, but the steps name the derivation's own rule
     stal = normalize_derivation(F.STAL, Word.variables("xyx"))
     renamed = [Identity.parse("yxy = xyy")]
     assert verify_derivation(basis(F.STAL), stal)
     assert not verify_derivation(renamed, stal) and not verify_derivation(renamed, list(stal))
-    for names in (("xysthk", "xystkk"), ("xysthk",), ("xystk", "xystk")):
-        assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.end, names))
-    plain = [rule.variables() for rule in d.rules]
-    assert not verify_derivation(sigma, Derivation(d.rules, d.start, d.apps, d.end, plain))
     assert not verify_derivation(sigma, d, require_nonempty_images=True)  # s and t are empty
 
 
