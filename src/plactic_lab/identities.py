@@ -21,10 +21,10 @@ normal_form sorts each stretch in O(n log n), and the derivation performs the
 same sort one adjacent swap, one basis rule application, at a time.  sylvsharp
 is the mirror image of sylv.
 
-A Derivation holds its start word and one rule application per step, each
-O(1): where, which rule, which way and the lengths of the images, which are
-read off the word when it is replayed.  An image may be empty, substituting
-the unit element; this makes short consequences of long rules reachable, e.g.
+A Derivation holds its start word and one rule application per step: where,
+which rule, which way and the images, given or, in O(1), as lengths read off
+the word when it is replayed.  An image may be empty, substituting the unit
+element; this makes short consequences of long rules reachable, e.g.
 xyxy = yxxy from xysxty = yxsxty.  verify_derivation can reject empty images
 (the semigroup notion), and derive_search explores nonempty images only.
 """
@@ -35,7 +35,7 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .monoids import (
@@ -128,7 +128,7 @@ def load_identity_system(path) -> list:
 
 
 def _rules(text_pairs) -> tuple:
-    return tuple(Identity.parse(t) for t in text_pairs)
+    return tuple(map(Identity.parse, text_pairs))
 
 
 def _theory(family: MonoidFamily, part: str):
@@ -165,7 +165,7 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
 
 def _gathered(syms: tuple) -> tuple:
     """The gathered form: the copies of each symbol together, symbols in fp order."""
-    return tuple(sorted(syms, key={s: k for k, s in enumerate(_fp(syms))}.__getitem__))
+    return tuple(sorted(syms, key=dict(zip(_fp(syms), itertools.count())).__getitem__))
 
 
 def _sylv_stretches(syms: tuple) -> tuple:
@@ -175,7 +175,7 @@ def _sylv_stretches(syms: tuple) -> tuple:
     last occurrence ends it sorts after the rest; the others sort in fp order.
     """
     _, last = _first_last_positions(syms)
-    fpidx = {s: k for k, s in enumerate(_fp(syms))}
+    fpidx = dict(zip(_fp(syms), itertools.count()))
 
     def rank_at(pos):
         xk = syms[pos]
@@ -189,7 +189,7 @@ def _baxt_stretches(syms: tuple) -> tuple:
 
     The bounds are the first and last occurrences; every stretch sorts in ip order.
     """
-    ipidx = {s: k for k, s in enumerate(_ip(syms))}
+    ipidx = dict(zip(_ip(syms), itertools.count()))
     return sorted(_mix_positions(syms)), lambda pos: ipidx.__getitem__
 
 
@@ -391,10 +391,10 @@ class Derivation:
 
     An application (start, rule_index, direction, lengths) rewrites the factor
     at start by rules[rule_index] read in direction; lengths are those of the
-    images of the rule's variables in sorted order, which are read off the word.
-    end is the last word.  len replays nothing, [i] the first i + 1 applications
-    and [-i] the last i, backwards from end, so iterate rather than index; an
-    iteration replays them all on one list, one step at a time.
+    images of the rule's variables in sorted order, read off the word, or a dict
+    of the images as Words.  end is the last word.  len replays nothing, [i] the
+    first i + 1 applications and [-i] the last i, backwards from end, so iterate
+    rather than index; an iteration replays them all on one list, one at a time.
     """
 
     __slots__ = ("rules", "start", "apps", "end")
@@ -406,10 +406,16 @@ class Derivation:
         return len(self.apps)
 
     def __iter__(self) -> Iterator[DerivationStep]:
+        make = Word._make
         for item in _replay(self.rules, self):
             if not item:
                 raise DerivationError("the applications do not replay from start to end")
-            yield _step(*item)
+            word, start, stop, rule_index, direction, images, target_side = item
+            before = tuple(word)  # the rewrite of before[start:stop] runs after the yield
+            after = before[:start] + _substitute(images, target_side) + before[stop:]
+            yield DerivationStep(make(before), make(after), rule_index, direction,
+                                 make(before[:start]), make(before[stop:]),
+                                 {name: make(tuple(img)) for name, img in images.items()})
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -435,25 +441,18 @@ class Derivation:
         return f"Derivation({self.start.text()!r} => {self.end.text()!r}, steps={len(self)})"
 
 
-def _replay(sigma: Sequence[Identity], steps, require_nonempty_images: bool = False):
-    """Replay a Derivation or a list of steps on one list, rebuilding each rule
-    application from sigma.  Yields (word, start, stop, rule_index, direction,
-    images, target side) before each rewrite of word[start:stop], and False, then
-    stops, at the first failed check.  A Derivation's images are read off the word;
-    it must have sigma as its rules and reach its end.  A step's images are its
-    endo's, of one kind, and its words must match the replay."""
-    compact, layouts = type(steps) is Derivation, {}
-    word = ([*steps.start.symbols] if compact and steps.rules == tuple(sigma)
-            and type(steps.start) is Word is type(steps.end) else None)
-    for item in steps.apps if compact else steps:
-        if compact and word is not None and type(item) is tuple and len(item) == 4:
-            (start, ri, direction, lengths), step = item, None
-        elif compact or not isinstance(item.endo, dict) or any(type(w) is not Word for w in (
-                item.before, item.after, item.prefix, item.suffix, *item.endo.values())):
+def _replay(sigma: Sequence[Identity], d: Derivation, require_nonempty_images: bool = False):
+    """Replay d on one list, rebuilding each rule application from sigma.  Yields
+    (word, start, stop, rule_index, direction, images, target side) before each
+    rewrite of word[start:stop], and False, then stops, at the first failed check.
+    d must have sigma as its rules and Words as its start and end, and reach its
+    end.  Given images are Words of one kind, one per variable of the rule."""
+    layouts, fits = {}, d.rules == tuple(sigma) and type(d.start) is Word is type(d.end)
+    word = [*d.start.symbols] if fits else None
+    for app in d.apps if fits else ():
+        if type(app) is not tuple or len(app) != 4:
             break
-        else:
-            start, ri, direction, step = len(item.prefix), item.rule_index, item.direction, item
-            word = [*item.before.symbols] if word is None else word
+        start, ri, direction, lengths = app
         # an exact int: True would pick rule 1
         if (type(ri) is not int or not 0 <= ri < len(sigma) or direction not in (LTR, RTL)
                 or type(start) is not int or start < 0):
@@ -461,27 +460,23 @@ def _replay(sigma: Sequence[Identity], steps, require_nonempty_images: bool = Fa
         if (ri, direction) not in layouts:
             rule = sigma[ri]
             src, dst = (rule.lhs, rule.rhs) if direction == LTR else (rule.rhs, rule.lhs)
-            names = rule.variables()  # a Derivation's lengths follow this order
+            names = rule.variables()  # lengths follow this order
             layouts[ri, direction] = (src.symbols, dst.symbols, [*map(names.index, src)],
                                       dict.fromkeys(names))
         src, dst, reads, known = layouts[ri, direction]  # each name maps to None: no image yet
-        if step is not None:
-            if (not step.endo.keys() >= known.keys() or step.before.symbols != tuple(word)
-                    or len({step.endo[name].kind for name in known} - {None}) > 1):  # both kinds
+        if isinstance(lengths, dict):  # the images themselves; extra names are ignored
+            if (set(map(type, lengths.values())) - {Word} or known.keys() - lengths.keys()
+                    or len({lengths[name].kind for name in known} - {None}) > 1):  # both kinds
                 break
-            known = {name: [*step.endo[name].symbols] for name in known}
+            known = {name: [*lengths[name].symbols] for name in known}
             lengths = tuple(map(len, known.values()))
         stop, images = _read_images(word, start, src, reads, lengths, known)
         if stop > len(word) or require_nonempty_images and not all(images.values()):
             break
         yield word, start, stop, ri, direction, images, dst
-        target = _substitute(images, dst)
-        word[start:stop] = target
-        if step is not None and (step.after.symbols, step.prefix.symbols, step.suffix.symbols) != (
-                tuple(word), tuple(word[:start]), tuple(word[start + len(target):])):
-            break
+        word[start:stop] = _substitute(images, dst)
     else:
-        if not compact or word is not None and tuple(word) == steps.end.symbols:
+        if fits and tuple(word) == d.end.symbols:
             return
     yield False
 
@@ -506,20 +501,32 @@ def _read_images(word: list, pos: int, side: tuple, reads: list, lengths, known:
 
 def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep],
                       require_nonempty_images: bool = False) -> bool:
-    """Replay a Derivation or a list of steps, rebuilding each rule application."""
-    return all(_replay(sigma, steps, require_nonempty_images))
+    """Replay a Derivation, rebuilding each rule application from sigma.  A list
+    of DerivationSteps is replayed as the Derivation of its own images, each endo
+    applied at len(prefix); its words must be Words equal to the replayed steps'."""
+    if type(steps) is Derivation:
+        return all(_replay(sigma, steps, require_nonempty_images))
+    steps = list(steps)
+    if not steps:
+        return True
+    if not all(isinstance(st, DerivationStep) and isinstance(st.endo, dict) and type(st.before)
+               is type(st.after) is Word is type(st.prefix) is type(st.suffix) for st in steps):
+        return False
+    d = Derivation(sigma, steps[0].before, [(len(st.prefix), st.rule_index, st.direction, st.endo)
+                                            for st in steps], steps[-1].after)
+    return all(_replay(sigma, d, require_nonempty_images)) and all(
+        replayed == replace(st, endo=replayed.endo) for replayed, st in zip(d, steps))
 
 
 def invert_steps(steps: Sequence[DerivationStep]) -> Derivation | list:
-    """Run a derivation backwards: reverse the order and flip each step."""
+    """Run a derivation backwards: reverse the order and flip each step.  An
+    application that is no 4-tuple stays as it is, for the replay to refuse."""
     if type(steps) is Derivation:
-        flipped = [(start, ri, RTL if d == LTR else LTR, lengths)
-                   for start, ri, d, lengths in reversed(steps.apps)]
+        flipped = [(*app[:2], RTL if app[2] == LTR else LTR, app[3])
+                   if type(app) is tuple and len(app) == 4 else app for app in reversed(steps.apps)]
         return Derivation(steps.rules, steps.end, flipped, steps.start)
-    return [DerivationStep(before=st.after, after=st.before, rule_index=st.rule_index,
-                           direction=RTL if st.direction == LTR else LTR,
-                           prefix=st.prefix, suffix=st.suffix, endo=st.endo)
-            for st in reversed(steps)]
+    return [replace(st, before=st.after, after=st.before,
+                    direction=RTL if st.direction == LTR else LTR) for st in reversed(steps)]
 
 
 def _gather_steps(w: Word, rules: tuple) -> Derivation:
@@ -543,17 +550,6 @@ def _gather_steps(w: Word, rules: tuple) -> Derivation:
                 start -= 1
         boundary = start
     return Derivation(rules, w, apps, Word._make(tuple(syms)))
-
-
-def _step(before: Sequence, start: int, stop: int, rule_index: int, direction: str,
-          images: dict, target_side: tuple) -> DerivationStep:
-    """The step rewriting before[start:stop] into target_side under images, runs of before."""
-    make, before = Word._make, tuple(before)
-    after = before[:start] + _substitute(images, target_side) + before[stop:]
-    return DerivationStep(before=make(before), after=make(after),
-                          rule_index=rule_index, direction=direction,
-                          prefix=make(before[:start]), suffix=make(before[stop:]),
-                          endo={name: make(tuple(img)) for name, img in images.items()})
 
 
 def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable,
@@ -700,7 +696,7 @@ def _matches(pattern: tuple, syms: tuple, start: int) -> list:
 
 def _neighbors(syms: tuple, sigma: Sequence[Identity]) -> Iterator[tuple]:
     """Every single rewrite of syms with nonempty images, in a fixed order, as
-    (after, (start, end, rule_index, direction, images, target side))."""
+    (after, (start, rule_index, direction, images)), each image a tuple."""
     for ri, rule in enumerate(sigma):
         for direction, src, dst in ((LTR, rule.lhs, rule.rhs), (RTL, rule.rhs, rule.lhs)):
             if not src or not set(dst.symbols).issubset(src.symbols):
@@ -708,20 +704,16 @@ def _neighbors(syms: tuple, sigma: Sequence[Identity]) -> Iterator[tuple]:
             for start in range(len(syms)):
                 for end, images in _matches(src.symbols, syms, start):
                     yield (syms[:start] + _substitute(images, dst.symbols) + syms[end:],
-                           (start, end, ri, direction, images, dst.symbols))
+                           (start, ri, direction, images))
 
 
-def derive_search(
-    sigma: Sequence[Identity],
-    u: Word,
-    v: Word,
-    max_steps: int = 8,
-    max_word_len: int = 16,
-) -> Optional[list]:
+def derive_search(sigma: Sequence[Identity], u: Word, v: Word, max_steps: int = 8,
+                  max_word_len: int = 16) -> Optional[Derivation]:
     """Bidirectional breadth-first search for a derivation u -> v over sigma.
 
-    Single steps use nonempty variable images only.  Returns the step list,
-    [] when u equals v, or None when no derivation exists within the bounds.
+    Single steps use nonempty variable images only.  Returns a Derivation that
+    gives its images as dicts (no steps when u equals v), or None when no
+    derivation exists within the bounds.
     Each call logs one DEBUG record to plactic_lab.derive: the outcome, the
     depth reached, the words reached from each side and, when there are any,
     the rewrites pruned because they are longer than max_word_len.
@@ -733,26 +725,25 @@ def derive_search(
     depth = pruned = 0
     log = _debug_log("plactic_lab.derive")
 
-    def done(steps: Optional[list]) -> Optional[list]:
+    def done(found: Optional[Derivation]) -> Optional[Derivation]:
         if log:
-            outcome = ("found" if steps is not None else
+            outcome = ("found" if found is not None else
                        "step bound reached" if ffront and bfront else "frontier exhausted")
             log.debug("%s at depth %d; words reached: %d forward, %d backward%s", outcome,
                       depth, len(forward), len(backward),
                       f"; {pruned} rewrites longer than max_word_len pruned" if pruned else "")
-        return steps
+        return found
 
-    def trail(tree: dict, node: Word) -> list:
-        """The steps of tree from its root to node."""
-        steps = []
+    def trail(tree: dict, end: Word) -> Derivation:
+        """The derivation in tree from its root to end, its images made Words."""
+        apps, node = [], end
         while tree[node] is not None:
-            parent, app = tree[node]
-            steps.append(_step(parent.symbols, *app))
-            node = parent
-        return steps[::-1]
+            node, (start, ri, direction, images) = tree[node]
+            apps.append((start, ri, direction, dict(zip(images, map(Word._make, images.values())))))
+        return Derivation(sigma, node, apps[::-1], end)
 
     if u == v:
-        return done([])
+        return done(Derivation(sigma, u, (), v))
     while ffront and bfront and depth < max_steps:
         depth += 1
         if len(ffront) <= len(bfront):
@@ -771,7 +762,8 @@ def derive_search(
                 seen[nw] = (word, app)
                 new.append(nw)
                 if nw in other:
-                    return done(trail(forward, nw) + invert_steps(trail(backward, nw)))
+                    down, up = trail(forward, nw), invert_steps(trail(backward, nw))
+                    return done(Derivation(sigma, u, down.apps + up.apps, v))
         if front is ffront:
             ffront = new
         else:
@@ -814,4 +806,4 @@ def step_from_json(data: dict) -> DerivationStep:
 
 
 def derivation_to_json(steps: Iterable[DerivationStep]) -> list:
-    return [step_to_json(st) for st in steps]
+    return [*map(step_to_json, steps)]

@@ -205,14 +205,14 @@ def _key_of_root(root, mult, fields=None) -> tuple:
     out = []
     stack = [] if root is None else [root]
     pop, push = stack.pop, stack.append
-    seen = set()  # ids of the JSON nodes read; dicts, unlike tuples, can form a cycle
+    seen = set()  # ids of the nodes read but constructor tuples: a list or a dict can hold itself
     while stack:
         node = pop()
-        if fields is not None:
+        if fields is not None or type(node) is not tuple:  # a tuple may be shared, no cycle
             if id(node) in seen:
-                raise ValueError("a node occurs twice in the payload: it is no tree")
+                raise ValueError("a node occurs twice: it is no tree")
             seen.add(id(node))
-            node = fields(node)
+        node = node if fields is None else fields(node)
         if len(node) != 3 + mult:
             raise ValueError(f"tree nodes need {3 + mult} fields, got {len(node)}")
         left, right = node[-2], node[-1]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import operator
+import time
 
 import pytest
 
@@ -145,6 +146,24 @@ def test_child_masks_tell_invalid_trees_apart():
     assert bad != p_taig((7, 5)) and bad.as_counter() == p_taig((7, 5)).as_counter()
     with pytest.raises(ValueError):
         RightStrictBST((2, 1, None, None))
+
+
+def test_a_node_that_holds_itself_is_refused_at_once():
+    # a list, unlike a tuple, can be its own descendant; the walk must stop, not grow
+    loop = [1, None, None]
+    loop[2] = loop
+    first, second = [2, None, None], [1, None, None]
+    first[1], second[2] = second, first
+    tagged = [1, 1, None, None]
+    tagged[3] = tagged
+    for cls, root in ((RightStrictBST, loop), (LeftStrictBST, first), (TaigaTree, tagged)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="occurs twice"):
+            cls(root)
+        assert time.perf_counter() - start < 1
+    # one tuple object in two places is no cycle: equal subtrees still build
+    leaf = (1, None, None)
+    assert RightStrictBST((1, leaf, leaf)).root == (1, (1, None, None), (1, None, None))
 
 
 @given(letter_seqs)

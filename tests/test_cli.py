@@ -195,6 +195,25 @@ def test_derive_search_with_sigma_file(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_derive_json_is_streamed_as_the_library_array(tmp_path, capsys):
+    # the array is written one step at a time, in the bytes of one json.dumps of the list
+    sigma = tmp_path / "rules.txt"
+    sigma.write_text("xyx = yxx\nxx = x\n")
+    rules = identities.load_identity_system(sigma)
+    for lhs, rhs in (("xyxyx", "yyxxx"), ("aaab", "ab"), ("xyx", "xyx")):
+        code, out, _ = run(capsys, "derive", "--sigma", str(sigma), "--lhs", lhs, "--rhs", rhs,
+                           "--format", "json")
+        d = identities.derive_search(rules, Word.variables(lhs), Word.variables(rhs))
+        assert code == 0 and out == json.dumps(identities.derivation_to_json(d),
+                                               sort_keys=True) + "\n"
+    assert out == "[]\n"
+    code, out, _ = run(capsys, "derive", "--monoid", "sylv", "--id", "xyxyxy = xxyyxy",
+                       "--format", "json")
+    cert = identities.derivation_certificate(F.SYLV, Identity.parse("xyxyxy = xxyyxy"))
+    assert len(cert) > 1 and code == 0
+    assert out == json.dumps(identities.derivation_to_json(cert), sort_keys=True) + "\n"
+
+
 def test_unreadable_sigma_file_exits_two(tmp_path, capsys):
     # exit 1 would read as "no derivation found"
     for path in (tmp_path / "missing.txt", tmp_path):

@@ -3,6 +3,7 @@ import json
 import logging
 import pickle
 import random
+from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -506,6 +507,13 @@ def test_verify_rejects_tampered_applications():
     assert verify_derivation(basis(F.STAL), stal)
     assert not verify_derivation(renamed, stal) and not verify_derivation(renamed, list(stal))
     assert not verify_derivation(sigma, d, require_nonempty_images=True)  # s and t are empty
+    # a malformed last application: inverting keeps it, so d[-1] fails as iteration does
+    bad = Derivation(d.rules, d.start, [*d.apps[:2], (1, 2)], d.end)
+    assert invert_steps(bad).apps[0] == (1, 2)
+    assert not verify_derivation(sigma, bad) and not verify_derivation(sigma, invert_steps(bad))
+    for index in (-1, 2, -3):
+        with pytest.raises(DerivationError):
+            bad[index]
 
 
 def test_a_400_letter_certificate_builds_and_verifies_in_little_memory(peak_bytes):
@@ -536,3 +544,55 @@ def test_derive_record_counts_the_rewrites_the_length_bound_prunes(caplog):
         "7 rewrites longer than max_word_len pruned",
         "found at depth 2; words reached: 4 forward, 1 backward",
     ]
+
+
+def test_derive_search_returns_a_derivation():
+    # found forwards, and backwards: with x = xx both ways, and with xy = x, whose
+    # inverted x -> xy step gives y an image that its source side cannot show
+    stal, grow, erase = basis(F.STAL), [Identity.parse("x = xx")], [Identity.parse("xy = x")]
+    cases = [(stal, "xyxyx", normal_form(F.STAL, Word.variables("xyxyx")).text()),
+             (grow, "x", "xxxx"), (grow, "xxxx", "x"), (erase, "aab", "aabb")]
+    for sigma, u, v in cases:
+        u, v = Word.variables(u), Word.variables(v)
+        d = derive_search(sigma, u, v, max_steps=6, max_word_len=6)
+        assert type(d) is Derivation and (d.start, d.end, d.rules) == (u, v, tuple(sigma))
+        steps = list(d)
+        assert verify_derivation(sigma, d) and verify_derivation(sigma, steps)
+        assert pickle.loads(pickle.dumps(d)) == d == steps
+        assert d[-1] == steps[-1] and (d[0].before, d[-1].after) == (u, v)
+        back = invert_steps(d)
+        assert type(back) is Derivation and back == invert_steps(steps)
+        assert verify_derivation(sigma, back) and verify_derivation(sigma, list(back))
+        assert back[-1] == invert_steps(steps)[-1] and back[-1].after == u
+    assert [app[2] for app in derive_search(erase, Word.variables("aab"),
+                                            Word.variables("aabb")).apps] == ["ltr", "rtl"]
+    empty = derive_search(stal, Word.variables("xyx"), Word.variables("xyx"))
+    assert type(empty) is Derivation and not empty and verify_derivation(stal, empty)
+
+
+def test_given_images_are_checked_like_list_steps():
+    # an application may give its images as a dict of Words, as a list step's endo does
+    sigma = [Identity.parse("xy = x")]
+    a, ab, b = Word.variables("a"), Word.variables("ab"), Word.variables("b")
+    good = Derivation(sigma, a, [(0, 0, "rtl", {"x": a, "y": b})], ab)
+    assert verify_derivation(sigma, good) and list(good) == [
+        DerivationStep(a, ab, 0, "rtl", a[:0], a[:0], {"x": a, "y": b})]
+    assert verify_derivation(sigma, Derivation(sigma, a, [(0, 0, "rtl", {"x": a, "y": b,
+                                                                          "z": a})], ab))
+    for images in ({"x": a}, {"x": a, "y": b.symbols}, {"x": a, "y": Word.letters("1")},
+                   {"x": b, "y": b}, {"x": a, "y": a}):
+        tampered = Derivation(sigma, a, [(0, 0, "rtl", images)], ab)
+        assert not verify_derivation(sigma, tampered), images
+        with pytest.raises(DerivationError):
+            list(tampered)
+    # a list step is the Derivation of its own endo: extra names pass, words must be Words
+    step = good[0]
+    assert verify_derivation(sigma, [replace(step, endo={**step.endo, "z": a})])
+    for field in ("before", "after", "prefix", "suffix"):
+        assert not verify_derivation(sigma, [replace(step, **{field: None})]), field
+    assert not verify_derivation(sigma, [replace(step, endo=(1, 1))])
+    assert not verify_derivation(sigma, [replace(step, suffix=b)])
+    # an item with the fields of a step, but no DerivationStep, is refused, not an error
+    fields = vars(step)
+    assert not verify_derivation(sigma, [fields])
+    assert not verify_derivation(sigma, [namedtuple("Step", fields)(**fields)])
