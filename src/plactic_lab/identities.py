@@ -386,15 +386,27 @@ class DerivationStep:
     endo: dict
 
 
+def _step(item, endo: Optional[dict] = None) -> DerivationStep:
+    """The step of a _replay item, built before its rewrite; DerivationError on False."""
+    if not item:
+        raise DerivationError("the applications do not replay from start to end")
+    word, start, stop, rule_index, direction, images, target_side = item
+    before, make = tuple(word), Word._make
+    after = before[:start] + _substitute(images, target_side) + before[stop:]
+    endo = endo or {name: make(tuple(img)) for name, img in images.items()}  # a list step's own
+    return DerivationStep(make(before), make(after), rule_index, direction, make(before[:start]),
+                          make(before[stop:]), endo)
+
+
 class Derivation:
     """A derivation held as its start word and one rule application per step.
 
     An application (start, rule_index, direction, lengths) rewrites the factor
     at start by rules[rule_index] read in direction; lengths are those of the
     images of the rule's variables in sorted order, read off the word, or a dict
-    of the images as Words.  end is the last word.  len replays nothing, [i] the
-    first i + 1 applications and [-i] the last i, backwards from end, so iterate
-    rather than index; an iteration replays them all on one list, one at a time.
+    of the images as Words.  end is the last word.  len replays nothing; [i] replays
+    every application, as an iteration does on one list, and builds only step i, so
+    iterate rather than index.  Both raise DerivationError unless start reaches end.
     """
 
     __slots__ = ("rules", "start", "apps", "end")
@@ -406,25 +418,13 @@ class Derivation:
         return len(self.apps)
 
     def __iter__(self) -> Iterator[DerivationStep]:
-        make = Word._make
-        for item in _replay(self.rules, self):
-            if not item:
-                raise DerivationError("the applications do not replay from start to end")
-            word, start, stop, rule_index, direction, images, target_side = item
-            before = tuple(word)  # the rewrite of before[start:stop] runs after the yield
-            after = before[:start] + _substitute(images, target_side) + before[stop:]
-            yield DerivationStep(make(before), make(after), rule_index, direction,
-                                 make(before[:start]), make(before[stop:]),
-                                 {name: make(tuple(img)) for name, img in images.items()})
+        return map(_step, _replay(self.rules, self))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
         at = range(len(self.apps))[index]  # IndexError when out of range
-        if index >= 0 or any(set(r.lhs.symbols) != set(r.rhs.symbols) for r in self.rules):
-            return next(itertools.islice(self, at, None))
-        back = invert_steps(Derivation(self.rules, self.start, self.apps[at:], self.end))
-        return invert_steps([next(itertools.islice(back, -1 - index, None))])[0]
+        return [_step(x) for i, x in enumerate(_replay(self.rules, self)) if i == at or not x][0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, Derivation)):
@@ -502,20 +502,20 @@ def _read_images(word: list, pos: int, side: tuple, reads: list, lengths, known:
 def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep],
                       require_nonempty_images: bool = False) -> bool:
     """Replay a Derivation, rebuilding each rule application from sigma.  A list
-    of DerivationSteps is replayed as the Derivation of its own images, each endo
+    of DerivationSteps is replayed once as the Derivation of its own images, each endo
     applied at len(prefix); its words must be Words equal to the replayed steps'."""
     if type(steps) is Derivation:
         return all(_replay(sigma, steps, require_nonempty_images))
     steps = list(steps)
-    if not steps:
-        return True
-    if not all(isinstance(st, DerivationStep) and isinstance(st.endo, dict) and type(st.before)
-               is type(st.after) is Word is type(st.prefix) is type(st.suffix) for st in steps):
-        return False
+    if not steps or not all(isinstance(st, DerivationStep) and isinstance(st.endo, dict)
+                            and type(st.before) is type(st.after) is Word is type(st.prefix)
+                            is type(st.suffix) for st in steps):
+        return not steps  # an empty list verifies, a malformed one does not
     d = Derivation(sigma, steps[0].before, [(len(st.prefix), st.rule_index, st.direction, st.endo)
                                             for st in steps], steps[-1].after)
-    return all(_replay(sigma, d, require_nonempty_images)) and all(
-        replayed == replace(st, endo=replayed.endo) for replayed, st in zip(d, steps))
+    # zip drops a trailing False only after every step matched, the last up to d.end
+    return all(item and _step(item, st.endo) == st
+               for item, st in zip(_replay(sigma, d, require_nonempty_images), steps))
 
 
 def invert_steps(steps: Sequence[DerivationStep]) -> Derivation | list:

@@ -22,6 +22,7 @@ from plactic_lab import (
     derivation_to_json,
     derive_search,
     fp,
+    identities,
     invert_steps,
     ip,
     mix,
@@ -511,9 +512,23 @@ def test_verify_rejects_tampered_applications():
     bad = Derivation(d.rules, d.start, [*d.apps[:2], (1, 2)], d.end)
     assert invert_steps(bad).apps[0] == (1, 2)
     assert not verify_derivation(sigma, bad) and not verify_derivation(sigma, invert_steps(bad))
-    for index in (-1, 2, -3):
-        with pytest.raises(DerivationError):
-            bad[index]
+    # a malformed first application: d[-1] replays it too, so every index fails alike
+    bad_first = Derivation(d.rules, d.start, [(1, 2), *d.apps[1:]], d.end)
+    assert not verify_derivation(sigma, bad_first)
+    for tampered in (bad, bad_first):
+        for index in (0, 2, -1, -3):
+            with pytest.raises(DerivationError):
+                tampered[index]
+
+
+@pytest.mark.parametrize("nonempty", [False, True])
+def test_a_list_of_steps_is_replayed_once(monkeypatch, nonempty):
+    # the list is checked against its own replay as it goes, not replayed a second time
+    d = normalize_derivation(F.STAL, Word.variables("xyxzyx"))
+    steps, calls, replay = list(d), [], identities._replay
+    monkeypatch.setattr(identities, "_replay", lambda *args: calls.append(args) or replay(*args))
+    assert len(steps) == 3 and verify_derivation(basis(F.STAL), steps, nonempty)
+    assert len(calls) == 1
 
 
 def test_a_400_letter_certificate_builds_and_verifies_in_little_memory(peak_bytes):
