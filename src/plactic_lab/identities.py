@@ -23,10 +23,10 @@ is the mirror image of sylv.
 
 A Derivation holds its start word and one rule application per step: where,
 which rule, which way and the images, given or, in O(1), as lengths read off
-the word when it is replayed.  An image may be empty, substituting the unit
-element; this makes short consequences of long rules reachable, e.g.
-xyxy = yxxy from xysxty = yxsxty.  verify_derivation can reject empty images
-(the semigroup notion), and derive_search explores nonempty images only.
+the word when it is replayed; + joins two, building no step.  An image may be
+empty, substituting the unit element, which makes short consequences of long
+rules reachable, e.g. xyxy = yxxy from xysxty = yxsxty.  verify_derivation can
+reject empty images (the semigroup notion); derive_search uses nonempty ones.
 """
 from __future__ import annotations
 
@@ -407,6 +407,7 @@ class Derivation:
     of the images as Words.  end is the last word.  len replays nothing; [i] replays
     every application, as an iteration does on one list, and builds only step i, so
     iterate rather than index.  Both raise DerivationError unless start reaches end.
+    d + e over equal rules joins the apps and builds no step; the replay checks the ends.
     """
 
     __slots__ = ("rules", "start", "apps", "end")
@@ -431,11 +432,9 @@ class Derivation:
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-    def __add__(self, other) -> list:
-        return [*self, *other] if isinstance(other, (list, Derivation)) else NotImplemented
-
-    def __radd__(self, other) -> list:
-        return [*other, *self] if isinstance(other, list) else NotImplemented
+    def __add__(self, other) -> Derivation:
+        return (Derivation(self.rules, self.start, self.apps + other.apps, other.end)
+                if isinstance(other, Derivation) and other.rules == self.rules else NotImplemented)
 
     def __repr__(self) -> str:
         return f"Derivation({self.start.text()!r} => {self.end.text()!r}, steps={len(self)})"
@@ -658,9 +657,8 @@ def derivation_certificate(family: MonoidFamily, ident: Identity) -> Derivation:
     """Derivation from lhs to rhs through the shared normal form."""
     if not satisfies(family, ident):
         raise ValueError(f"{family} does not satisfy {ident.text()!r}")
-    down = normalize_derivation(family, ident.lhs)
-    up = invert_steps(normalize_derivation(family, ident.rhs))
-    return Derivation(down.rules, ident.lhs, down.apps + up.apps, ident.rhs)
+    return normalize_derivation(family, ident.lhs) + invert_steps(
+        normalize_derivation(family, ident.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +760,7 @@ def derive_search(sigma: Sequence[Identity], u: Word, v: Word, max_steps: int = 
                 seen[nw] = (word, app)
                 new.append(nw)
                 if nw in other:
-                    down, up = trail(forward, nw), invert_steps(trail(backward, nw))
-                    return done(Derivation(sigma, u, down.apps + up.apps, v))
+                    return done(trail(forward, nw) + invert_steps(trail(backward, nw)))
         if front is ffront:
             ffront = new
         else:

@@ -407,7 +407,7 @@ def test_normal_forms_and_steps_are_pinned():
         for fam in INSERTION:
             steps = normalize_derivation(fam, w)
             if v is not None and satisfies(fam, Identity(w, v)):
-                steps = steps + derivation_certificate(fam, Identity(w, v))
+                steps = [*steps, *derivation_certificate(fam, Identity(w, v))]
             digest.update(json.dumps([normal_form(fam, w).text(),
                                       derivation_to_json(steps)]).encode())
     assert digest.hexdigest() == (
@@ -453,8 +453,18 @@ def test_a_derivation_supports_the_list_operations():
     assert len(d) == len(steps) == 4
     assert d[-1] == steps[-1] and d[-4] == steps[0]
     assert d[1:3] == steps[1:3] and d[::-1] == steps[::-1]
-    for total in (d + d, d + steps, steps + d):
-        assert type(total) is list and total == steps + steps
+    # + joins two Derivations over equal rules into one, and nothing else
+    there_and_back = d + invert_steps(d)
+    assert type(there_and_back) is Derivation
+    assert there_and_back == steps + list(invert_steps(d))
+    stal = normalize_derivation(F.STAL, Word.variables("yxzxyzx"))
+    for left, right in ((d, steps), (steps, d), (d, stal)):
+        with pytest.raises(TypeError):
+            left + right
+    # a join whose ends do not meet is refused where any malformed Derivation is
+    assert not verify_derivation(basis(F.SYLV), d + d)
+    with pytest.raises(DerivationError):
+        list(d + d)
     assert d != steps[:-1] and d != steps[::-1] and d != tuple(steps) and d != "steps"
     assert d == Derivation(d.rules, d.start, d.apps, d.end)
     assert invert_steps(d) == invert_steps(steps)
@@ -541,8 +551,17 @@ def test_a_400_letter_certificate_builds_and_verifies_in_little_memory(peak_byte
         d = normalize_derivation(F.SYLV_SHARP, w)
         return len(d), verify_derivation(basis(F.SYLV_SHARP), d)
 
+    def join_and_verify():
+        # + joins the applications, building no step of either half
+        d = normalize_derivation(F.SYLV_SHARP, w)
+        there_and_back = d + invert_steps(d)
+        return len(there_and_back), verify_derivation(basis(F.SYLV_SHARP), there_and_back)
+
     (steps, ok), peak = peak_bytes(build_and_verify)
     assert (steps, ok) == (34350, True)
+    assert peak <= 20_000_000
+    (steps, ok), peak = peak_bytes(join_and_verify)
+    assert (steps, ok) == (2 * 34350, True)
     assert peak <= 20_000_000
 
 
