@@ -8,7 +8,9 @@ Baxter object is the pair of both trees for the same word.
 
 Both trees have the positions of the word as nodes, in the in-order of
 _inorder: they are its Cartesian trees with the largest (right strict) or the
-smallest (left strict) position at the root, built by tableaux._shape_key.
+smallest (left strict) position at the root.  tableaux._shape_key builds the
+first, and the second as the first of the reversed word; _baxt_key builds
+both in one loop over the shared in-order, one stack each.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
 A pair from outside is accepted only with a word, read off both in-orders, that
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _Canonical, _SearchTree, _letter_seq, _shape_key
+from .tableaux import _Canonical, _SearchTree, _flushed, _letter_seq, _shape_key
 from .words import _are_letters
 
 
@@ -28,17 +30,51 @@ def _inorder(seq) -> list:
 
 
 def _sylv_key(seq) -> tuple:
-    return _shape_key(seq, _inorder(seq), True)
+    return _shape_key(seq, _inorder(seq))
 
 
 def _sylv_sharp_key(seq) -> tuple:
-    return _shape_key(seq, _inorder(seq), False)
+    # the smallest position at the root is the largest of the reversed word
+    rev = seq[::-1]
+    return _shape_key(rev, sorted(range(len(rev) - 1, -1, -1), key=rev.__getitem__))
 
 
 def _baxt_key(seq) -> tuple:
-    """Keys of the left and the right strict tree, from one sort."""
-    order = _inorder(seq)
-    return _shape_key(seq, order, False), _shape_key(seq, order, True)
+    """Keys of the left and the right strict tree: one loop over their common
+    in-order feeds a min-heap and a max-heap stack, each as in _shape_key."""
+    sharp, plain, lo, hi = [], [], [], []
+    emit_lo, push_lo, pop_lo = sharp.append, lo.append, lo.pop
+    emit_hi, push_hi, pop_hi = plain.append, hi.append, hi.pop
+    top_lo, top_hi = -4, len(seq) << 2
+    for p in reversed(_inorder(seq)):
+        e = p << 2
+        if top_lo < e:
+            push_lo(top_lo)
+            top_lo = e
+        else:
+            emit_lo(top_lo & 2)
+            emit_lo(seq[top_lo >> 2])
+            top_lo = pop_lo()
+            while top_lo > e:
+                emit_lo(1 | top_lo & 2)
+                emit_lo(seq[top_lo >> 2])
+                top_lo = pop_lo()
+            push_lo(top_lo)
+            top_lo = e | 2
+        if top_hi > e:
+            push_hi(top_hi)
+            top_hi = e
+        else:
+            emit_hi(top_hi & 2)
+            emit_hi(seq[top_hi >> 2])
+            top_hi = pop_hi()
+            while top_hi < e:
+                emit_hi(1 | top_hi & 2)
+                emit_hi(seq[top_hi >> 2])
+                top_hi = pop_hi()
+            push_hi(top_hi)
+            top_hi = e | 2
+    return _flushed(sharp, lo, top_lo, seq, emit_lo), _flushed(plain, hi, top_hi, seq, emit_hi)
 
 
 def _twin_witness(sharp, plain) -> tuple:

@@ -39,6 +39,9 @@ class MonoidFamily(enum.Enum):
     RIGHT_ZERO = "r21"
     FREE_MONOGENIC = "free1"
 
+    # members are singletons equal by identity; Enum's hash is Python code, run per lookup
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, name: str) -> "MonoidFamily":
         for fam in cls:

@@ -10,9 +10,11 @@ Every canonical object of an insertion family, here and in bst, is a
 _Canonical: the family's equivalence key plus the word that built it, with
 one immutability, pickling, equality, hash, reading word, product and JSON
 loader for all.  _SearchTree, the tree class behind TaigaTree and the two
-strict trees of bst, keys a tree by its flat preorder (built by _shape_key
-in one stack pass), which all its methods walk with an explicit stack, at
-any depth: counting, validity, JSON round trip and ASCII/DOT pictures.
+strict trees of bst, keys a tree by its flat preorder, which all its methods
+walk with an explicit stack, at any depth: counting, validity, JSON round
+trip and ASCII/DOT pictures.  Insertion builds that key in one stack pass
+over a Cartesian tree (_shape_key, a sentinel-bottomed loop); a taiga tree
+is the one on the columns that _column_counts finds for the tableau.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .words import Word, _are_letters, _symbols
 
 def _letter_seq(w) -> tuple:
     """The letters of w as a tuple; text is parsed as a letter word."""
-    seq = Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
+    seq = w if type(w) is tuple else Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
     if _are_letters(seq):
         return seq
     raise ValueError("insertion needs a letter word: integers >= 1")
@@ -48,13 +50,14 @@ class _Canonical:
     __slots__ = ("_key", "_word")
 
     def __init__(self, key, word=None):
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_word", word)
+        _set_key(self, key)
+        _set_word(self, word)
 
     @classmethod
     def _make(cls, key, word=None):
         obj = object.__new__(cls)
-        _Canonical.__init__(obj, key, word)
+        _set_key(obj, key)
+        _set_word(obj, word)
         return obj
 
     def __setattr__(self, name, value):
@@ -88,6 +91,9 @@ class _Canonical:
         if obj is None:
             raise ValueError(f"not a valid {cls.__name__} payload")
         return obj
+
+
+_set_key, _set_word = _Canonical._key.__set__, _Canonical._word.__set__
 
 
 class StalacticTableau(_Canonical):
@@ -149,18 +155,17 @@ class StalacticTableau(_Canonical):
         return cls((c["letter"], c["mult"]) for c in data["columns"])
 
 
+def _column_counts(seq) -> dict:
+    """Each letter of seq and its multiplicity, by decreasing last occurrence."""
+    counts = {}
+    for a in reversed(seq):
+        counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
 def _stal_columns(seq) -> tuple:
     """(letter, multiplicity) columns, letters in order of last occurrence."""
-    counts: dict = {}
-    order = []
-    for a in reversed(seq):
-        if a in counts:
-            counts[a] += 1
-        else:
-            counts[a] = 1
-            order.append(a)
-    order.reverse()
-    return tuple((a, counts[a]) for a in order)
+    return tuple(reversed(_column_counts(seq).items()))
 
 
 def p_stal(w) -> StalacticTableau:
@@ -169,32 +174,51 @@ def p_stal(w) -> StalacticTableau:
     return StalacticTableau._make(_stal_columns(seq), seq)
 
 
-def _shape_key(seq, inorder, max_heap, counts=None) -> tuple:
-    """Flat preorder key of the Cartesian tree on some positions of seq.
+def _shape_key(labels, inorder, rows=False) -> tuple:
+    """Flat preorder key of the Cartesian tree on some positions of labels.
 
     inorder lists the positions in the tree's in-order; a position is also
-    its heap priority, the largest at the root when max_heap.  Insertion into
-    a search tree builds such a tree: nodes in search order, each below those
-    inserted before it.  Node p has label seq[p] and, with counts, the
-    multiplicity counts[seq[p]].  One stack pass from the right builds it
-    (Vuillemin 1980): the stack holds the left spine, a new node pops the
-    nodes it outranks as its right subtree, and nodes leave in reverse preorder.
+    its heap priority, the largest at the root, as insertion into a search
+    tree puts each node below those inserted before it.  Node p has label
+    labels[p], or with rows the (multiplicity, label) row labels[p].  One
+    stack pass from the right builds it (Vuillemin 1980): the stack holds the
+    left spine, a new node pops the nodes it outranks as its right subtree,
+    and nodes leave in reverse preorder.  An entry is 4 * position, + 2 if the
+    node has a right child; the top is kept in a local, a node that outranks
+    nothing is only pushed, and a sentinel at the bottom outranks them all.
     """
     out = []
-    stack = []  # 2 * position, + 1 if the node has a right child
-    stop = len(seq) if max_heap else -1  # outranks every position: empties the stack
-    for p in chain(reversed(inorder), (stop,)):
-        e = p << 1
-        below = 0  # 1 once a popped node sat above the next: that one's left child
-        while stack and (stack[-1] < e) == max_heap:
-            x = stack.pop()
-            out.append(below | (x & 1) << 1)
-            a = seq[x >> 1]
-            if counts is not None:
-                out.append(counts[a])
-            out.append(a)
-            below = 1
-        stack.append(e | below)
+    emit = out.append
+    put = out.extend if rows else emit  # a reversed row enters the reversed key as is
+    stack = []
+    push, pop = stack.append, stack.pop
+    top = len(labels) << 2
+    for p in reversed(inorder):
+        e = p << 2
+        if top > e:
+            push(top)
+            top = e
+            continue
+        emit(top & 2)
+        put(labels[top >> 2])
+        top = pop()
+        while top < e:
+            emit(1 | top & 2)  # 1: it sat above the node popped before, its left child
+            put(labels[top >> 2])
+            top = pop()
+        push(top)
+        top = e | 2
+    return _flushed(out, stack, top, labels, put)
+
+
+def _flushed(out, stack, top, labels, put) -> tuple:
+    """The key of a stack pass: top and the rest of the left spine leave."""
+    if stack:  # a nonempty tree: the sentinel is at the bottom
+        out.append(top & 2)
+        put(labels[top >> 2])
+        for x in stack[:0:-1]:
+            out.append(1 | x & 2)
+            put(labels[x >> 2])
     out.reverse()
     return tuple(out)
 
@@ -413,13 +437,12 @@ class TaigaTree(_SearchTree):
 
 
 def _taiga_key(seq) -> tuple:
-    """Key of the taiga tree of seq: distinct letters, ranked by last occurrence."""
-    counts: dict = {}
-    last = {}
-    for p, a in enumerate(seq):
-        last[a] = p
-        counts[a] = counts.get(a, 0) + 1
-    return _shape_key(seq, sorted(last.values(), key=seq.__getitem__), True, counts)
+    """Key of the taiga tree of seq: the Cartesian tree of its stalactic
+    columns, in-order by letter, the latest last occurrence at the root."""
+    counts = _column_counts(seq)
+    letters = list(reversed(counts))  # by last occurrence: the priorities
+    inorder = sorted(range(len(letters)), key=letters.__getitem__)
+    return _shape_key(list(zip(reversed(counts.values()), letters)), inorder, True)
 
 
 def p_taig(w) -> TaigaTree:

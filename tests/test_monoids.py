@@ -1,6 +1,8 @@
 import enum
+import hashlib
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -34,6 +36,7 @@ from plactic_lab import (
     p_sylv_sharp,
     p_taig,
 )
+from plactic_lab import bst, tableaux
 from plactic_lab.monoids import _FAMILIES
 
 INSERTION = (
@@ -182,6 +185,76 @@ def test_every_symbol_check_refuses_the_same_non_letters(bad):
             with pytest.raises(ValueError) as info:
                 parse(text)
             assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("bad", [(1, True), (1, 2.0), (0,), (-1,), ("a",), [1, 2.0],
+                                 Word.variables("xy")],
+                         ids=["bool", "float", "0", "-1", "str", "list-float", "variables"])
+def test_canonical_and_equivalent_refuse_non_letter_words(bad):
+    # the tuple fast path of the call path checks exactly what the slow path checks
+    for fam in INSERTION:
+        for refuse in (lambda: canonical(fam, bad), lambda: equivalent(fam, bad, (1,)),
+                       lambda: equivalent(fam, (1,), bad)):
+            with pytest.raises(ValueError):
+                refuse()
+    with pytest.raises(ValueError, match="unknown family"):
+        canonical("sylv", bad)
+
+
+def test_every_kind_of_word_gives_the_same_object():
+    w = (3, 6, 1, 3, 1, 5, 1, 2, 6, 5)
+    for fam in INSERTION:
+        objs = [canonical(fam, x) for x in (w, list(w), Word(w), "3613151265", iter(w))]
+        assert all(obj == objs[0] and obj.reading_word() == w for obj in objs)
+
+
+def test_canonical_calls_the_public_insertion_once(monkeypatch):
+    # code that wraps these functions, like the bench's traced pass, sees every call
+    names = [(tableaux, "p_stal"), (tableaux, "p_taig"), (bst, "p_sylv"),
+             (bst, "p_sylv_sharp"), (bst, "p_baxt")]
+    calls = []
+
+    def counting(name, insert):
+        def counted(w):
+            calls.append(name)
+            return insert(w)
+        return counted
+
+    for module, name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for fam, (module, name) in zip(INSERTION, names):
+        calls.clear()
+        canonical(fam, (2, 1, 3))
+        assert calls == [name]
+
+
+def test_families_pickle_to_themselves_and_key_dicts():
+    table = {fam: fam.value for fam in MonoidFamily}
+    for fam in MonoidFamily:
+        copy = pickle.loads(pickle.dumps(fam))
+        assert copy is fam and hash(copy) == hash(fam) and table[copy] == fam.value
+        assert MonoidFamily.parse(fam.value) is fam and MonoidFamily(fam.value) is fam
+    assert len(set(MonoidFamily)) == len(table) == 8
+
+
+def test_insertion_keys_are_pinned():
+    # pickles and hashes rest on the keys: a faster kernel must keep them byte for byte
+    rng = random.Random(21)
+    words = []
+    for _ in range(2000):
+        rank = rng.randint(1, 9)
+        n = rng.randint(0, 40)
+        words.append(tuple(rng.randint(1, rank) for _ in range(n)))
+    long = _long_words(600)
+    words += [long["monotone"], long["monotone"][::-1], long["zigzag"], long["binary"], (5,) * 600]
+    digest = hashlib.sha256()
+    for fam in INSERTION:
+        for w in words:
+            key = canonical(fam, w)._key
+            assert key == _FAMILIES[fam].key(list(w))  # the oracle hands the key builders lists
+            digest.update(repr(key).encode())
+    assert (len(INSERTION) * len(words), digest.hexdigest()) == (
+        10025, "fd45181d3be3586a3435d4933685416c55e4fc05e60c5b0fd611e7ea973aa3c7")
 
 
 @given(letter_seqs, letter_seqs)
