@@ -42,9 +42,10 @@ def _are_letters(seq) -> bool:
     """Whether every item of seq is a letter: an exact int >= 1.
 
     Two passes in C: the type pass refuses variables, floats and bools, the
-    min() pass numbers below 1.
+    min() pass numbers below 1.  seq is a sequence; min() without keywords
+    skips the slower keyword-parsing call, which costs more than the pass.
     """
-    return _INT.issuperset(map(type, seq)) and min(seq, default=1) >= 1
+    return _INT.issuperset(map(type, seq)) and (not seq or min(seq) >= 1)
 
 
 def _are_variables(seq) -> bool:
