@@ -9,8 +9,8 @@ Baxter object is the pair of both trees for the same word.
 Both trees have the positions of the word as nodes, in the in-order of
 _inorder: they are its Cartesian trees with the largest (right strict) or the
 smallest (left strict) position at the root.  tableaux._shape_key builds the
-first, and the second as the first of the reversed word; _baxt_key builds
-both in one loop over the shared in-order, one stack each.
+first, and the second as the first of the reversed word; _baxt_key sorts
+once for both.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
 A pair from outside is accepted only with a word, read off both in-orders, that
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _Canonical, _SearchTree, _flushed, _letter_seq, _shape_key
+from .tableaux import _Canonical, _SearchTree, _letter_seq, _shape_key
 from .words import _are_letters
 
 
@@ -40,41 +40,10 @@ def _sylv_sharp_key(seq) -> tuple:
 
 
 def _baxt_key(seq) -> tuple:
-    """Keys of the left and the right strict tree: one loop over their common
-    in-order feeds a min-heap and a max-heap stack, each as in _shape_key."""
-    sharp, plain, lo, hi = [], [], [], []
-    emit_lo, push_lo, pop_lo = sharp.append, lo.append, lo.pop
-    emit_hi, push_hi, pop_hi = plain.append, hi.append, hi.pop
-    top_lo, top_hi = -4, len(seq) << 2
-    for p in reversed(_inorder(seq)):
-        e = p << 2
-        if top_lo < e:
-            push_lo(top_lo)
-            top_lo = e
-        else:
-            emit_lo(top_lo & 2)
-            emit_lo(seq[top_lo >> 2])
-            top_lo = pop_lo()
-            while top_lo > e:
-                emit_lo(1 | top_lo & 2)
-                emit_lo(seq[top_lo >> 2])
-                top_lo = pop_lo()
-            push_lo(top_lo)
-            top_lo = e | 2
-        if top_hi > e:
-            push_hi(top_hi)
-            top_hi = e
-        else:
-            emit_hi(top_hi & 2)
-            emit_hi(seq[top_hi >> 2])
-            top_hi = pop_hi()
-            while top_hi < e:
-                emit_hi(1 | top_hi & 2)
-                emit_hi(seq[top_hi >> 2])
-                top_hi = pop_hi()
-            push_hi(top_hi)
-            top_hi = e | 2
-    return _flushed(sharp, lo, top_lo, seq, emit_lo), _flushed(plain, hi, top_hi, seq, emit_hi)
+    """Keys of the left and the right strict tree, from one sort."""
+    order = _inorder(seq)
+    last = len(seq) - 1  # the reversed word's in-order, as _sylv_sharp_key sorts it
+    return _shape_key(seq[::-1], [last - p for p in order]), _shape_key(seq, order)
 
 
 def _twin_witness(sharp, plain) -> tuple:

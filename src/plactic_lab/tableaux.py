@@ -208,16 +208,11 @@ def _shape_key(labels, inorder, rows=False) -> tuple:
             top = pop()
         push(top)
         top = e | 2
-    return _flushed(out, stack, top, labels, put)
-
-
-def _flushed(out, stack, top, labels, put) -> tuple:
-    """The key of a stack pass: top and the rest of the left spine leave."""
-    if stack:  # a nonempty tree: the sentinel is at the bottom
-        out.append(top & 2)
+    if stack:  # a nonempty tree: the sentinel is at the bottom, the spine leaves
+        emit(top & 2)
         put(labels[top >> 2])
         for x in stack[:0:-1]:
-            out.append(1 | x & 2)
+            emit(1 | x & 2)
             put(labels[x >> 2])
     out.reverse()
     return tuple(out)

@@ -125,7 +125,14 @@ def test_left_strict_matches_naive(seq):
     assert p_sylv_sharp(seq).root == naive_left_strict(seq)
 
 
+# chains and combs far longer than the strategy draws, yet short enough for
+# the recursive references to stay inside the recursion limit
 @given(st.lists(st.integers(1, 4), max_size=40))
+@example(tuple(range(1, 401)))
+@example(tuple(range(400, 0, -1)))
+@example(tuple(i // 2 + 1 if i % 2 == 0 else 400 - i // 2 for i in range(400)))
+@example(tuple(1 + (i * 7919 % 13 < 6) for i in range(400)))
+@example((5,) * 400)
 def test_stack_built_roots_match_naive_insertion(seq):
     # the objects keep only a flat key; .root rebuilds the nested tuples
     assert p_sylv(seq).root == naive_right_strict(seq)
@@ -136,27 +143,6 @@ def test_stack_built_roots_match_naive_insertion(seq):
     assert baxt.plain.root == naive_right_strict(seq)
     for tree in (p_sylv(seq), p_sylv_sharp(seq), p_taig(seq)):
         assert type(tree)(tree.root) == tree
-
-
-LONG_SHAPES = {
-    "increasing": tuple(range(1, 401)),
-    "decreasing": tuple(range(400, 0, -1)),
-    "zigzag": tuple(i // 2 + 1 if i % 2 == 0 else 400 - i // 2 for i in range(400)),
-    "binary": tuple(1 + (i * 7919 % 13 < 6) for i in range(400)),
-    "constant": (5,) * 400,
-}
-
-
-@pytest.mark.parametrize("shape", LONG_SHAPES)
-def test_long_adversarial_words_match_naive_insertion(shape):
-    # chains and combs far longer than the strategies above draw, yet short
-    # enough for the recursive references to stay inside the recursion limit
-    seq = LONG_SHAPES[shape]
-    assert p_sylv(seq).root == naive_right_strict(seq)
-    assert p_sylv_sharp(seq).root == naive_left_strict(seq)
-    assert p_taig(seq).root == naive_taiga(seq)
-    baxt = p_baxt(seq)
-    assert (baxt.sharp.root, baxt.plain.root) == (naive_left_strict(seq), naive_right_strict(seq))
 
 
 def test_child_masks_tell_invalid_trees_apart():
