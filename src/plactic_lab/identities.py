@@ -31,6 +31,7 @@ reject empty images (the semigroup notion); derive_search uses nonempty ones.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import sys
 import time
@@ -275,24 +276,30 @@ class CounterExample:
             raise ValueError("counterexample objects are equal; not a counterexample")
 
 
-def _image_candidates(rank: int, max_len: int) -> list:
-    """All letter tuples of length 0..max_len over 1..rank, shortest first."""
-    out = [()]
-    for length in range(1, max_len + 1):
-        out.extend(itertools.product(range(1, rank + 1), repeat=length))
-    return out
+def _image_candidates(rank: int, max_len: int, pack: Callable) -> list:
+    """All letter words of length 0..max_len over 1..rank, shortest first, packed."""
+    letters = range(1, rank + 1)
+    return [pack(w) for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
 
 
-def _counterexample(family, images: dict, u: list, v: list) -> CounterExample:
-    return CounterExample(substitution={name: Word(img) for name, img in images.items()},
-                          lhs_object=canonical(family, u), rhs_object=canonical(family, v))
+def _counterexample(family, images: dict, u, v) -> CounterExample:
+    # from tuples: the objects and Words of a counterexample hold ints, never bytes
+    return CounterExample(substitution={name: Word(tuple(img)) for name, img in images.items()},
+                          lhs_object=canonical(family, tuple(u)),
+                          rhs_object=canonical(family, tuple(v)))
 
 
-def _random_images(rng: random.Random, trials: int, rank: int, max_len: int, count: int):
+def _random_images(rng: random.Random, trials: int, rank: int, max_len: int, count: int, pack):
     """trials tuples of count images, each drawn as a length, then its letters."""
     for _ in range(trials):
-        yield tuple(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, max_len)))
+        yield tuple(pack(rng.randint(1, rank) for _ in range(rng.randint(0, max_len)))
                     for _ in range(count))
+
+
+def _picker(indices: list) -> Callable:
+    """Images -> the images at these indices; itemgetter needs two or more."""
+    return (operator.itemgetter(*indices) if len(indices) > 1 else
+            lambda imgs: [imgs[i] for i in indices])
 
 
 def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
@@ -301,7 +308,8 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     Exhaustive mode enumerates images in shortlex order, first variable most
     significant, and reports the first counterexample; Random mode replays a
     seeded stream.  Both scan serially, one substitution at a time, and
-    build keys only when the two substituted sides are different words.
+    build keys only when the two substituted sides are different words.  A side
+    is one join of its images: bytes up to rank 255, read as ints, tuples above.
     """
     log = _debug_log("plactic_lab.oracle")
     start = time.perf_counter() if log else None
@@ -310,20 +318,20 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     if row.cap is not None and rank > row.cap:
         raise RankViolationError(f"{family} admits rank at most {row.cap}")
     names = ident.variables()
+    pack, join = ((bytes, b"".join) if rank <= 255 else  # a byte holds a letter up to 255
+                  (tuple, lambda parts: tuple(itertools.chain.from_iterable(parts))))
     if isinstance(mode, Exhaustive):
-        stream = itertools.product(_image_candidates(rank, mode.max_len), repeat=len(names))
+        stream = itertools.product(_image_candidates(rank, mode.max_len, pack), repeat=len(names))
     elif isinstance(mode, RandomSearch):
         stream = _random_images(random.Random(mode.seed), mode.trials, rank, mode.max_len,
-                                len(names))
+                                len(names), pack)
     else:
         raise TypeError(f"unknown oracle mode {mode!r}")
-    at = {name: i for i, name in enumerate(names)}
-    key, lhs, rhs = row.key, [at[n] for n in ident.lhs.symbols], [at[n] for n in ident.rhs.symbols]
+    at, key = {name: i for i, name in enumerate(names)}, row.key
+    lhs, rhs = (_picker([at[n] for n in side.symbols]) for side in (ident.lhs, ident.rhs))
     checked = keyed = 0
-    # lists, not tuple(iterator): those tuples are resized and flood the free lists
     for checked, imgs in enumerate(stream, 1):
-        u = [*itertools.chain.from_iterable(map(imgs.__getitem__, lhs))]
-        v = [*itertools.chain.from_iterable(map(imgs.__getitem__, rhs))]
+        u, v = join(lhs(imgs)), join(rhs(imgs))
         if u != v:  # equal words have equal keys
             keyed += 1
             if key(u) != key(v):

@@ -179,9 +179,9 @@ def alphabet_cap(family: MonoidFamily) -> Optional[int]:
 
 
 def _letters(row: _Family, w) -> tuple:
-    seq = tableaux._letter_seq(w)
-    if row.cap is not None:
-        check_rank(seq, row.cap)
+    seq = tableaux._letter_seq(w)  # checks the letters once
+    if row.cap is not None and seq and max(seq) > row.cap:
+        raise RankViolationError(f"the word is not over the letters 1..{row.cap}")
     return seq
 
 

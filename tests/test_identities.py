@@ -383,12 +383,25 @@ def reference_scan(family, rank, ident, mode):
     return checked
 
 
+def assert_ints(verdict):
+    """The scan's bytes stay inside it: the counterexample's words hold ints."""
+    for obj in (verdict.lhs_object, verdict.rhs_object):
+        if hasattr(obj, "reading_word"):
+            word = obj.reading_word()
+            assert type(word) is tuple and all(type(a) is int for a in word)
+    for img in verdict.substitution.values():
+        assert type(img) is Word and all(type(a) is int for a in img.symbols)
+
+
 @settings(deadline=None, max_examples=50)
 @given(identities, st.integers(0, 2), st.integers(0, 2**16))
 def test_oracle_matches_reference_scan(ident, max_len, seed):
     for fam in F:
         rank = min(2, alphabet_cap(fam) or 2)
-        for mode in (Exhaustive(max_len), RandomSearch(30, 3, seed=seed)):
+        runs = [(rank, Exhaustive(max_len)), (rank, RandomSearch(30, 3, seed=seed))]
+        if alphabet_cap(fam) is None:  # images are bytes up to rank 255, tuples above
+            runs += [(255, RandomSearch(30, 3, seed=seed)), (256, RandomSearch(30, 3, seed=seed))]
+        for rank, mode in runs:
             verdict = oracle(fam, rank, ident, mode)
             expected = reference_scan(fam, rank, ident, mode)
             if isinstance(expected, int):
@@ -398,6 +411,18 @@ def test_oracle_matches_reference_scan(ident, max_len, seed):
                 assert isinstance(verdict, CounterExample)
                 assert verdict.substitution == {nm: Word(img) for nm, img in sub.items()}
                 assert (verdict.lhs_object, verdict.rhs_object) == (lhs_object, rhs_object)
+                assert_ints(verdict)
+
+
+def test_oracle_scans_both_sides_of_the_bytes_boundary():
+    # images are bytes up to rank 255 and tuples above; Exhaustive(1) has rank + 1 per variable
+    for rank in (255, 256):
+        cex = oracle(F.STAL, rank, Identity.parse("xy = yx"), Exhaustive(1))
+        assert cex.substitution == {"x": Word.letters("1"), "y": Word.letters("2")}
+        assert cex.lhs_object == canonical(F.STAL, (1, 2)) != cex.rhs_object
+        assert_ints(cex)
+        holds = oracle(F.STAL, rank, Identity.parse("xyx = yxx"), Exhaustive(1))
+        assert holds == HoldsWithinBound(checked=(rank + 1) ** 2)
 
 
 def test_oracle_logs_one_debug_record_per_call(caplog):

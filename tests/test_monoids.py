@@ -138,6 +138,21 @@ def test_canonical_rejects_letters_outside_cap():
         canonical(MonoidFamily.FREE_MONOGENIC, Word.letters("12"))
     with pytest.raises(RankViolationError):
         canonical(MonoidFamily.LEFT_ZERO, Word.letters("123"))
+    # the capped families check the letters once: a letter above the cap is a
+    # rank violation, a non-letter the insertion functions' ValueError
+    for fam in (MonoidFamily.LEFT_ZERO, MonoidFamily.RIGHT_ZERO, MonoidFamily.FREE_MONOGENIC):
+        cap = alphabet_cap(fam)
+        message = rf"^the word is not over the letters 1\.\.{cap}$"
+        for refuse in (lambda: canonical(fam, (1, cap + 1)),
+                       lambda: canonical(fam, Word.letters(str(cap + 1))),
+                       lambda: equivalent(fam, (1,), [cap + 1])):
+            with pytest.raises(RankViolationError, match=message):
+                refuse()
+        for bad in ((1, 0), [1, "x"], (True,), (1, 1.0)):
+            for refuse in (lambda: canonical(fam, bad), lambda: equivalent(fam, bad, (1,))):
+                with pytest.raises(ValueError, match="^insertion needs a letter word") as info:
+                    refuse()
+                assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("insert", [p_stal, p_taig, p_sylv, p_sylv_sharp, p_baxt])
@@ -241,10 +256,18 @@ def test_insertion_keys_are_pinned():
     for fam in INSERTION:
         for w in words:
             key = canonical(fam, w)._key
-            assert key == _FAMILIES[fam].key(list(w))  # the oracle hands the key builders lists
+            # the oracle hands the key builders bytes up to rank 255 and tuples above
+            assert key == _FAMILIES[fam].key(list(w))
+            if max(w, default=1) <= 255:
+                assert key == _FAMILIES[fam].key(bytes(w))
             digest.update(repr(key).encode())
     assert (len(INSERTION) * len(words), digest.hexdigest()) == (
         10025, "fd45181d3be3586a3435d4933685416c55e4fc05e60c5b0fd611e7ea973aa3c7")
+    for fam in (MonoidFamily.LEFT_ZERO, MonoidFamily.RIGHT_ZERO, MonoidFamily.FREE_MONOGENIC):
+        cap = alphabet_cap(fam)
+        for w in words[:2000]:
+            capped = tuple((a - 1) % cap + 1 for a in w)
+            assert _FAMILIES[fam].key(bytes(capped)) == canonical(fam, capped)
 
 
 @given(letter_seqs, letter_seqs)
