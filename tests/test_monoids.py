@@ -256,7 +256,8 @@ def test_insertion_keys_are_pinned():
     for fam in INSERTION:
         for w in words:
             key = canonical(fam, w)._key
-            # the oracle hands the key builders bytes up to rank 255 and tuples above
+            # canonical keys tuples and the oracle bytes up to rank 255 (tuples
+            # above); any other letter sequence gives the same key
             assert key == _FAMILIES[fam].key(list(w))
             if max(w, default=1) <= 255:
                 assert key == _FAMILIES[fam].key(bytes(w))
