@@ -16,14 +16,12 @@ import sys
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "words": ("AnchorAbsentError", "Word", "con", "directional_occ", "ev", "ev_leq", "fp",
-              "ip", "mix", "occ", "restrict", "skeleton"),
+    "words": ("Word", "con", "ev", "fp", "ip", "mix"),
     "tableaux": ("StalacticTableau", "TaigaTree", "p_stal", "p_taig"),
     "bst": ("BaxterObject", "LeftStrictBST", "RightStrictBST", "p_baxt", "p_sylv",
             "p_sylv_sharp"),
-    "monoids": ("L21", "R21", "FiniteMonoid", "MonoidFamily", "RankViolationError",
-                "UnboundVariableError", "alphabet_cap", "canonical", "check_rank",
-                "equivalent", "eval_in_finite"),
+    "monoids": ("MonoidFamily", "RankViolationError", "UnboundVariableError", "alphabet_cap",
+                "canonical", "check_rank", "equivalent"),
     "identities": ("CounterExample", "DecisionMismatchError", "Derivation", "DerivationError",
                    "DerivationStep", "Exhaustive", "HoldsWithinBound", "Identity",
                    "RandomSearch", "apply_substitution", "basis", "derivation_certificate",

@@ -96,7 +96,8 @@ class Identity:
 
     @classmethod
     def parse(cls, text: str) -> "Identity":
-        """Parse "xyx = yxx"; also accepts the unicode approx sign."""
+        """Parse "xyx = yxx"; also accepts the unicode approx sign.  Each side is stripped,
+        so no side is one multi-character variable: "foo = bar" reads f o o = b a r."""
         norm = text.replace("≈", "=")
         if norm.count("=") != 1:
             raise ValueError(f"identity must contain exactly one '=': {text!r}")

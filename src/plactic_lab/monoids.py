@@ -1,21 +1,24 @@
-"""Monoid families, canonical objects, and small finite monoids.
+"""Monoid families and their canonical objects.
 
 Each of the eight families is described once, by its row in _FAMILIES: the
 raw key builder, the object builder and the alphabet cap.  The key builder
 maps a letter tuple to a plain hashable value that is equal exactly for
 equivalent words; equivalent() and the oracle compare keys.  The object
 builder returns the public canonical object that canonical() hands out: a
-tableau or tree for the five insertion families, the element of a finite
-monoid, or an exponent.  The cap is the largest letter the family admits.
+tableau or tree for the five insertion families, an element name or an
+exponent.  The cap is the largest letter the family admits.
 
 Besides the five insertion families there are three reference monoids: the
-two three-element monoids obtained by adjoining a unit to the left zero and
-right zero semigroups on {a, b}, and the free monoid on one generator.
+two three-element monoids {1, a, b} obtained by adjoining a unit 1 to the left
+zero and right zero semigroups on {a, b}, and the free monoid on one
+generator.  Letter 1 stands for a and letter 2 for b; as ab = a in the first
+and ab = b in the second, a nonempty word is its first letter in l21 and its
+last in r21.
 """
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import bst, tableaux
 from .words import _are_letters, _symbols
@@ -62,83 +65,12 @@ def check_rank(w, rank: int) -> None:
         raise RankViolationError(f"the word is not over the letters 1..{rank}")
 
 
-class FiniteMonoid:
-    """A finite monoid given by its full multiplication table.
-
-    Associativity and the unit laws are checked exhaustively on construction.
-    """
-
-    def __init__(self, name: str, elements: Iterable[str], unit: str, table: Mapping):
-        self.name = name
-        self.elements = tuple(elements)
-        self.unit = unit
-        self.table = dict(table)
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if unit not in elems:
-            raise ValueError("unit must be an element")
-        for a in self.elements:
-            for b in self.elements:
-                if self.table.get((a, b)) not in elems:
-                    raise ValueError(f"table incomplete or out of range at {(a, b)!r}")
-        for a in self.elements:
-            if self.table[(unit, a)] != a or self.table[(a, unit)] != a:
-                raise ValueError(f"unit law fails at {a!r}")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.table[(self.table[(a, b)], c)] != self.table[(a, self.table[(b, c)])]:
-                        raise ValueError(f"associativity fails at {(a, b, c)!r}")
-
-    def mul(self, a: str, b: str) -> str:
-        return self.table[(a, b)]
-
-    def fold(self, items: Iterable[str]) -> str:
-        acc = self.unit
-        for x in items:
-            acc = self.table[(acc, x)]
-        return acc
-
-    def __repr__(self) -> str:
-        return f"FiniteMonoid({self.name!r})"
+def _l21(seq) -> str:
+    return "1ab"[seq[0] if seq else 0]
 
 
-def _adjoined_zero_monoid(name: str, left: bool) -> FiniteMonoid:
-    # On {a, b} the product is the left factor (left zero) or the right one.
-    elements = ("1", "a", "b")
-    table = {}
-    for x in elements:
-        table[("1", x)] = x
-        table[(x, "1")] = x
-    for x in ("a", "b"):
-        for y in ("a", "b"):
-            table[(x, y)] = x if left else y
-    return FiniteMonoid(name, elements, "1", table)
-
-
-L21 = _adjoined_zero_monoid("L2^1", left=True)
-R21 = _adjoined_zero_monoid("R2^1", left=False)
-
-# Letter words over {1, 2} map into the adjoined zero monoids generator-wise.
-_GENERATORS = {1: "a", 2: "b"}
-
-
-def eval_in_finite(monoid: FiniteMonoid, w, assignment: Mapping[str, str]) -> str:
-    """Evaluate a variable word in a finite monoid under the assignment."""
-    values = []
-    for name in _symbols(w):
-        if name not in assignment:
-            raise UnboundVariableError(f"variable {name!r} has no assigned value")
-        value = assignment[name]
-        if value not in monoid.elements:
-            raise ValueError(f"{value!r} is not an element of {monoid.name}")
-        values.append(value)
-    return monoid.fold(values)
-
-
-def _fold_in(monoid: FiniteMonoid) -> Callable:
-    return lambda seq: monoid.fold(_GENERATORS[s] for s in seq)
+def _r21(seq) -> str:
+    return "1ab"[seq[-1] if seq else 0]
 
 
 class _Family(NamedTuple):
@@ -155,8 +87,8 @@ _FAMILIES = {
     MonoidFamily.SYLV: _Family(bst._sylv_key, lambda w: bst.p_sylv(w), None),
     MonoidFamily.SYLV_SHARP: _Family(bst._sylv_sharp_key, lambda w: bst.p_sylv_sharp(w), None),
     MonoidFamily.BAXT: _Family(bst._baxt_key, lambda w: bst.p_baxt(w), None),
-    MonoidFamily.LEFT_ZERO: _Family(_fold_in(L21), _fold_in(L21), 2),
-    MonoidFamily.RIGHT_ZERO: _Family(_fold_in(R21), _fold_in(R21), 2),
+    MonoidFamily.LEFT_ZERO: _Family(_l21, _l21, 2),
+    MonoidFamily.RIGHT_ZERO: _Family(_r21, _r21, 2),
     MonoidFamily.FREE_MONOGENIC: _Family(len, len, 1),
 }
 

@@ -5,9 +5,9 @@ mix inside one word: letters (exact ints >= 1, ordered in the usual way) and
 variables (identifier-like names, used to state identities), told apart by
 _are_letters and _are_variables, the package's one symbol check.  Everything
 else in the package is built on the statistics defined here: content,
-occurrence counts, directional occurrence counts relative to an anchor, and the
-three occurrence skeletons ip/fp/mix.  Identities between variable words live
-in identities.py, so building objects never loads the identity machinery.
+evaluation and the three occurrence skeletons ip/fp/mix.  Identities between
+variable words live in identities.py, so building objects never loads the
+identity machinery.
 """
 from __future__ import annotations
 
@@ -22,18 +22,6 @@ _VARIABLE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 LETTERS = "letter"
 VARIABLES = "variable"
-
-IP = "ip"
-FP = "fp"
-MIX = "mix"
-
-BEFORE = "before"
-AFTER = "after"
-
-
-class AnchorAbsentError(ValueError):
-    """Raised when a directional count is anchored at a symbol the word lacks."""
-
 
 _INT, _STR = {int}, {str}
 
@@ -101,7 +89,7 @@ class Word:
         """Build a letter word from an int iterable or from text.
 
         Text is either compact ASCII digits ("212", letters 1..9 only) or
-        whitespace-separated integers ("12 3 12").
+        whitespace-separated integers ("12 3 12", or "12 " for letter 12 alone).
         """
         return _of_kind(LETTERS, cls(_parse_letter_text(source) if isinstance(source, str)
                                      else source))
@@ -111,14 +99,18 @@ class Word:
         """Build a variable word from a name iterable or from text.
 
         Text is either juxtaposed single-character names ("xyx") or
-        whitespace-separated names ("foo bar foo").
+        whitespace-separated names ("foo bar foo", or "foo " for foo alone).
         """
         return _of_kind(VARIABLES, cls(_tokens(source) if isinstance(source, str) else source))
 
     def text(self) -> str:
-        """Render in the most compact form that round-trips through parsing."""
+        """Render in the most compact form that round-trips through parsing: symbols
+        of one character juxtaposed, else spaced, and a lone longer symbol with a
+        trailing space ("12 " is the letter 12, "12" the letters 1 and 2)."""
         parts = tuple(map(str, self.symbols))
-        return ("" if all(len(p) == 1 for p in parts) else " ").join(parts)
+        if all(len(p) == 1 for p in parts):
+            return "".join(parts)
+        return " ".join(parts) if len(parts) > 1 else parts[0] + " "
 
     def reverse(self) -> "Word":
         return Word._make(self.symbols[::-1])
@@ -167,7 +159,7 @@ def _of_kind(kind: str, w: Word) -> Word:
 def _tokens(text: str) -> list:
     """The symbols of a word's text: split at whitespace if it has any, else into characters."""
     parts = text.split()
-    return parts if len(parts) > 1 else list(text.strip())
+    return list(text) if parts == [text] else parts
 
 
 def _parse_letter_text(text: str) -> tuple:
@@ -195,19 +187,9 @@ def con(w) -> frozenset:
     return frozenset(_symbols(w))
 
 
-def occ(x: Symbol, w) -> int:
-    """Number of occurrences of x in w."""
-    return _symbols(w).count(x)
-
-
 def ev(w) -> Counter:
     """Evaluation of w: symbol -> occurrence count (symbols absent are omitted)."""
     return Counter(_symbols(w))
-
-
-def ev_leq(a: Counter, b: Counter) -> bool:
-    """Componentwise comparison of evaluations: every count in a is <= in b."""
-    return all(v <= b.get(k, 0) for k, v in a.items())
 
 
 def _last_stretches(syms: tuple) -> list:
@@ -223,23 +205,6 @@ def _last_stretches(syms: tuple) -> list:
     return out
 
 
-def directional_occ(direction: str, anchor: Symbol, x: Symbol, w) -> int:
-    """Occurrences of x strictly before the first anchor or after the last one.
-
-    direction "before" counts x left of the first occurrence of anchor,
-    "after" counts x right of the last occurrence of anchor.  The anchor must
-    occur in w; x need not.
-    """
-    if direction not in (AFTER, BEFORE):
-        raise ValueError(f"unknown direction {direction!r}")
-    syms = _symbols(w)
-    if anchor not in syms:
-        raise AnchorAbsentError(f"symbol {anchor!r} does not occur")
-    if direction == AFTER:  # after the last anchor is before the first one of the reversal
-        syms = syms[::-1]
-    return syms[: syms.index(anchor)].count(x)
-
-
 def _ip(syms: tuple) -> tuple:
     return tuple(dict.fromkeys(syms))
 
@@ -251,22 +216,6 @@ def _fp(syms: tuple) -> tuple:
 def _like(w, syms: tuple) -> Word:
     """syms, drawn from the symbols of w, as a word; unchecked when w is a Word."""
     return Word._make(syms) if isinstance(w, Word) else Word(syms)
-
-
-def skeleton(mode: str, w) -> Word:
-    """Occurrence skeleton of w.
-
-    "ip" keeps the first occurrence of every symbol, "fp" the last, "mix"
-    both (one entry for symbols occurring once).  Order of positions is kept.
-    """
-    syms = _symbols(w)
-    if mode == IP:
-        return _like(w, _ip(syms))
-    if mode == FP:
-        return _like(w, _fp(syms))
-    if mode == MIX:
-        return _like(w, tuple(syms[i] for i in sorted(_mix_positions(syms))))
-    raise ValueError(f"unknown skeleton mode {mode!r}")
 
 
 def _first_last_positions(syms: tuple) -> tuple[dict, dict]:
@@ -281,19 +230,16 @@ def _mix_positions(syms: tuple) -> set:
 
 
 def ip(w) -> Word:
-    return skeleton(IP, w)
+    """The first occurrence of each symbol of w, in order."""
+    return _like(w, _ip(_symbols(w)))
 
 
 def fp(w) -> Word:
-    return skeleton(FP, w)
+    """The last occurrence of each symbol of w, in order."""
+    return _like(w, _fp(_symbols(w)))
 
 
 def mix(w) -> Word:
-    return skeleton(MIX, w)
-
-
-def restrict(w, symbols) -> Word:
-    """Subword of w consisting of the occurrences of the given symbols."""
-    wanted = set(symbols)
-    return _like(w, tuple(s for s in _symbols(w) if s in wanted))
-
+    """The first and last occurrence of each symbol of w (one if it occurs once), in order."""
+    syms = _symbols(w)
+    return _like(w, tuple(syms[i] for i in sorted(_mix_positions(syms))))

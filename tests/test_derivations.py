@@ -28,12 +28,12 @@ from plactic_lab import (
     mix,
     normal_form,
     normalize_derivation,
-    restrict,
     satisfies,
     step_from_json,
     step_to_json,
     verify_derivation,
 )
+from reference import restrict
 
 F = MonoidFamily
 INSERTION = (F.STAL, F.TAIG, F.SYLV, F.SYLV_SHARP, F.BAXT)
@@ -347,11 +347,15 @@ def test_derived_words_match_the_checked_constructor(w, other, data):
 
 
 def test_step_json_roundtrip():
-    cert = derivation_certificate(F.SYLV, Identity.parse("xyxy = yxxy"))
-    payload = json.loads(json.dumps(derivation_to_json(cert)))
-    restored = [step_from_json(d) for d in payload]
-    assert restored == cert
-    assert verify_derivation(basis(F.SYLV), restored)
+    swap = [Identity.parse("x y = y x")]
+    # the search's images are lone multi-character variables: x -> foo, y -> bar
+    for rules, cert in ((basis(F.SYLV), derivation_certificate(F.SYLV, Identity.parse("xyxy = yxxy"))),
+                        (swap, derive_search(swap, Word.variables("foo bar"),
+                                             Word.variables("bar foo")))):
+        payload = json.loads(json.dumps(derivation_to_json(cert)))
+        restored = [step_from_json(d) for d in payload]
+        assert restored == cert
+        assert verify_derivation(rules, restored)
 
 
 def test_letter_step_json_roundtrip():

@@ -24,7 +24,6 @@ from plactic_lab import (
     basis,
     canonical,
     con,
-    directional_occ,
     equivalent,
     ev,
     find_counterexample,
@@ -36,6 +35,7 @@ from plactic_lab import (
     satisfies,
     verdict_to_json,
 )
+from reference import directional_occ
 
 F = MonoidFamily
 INSERTION = (F.STAL, F.TAIG, F.SYLV, F.SYLV_SHARP, F.BAXT)

@@ -11,23 +11,18 @@ from hypothesis import given, strategies as st
 from plactic_lab import (
     BaxterObject,
     Exhaustive,
-    FiniteMonoid,
     Identity,
-    L21,
     LeftStrictBST,
     MonoidFamily,
-    R21,
     RankViolationError,
     RightStrictBST,
     StalacticTableau,
     TaigaTree,
-    UnboundVariableError,
     Word,
     alphabet_cap,
     canonical,
     check_rank,
     equivalent,
-    eval_in_finite,
     ev,
     oracle,
     p_baxt,
@@ -38,6 +33,7 @@ from plactic_lab import (
 )
 from plactic_lab import bst, tableaux
 from plactic_lab.monoids import _FAMILIES
+from reference import ELEMENTS, L21, R21, fold
 
 INSERTION = (
     MonoidFamily.STAL,
@@ -72,52 +68,25 @@ def test_check_rank():
 
 
 def test_adjoined_zero_tables():
-    for x in ("a", "b"):
-        for y in ("a", "b"):
-            assert L21.mul(x, y) == x
-            assert R21.mul(x, y) == y
-    for m in (L21, R21):
-        for x in m.elements:
-            assert m.mul("1", x) == x == m.mul(x, "1")
-
-
-def test_finite_monoid_validation():
-    with pytest.raises(ValueError):
-        FiniteMonoid("bad", ("1", "a"), "1", {("1", "1"): "1"})
-    with pytest.raises(ValueError, match="duplicate elements"):
-        FiniteMonoid("twice", ("1", "1"), "1", {("1", "1"): "1"})
-    with pytest.raises(ValueError, match="unit must be an element"):
-        FiniteMonoid("no-such-unit", ("a",), "1", {("a", "a"): "a"})
-    table = {
-        (x, y): "a" for x, y in itertools.product(("1", "a"), repeat=2)
-    }
-    with pytest.raises(ValueError):
-        FiniteMonoid("no-unit", ("1", "a"), "1", table)
-    # xy = x on both letters but broken associativity via a sneaky unit row
-    assoc_break = {
-        ("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "1",
-        ("1", "b"): "b", ("b", "1"): "b", ("b", "b"): "a", ("a", "b"): "b",
-        ("b", "a"): "b",
-    }
-    with pytest.raises(ValueError):
-        FiniteMonoid("nonassoc", ("1", "a", "b"), "1", assoc_break)
-
-
-def test_fold():
-    assert L21.fold([]) == "1"
-    assert L21.fold(["a", "b", "a"]) == "a"
-    assert R21.fold(["a", "b"]) == "b"
-
-
-def test_eval_in_finite():
-    w = Word.variables("xyx")
-    assert eval_in_finite(L21, w, {"x": "a", "y": "b"}) == "a"
-    assert eval_in_finite(R21, w, {"x": "a", "y": "b"}) == "a"
-    assert eval_in_finite(R21, Word.variables("xy"), {"x": "a", "y": "1"}) == "a"
-    with pytest.raises(UnboundVariableError):
-        eval_in_finite(L21, w, {"x": "a"})
-    with pytest.raises(ValueError):
-        eval_in_finite(L21, w, {"x": "a", "y": "z"})
+    # the tables are monoids with unit 1, a left and a right zero semigroup on {a, b}
+    for table, zero in ((L21, lambda x, y: x), (R21, lambda x, y: y)):
+        for x in ELEMENTS:
+            assert table["1", x] == x == table[x, "1"]
+        for x, y in itertools.product("ab", repeat=2):
+            assert table[x, y] == zero(x, y)
+        for x, y, z in itertools.product(ELEMENTS, repeat=3):
+            assert table[table[x, y], z] == table[x, table[y, z]]
+    # every word over {1, 2} of length <= 8, as a tuple and as the oracle's bytes;
+    # (), (1,) and (2,) spell the three elements
+    words = [w for n in range(9) for w in itertools.product((1, 2), repeat=n)]
+    assert len(words) == 511
+    for fam, table in ((MonoidFamily.LEFT_ZERO, L21), (MonoidFamily.RIGHT_ZERO, R21)):
+        element = {w: fold(table, ("ab"[a - 1] for a in w)) for w in words}
+        for w in words:
+            for seq in (w, bytes(w)):
+                assert canonical(fam, seq) == _FAMILIES[fam].key(seq) == element[w]
+                for rep in words[:3]:
+                    assert equivalent(fam, seq, rep) == (element[w] == element[rep])
 
 
 def test_canonical_dispatch():
