@@ -20,15 +20,15 @@ _SOURCES = {
     "tableaux": ("StalacticTableau", "TaigaTree", "p_stal", "p_taig"),
     "bst": ("BaxterObject", "LeftStrictBST", "RightStrictBST", "p_baxt", "p_sylv",
             "p_sylv_sharp"),
-    "monoids": ("MonoidFamily", "RankViolationError", "UnboundVariableError", "alphabet_cap",
-                "canonical", "check_rank", "equivalent"),
+    "monoids": ("MonoidFamily", "RankViolationError", "alphabet_cap", "canonical",
+                "check_rank", "equivalent"),
     "identities": ("CounterExample", "DecisionMismatchError", "Derivation", "DerivationError",
                    "DerivationStep", "Exhaustive", "HoldsWithinBound", "Identity",
-                   "RandomSearch", "apply_substitution", "basis", "derivation_certificate",
-                   "derivation_to_json", "derive_search", "find_counterexample",
-                   "invert_steps", "load_identity_system", "normal_form",
-                   "normalize_derivation", "oracle", "satisfies", "step_from_json",
-                   "step_to_json", "verdict_to_json", "verify_derivation"),
+                   "RandomSearch", "UnboundVariableError", "apply_substitution", "basis",
+                   "derivation_certificate", "derivation_to_json", "derive_search",
+                   "find_counterexample", "invert_steps", "load_identity_system",
+                   "normal_form", "normalize_derivation", "oracle", "satisfies",
+                   "step_from_json", "step_to_json", "verdict_to_json", "verify_derivation"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -40,11 +40,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .monoids import (
+    _FAMILIES,
     MonoidFamily,
     RankViolationError,
-    UnboundVariableError,
-    _family,
-    _lookup,
+    _FamilyTable,
     alphabet_cap,
     canonical,
     check_rank,
@@ -72,6 +71,10 @@ class DecisionMismatchError(RuntimeError):
 
 class DerivationError(RuntimeError):
     """A derivation failed its own check; this is a bug, not a negative answer."""
+
+
+class UnboundVariableError(ValueError):
+    """A substitution is missing a variable it needs."""
 
 
 def _debug_log(name: str):
@@ -135,7 +138,7 @@ def _rules(text_pairs) -> tuple:
 
 def _theory(family: MonoidFamily, part: str):
     """One part of the family's row in _THEORIES (defined below)."""
-    value = getattr(_lookup(_THEORIES, family), part)
+    value = getattr(_THEORIES[family], part)
     if value is None:
         raise ValueError(f"no {part.replace('_', ' ')} registered for {family}")
     return value
@@ -157,7 +160,7 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
     stal and taig compare ev and fp; sylv adds how many y follow the last x,
     for all x and y; sylvsharp is the mirror image of sylv; baxt needs both.
     """
-    invariant = _lookup(_THEORIES, family).invariant
+    invariant = _THEORIES[family].invariant
     return invariant(ident.lhs.symbols) == invariant(ident.rhs.symbols)
 
 
@@ -231,10 +234,10 @@ def _substitute(images: Mapping, syms: tuple) -> tuple:
 def apply_substitution(sub: Mapping[str, Word], w: Word) -> Word:
     """Replace each variable of w by its image; images are letter words."""
     images = {name: img.symbols for name, img in sub.items()}
-    try:
-        return Word(_substitute(images, w.symbols))
-    except KeyError as exc:
-        raise UnboundVariableError(f"variable {exc.args[0]!r} has no image") from None
+    unbound = [name for name in w.symbols if name not in images]
+    if unbound:
+        raise UnboundVariableError(f"variable {unbound[0]!r} has no image")
+    return Word(_substitute(images, w.symbols))
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     """
     log = _debug_log("plactic_lab.oracle")
     start = time.perf_counter() if log else None
-    row = _family(family)
+    row = _FAMILIES[family]
     check_rank((), rank)  # rank >= 1
     if row.cap is not None and rank > row.cap:
         raise RankViolationError(f"{family} admits rank at most {row.cap}")
@@ -589,8 +592,6 @@ def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable,
                     changed = True
         prev = pos
     end = tuple(syms)
-    if end != _sorted_stretches(given, stretches):
-        raise DerivationError("sorting one swap at a time did not land on the normal form")
     return Derivation(rules, w, apps, Word._make(end[::-1] if mirrored else end))
 
 
@@ -625,11 +626,13 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
 
 
 def normalize_derivation(family: MonoidFamily, w: Word) -> Derivation:
-    """A verified derivation from w to normal_form(family, w), basis rules only.
-
-    It has no steps when w is already normal.
-    """
-    return _theory(family, "derivation")(w, basis(family))
+    """A derivation from w to normal_form(family, w), basis rules only, with no steps
+    when w is already normal.  Every family's rewriting has its end checked here, and
+    only here: DerivationError if it ends on any other word."""
+    d = _theory(family, "derivation")(w, basis(family))
+    if d.end != normal_form(family, w):
+        raise DerivationError(f"the {family} rewriting did not end on the normal form")
+    return d
 
 
 class _Theory(NamedTuple):
@@ -641,7 +644,7 @@ class _Theory(NamedTuple):
 
 _GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: (Counter(syms), _fp(syms)), _gathered,
                   _gather_steps)
-_THEORIES = {
+_THEORIES = _FamilyTable({
     MonoidFamily.STAL: _GATHER,
     MonoidFamily.TAIG: _GATHER,
     MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), _last_stretches,
@@ -659,7 +662,7 @@ _THEORIES = {
     MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None, None),
     MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None, None),
     MonoidFamily.FREE_MONOGENIC: _Theory(None, Counter, None, None),
-}
+})
 
 
 def derivation_certificate(family: MonoidFamily, ident: Identity) -> Derivation:

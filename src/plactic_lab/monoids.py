@@ -1,12 +1,13 @@
 """Monoid families and their canonical objects.
 
 Each of the eight families is described once, by its row in _FAMILIES: the
-raw key builder, the object builder and the alphabet cap.  The key builder
-maps a letter tuple to a plain hashable value that is equal exactly for
-equivalent words; equivalent() and the oracle compare keys.  The object
-builder returns the public canonical object that canonical() hands out: a
-tableau or tree for the five insertion families, an element name or an
-exponent.  The cap is the largest letter the family admits.
+raw key builder, the object builder and the alphabet cap; the table itself
+refuses any other family with ValueError.  The key builder maps a letter tuple
+to a plain hashable value that is equal exactly for equivalent words;
+equivalent() and the oracle compare keys.  The object builder returns the
+public canonical object that canonical() hands out: a tableau or tree for the
+five insertion families, an element name or an exponent.  The cap is the
+largest letter the family admits.
 
 Besides the five insertion families there are three reference monoids: the
 two three-element monoids {1, a, b} obtained by adjoining a unit 1 to the left
@@ -18,7 +19,7 @@ last in r21.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import bst, tableaux
 from .words import _are_letters, _symbols
@@ -26,10 +27,6 @@ from .words import _are_letters, _symbols
 
 class RankViolationError(ValueError):
     """A word uses letters outside the declared alphabet."""
-
-
-class UnboundVariableError(ValueError):
-    """A substitution or assignment is missing a variable it needs."""
 
 
 class MonoidFamily(enum.Enum):
@@ -79,9 +76,16 @@ class _Family(NamedTuple):
     cap: Optional[int]  # largest letter admitted; None means any
 
 
+class _FamilyTable(dict):
+    """One row per MonoidFamily member; any other key raises ValueError."""
+
+    def __missing__(self, family):
+        raise ValueError(f"unknown family {family!r}")
+
+
 # The object builders look the insertion functions up at call time, so that
 # code which wraps tableaux.p_* or bst.p_* (tracing, say) sees every call.
-_FAMILIES = {
+_FAMILIES = _FamilyTable({
     MonoidFamily.STAL: _Family(tableaux._stal_columns, lambda w: tableaux.p_stal(w), None),
     MonoidFamily.TAIG: _Family(tableaux._taiga_key, lambda w: tableaux.p_taig(w), None),
     MonoidFamily.SYLV: _Family(bst._sylv_key, lambda w: bst.p_sylv(w), None),
@@ -90,24 +94,12 @@ _FAMILIES = {
     MonoidFamily.LEFT_ZERO: _Family(_l21, _l21, 2),
     MonoidFamily.RIGHT_ZERO: _Family(_r21, _r21, 2),
     MonoidFamily.FREE_MONOGENIC: _Family(len, len, 1),
-}
-
-
-def _lookup(table: Mapping, family):
-    """The table's row for a family; a miss raises ValueError."""
-    try:
-        return table[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-
-
-def _family(family: MonoidFamily) -> _Family:
-    return _lookup(_FAMILIES, family)
+})
 
 
 def alphabet_cap(family: MonoidFamily) -> Optional[int]:
     """Largest letter the family admits; None means any."""
-    return _family(family).cap
+    return _FAMILIES[family].cap
 
 
 def _letters(row: _Family, w) -> tuple:
@@ -123,14 +115,12 @@ def canonical(family: MonoidFamily, w):
     Insertion families return their tableau/tree objects; free1 returns the
     exponent of the single generator; l21/r21 return the monoid element.
     """
-    row = _family(family)
-    if row.cap is None:
-        return row.obj(w)  # the insertion functions check the word themselves
-    return row.obj(_letters(row, w))
+    row = _FAMILIES[family]
+    return row.obj(w if row.cap is None else _letters(row, w))  # insertion checks w itself
 
 
 def equivalent(family: MonoidFamily, u, v) -> bool:
     """Do u and v define the same element, i.e. the same canonical object?"""
-    row = _family(family)
+    row = _FAMILIES[family]
     a, b = _letters(row, u), _letters(row, v)
     return a == b or row.key(a) == row.key(b)

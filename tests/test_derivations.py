@@ -58,6 +58,16 @@ def test_normalize_derivation_reaches_normal_form(w):
         assert_chain(fam, w, normalize_derivation(fam, w))
 
 
+@pytest.mark.parametrize("fam", INSERTION, ids=str)
+def test_normalize_derivation_refuses_a_rewriting_that_ends_off_the_normal_form(fam, monkeypatch):
+    # a builder that stops at once: xyyxyxxy is not normal in any insertion family
+    row = identities._THEORIES[fam]
+    monkeypatch.setitem(identities._THEORIES, fam,
+                        row._replace(derivation=lambda w, rules: Derivation(rules, w, (), w)))
+    with pytest.raises(DerivationError, match="did not end on the normal form"):
+        normalize_derivation(fam, Word.variables("xyyxyxxy"))
+
+
 def test_normalize_derivation_on_letter_words():
     w = Word.letters("3613151265")
     for fam in INSERTION:

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+import re
 import time
 from collections import Counter
 
@@ -78,7 +79,7 @@ def test_basis_contents():
         basis(F.FREE_MONOGENIC)
 
 
-@pytest.mark.parametrize("call", [
+ENTRY_POINTS = pytest.mark.parametrize("call", [
     lambda fam: canonical(fam, Word.letters("12")),
     lambda fam: equivalent(fam, Word.letters("12"), Word.letters("21")),
     lambda fam: satisfies(fam, Identity.parse("xx = x")),
@@ -90,10 +91,21 @@ def test_basis_contents():
     alphabet_cap,
 ], ids=["canonical", "equivalent", "satisfies-unequal-content", "satisfies",
         "normal_form", "basis", "normalize_derivation", "oracle", "alphabet_cap"])
+
+
+@ENTRY_POINTS
 def test_unknown_family_is_rejected(call):
-    # a family name passed as a plain string is not a MonoidFamily
-    with pytest.raises(ValueError, match="unknown family 'sylv'"):
-        call("sylv")
+    # a family name passed as a plain string is not a MonoidFamily, nor is None or an int
+    for family in ("sylv", None, 3):
+        with pytest.raises(ValueError, match=re.escape(f"unknown family {family!r}")):
+            call(family)
+
+
+@ENTRY_POINTS
+def test_unhashable_family_is_a_type_error(call):
+    # the family tables are dicts: an unhashable key fails before any lookup
+    with pytest.raises(TypeError):
+        call([])
 
 
 def test_satisfies_known_cases():
