@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .tableaux import _Canonical, _SearchTree, _letter_seq, _shape_key
-from .words import _are_letters
+from .words import _are_letters, _are_masks
 
 
 def _inorder(seq) -> list:
@@ -157,7 +157,21 @@ class BaxterObject(_Canonical):
 
     @classmethod
     def _from_json(cls, data: dict) -> "BaxterObject":
+        """The pair, taken at once if its labels and masks are exact ints and
+        the witness word builds both trees, which proves them insertion trees
+        with no search-order pass.  Any other payload goes through the tree
+        loaders and the constructor, which say what is wrong with it."""
         sharp, plain = data["sharp"], data["plain"]
+        try:
+            key = LeftStrictBST._json_key(sharp), RightStrictBST._json_key(plain)
+        except (KeyError, TypeError, ValueError):
+            key = None
+        # exact ints, lest a label True or 1.0 pass for 1 in the key comparison
+        if key is not None and _are_letters(key[0][0::2] + key[1][0::2]) and _are_masks(
+                key[0][1::2] + key[1][1::2]):
+            witness = _twin_witness(LeftStrictBST._make(key[0]), RightStrictBST._make(key[1]))
+            if _baxt_key(witness) == key:
+                return cls._make(key, witness)
         return cls(LeftStrictBST.from_json_dict(sharp), RightStrictBST.from_json_dict(plain))
 
 

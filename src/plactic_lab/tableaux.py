@@ -12,18 +12,19 @@ one immutability, pickling, equality, hash, reading word, product and JSON
 loader for all.  _SearchTree, the tree class behind TaigaTree and the two
 strict trees of bst, keys a tree by its flat preorder, which all its methods
 walk with an explicit stack, at any depth: counting, validity, JSON round
-trip and ASCII/DOT pictures.  Insertion builds that key in one stack pass
-over a Cartesian tree (_shape_key, a sentinel-bottomed loop); a taiga tree
-is the one on the columns that _column_counts finds for the tableau.
+trip and ASCII/DOT pictures; a tree too deep for the stdlib's json goes to
+JSON as flat lists.  Insertion builds that key in one stack pass over a
+Cartesian tree (_shape_key, a sentinel-bottomed loop); a taiga tree is the
+one on the columns that _column_counts finds for the tableau.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat, starmap, zip_longest
 from math import inf
 from operator import itemgetter
 
-from .words import Word, _are_letters, _symbols
+from .words import Word, _are_letters, _are_masks, _symbols
 
 
 def _letter_seq(w) -> tuple:
@@ -231,8 +232,9 @@ def _key_of_root(root, mult, fields=None) -> tuple:
             if id(node) in seen:
                 raise ValueError("a node occurs twice: it is no tree")
             seen.add(id(node))
-        node = node if fields is None else fields(node)
-        if len(node) != 3 + mult:
+        if fields is not None:
+            node = fields(node)  # always 3 + mult fields
+        elif len(node) != 3 + mult:
             raise ValueError(f"tree nodes need {3 + mult} fields, got {len(node)}")
         left, right = node[-2], node[-1]
         out += node[:-2]
@@ -255,6 +257,11 @@ def _unflatten(key, width, make):
     return built[0] if built else None
 
 
+# A tree deeper than this many levels goes to JSON as flat lists: the stdlib's json
+# recurses once per level, and this leaves half its ~1,000 levels to any document
+# that embeds the payload.
+_FLAT_DEPTH = 500
+
 # Outline prefixes by 2 * depth (+ 1 for a right child) for the indented levels;
 # deeper lines write "(depth) " instead, lest a deep outline grow quadratically.
 _OUTLINE_CAP = 64
@@ -271,7 +278,9 @@ class _SearchTree(_Canonical):
     not tell apart trees the constructor accepts, such as (2, (2, None, None),
     None) and (2, None, (2, None, None)).  root, rebuilt on each access, and
     the constructor use nested tuples (label, [mult,] left, right), empty =
-    None; _JSON reads a JSON node as one, _JSON_NODE writes one.  _EQUAL_LEFT
+    None; _JSON reads a nested JSON node as one, _JSON_NODE writes one.  A
+    tree deeper than _FLAT_DEPTH goes to JSON as the key's columns instead,
+    {"labels", ["mults",] "children"}.  _EQUAL_LEFT
     and _EQUAL_RIGHT say on which side of a node an equal label may sit;
     _FORWARD says whether the expanded preorder rebuilds the tree as is or
     reversed.
@@ -315,7 +324,8 @@ class _SearchTree(_Canonical):
         """Labels in in-order, and each node's parent as an in-order index (the
         root's is None).  A node waits on the stack while its left subtree is
         read.  In preorder a node's left child comes next; without one, the next
-        node is the right child of the last node read."""
+        node is the right child of the last node read.  On a key that is no tree
+        the result is no tree either, but it comes back without an error."""
         key, width = self._key, 2 + self._MULT
         masks = key[width - 1::width]
         order, parent, waiting = [], [-1], []  # order: preorder indices in in-order
@@ -330,29 +340,38 @@ class _SearchTree(_Canonical):
                 order.append(i)
                 mask = masks[i]
             parent.append(i)  # the last node read; unused after the last node
-        rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
-        rank.append(None)  # rank[-1], the root's parent
+        rank = [None] * (len(masks) + 1)  # the inverse of order; rank[-1], the root's parent
+        for k, i in enumerate(order):
+            rank[i] = k
         return tuple(map(key[0::width].__getitem__, order)), [rank[parent[i]] for i in order]
 
     def is_valid(self) -> bool:
-        """Search-tree order with this class's strictness, and letters as labels
-        and multiplicities.  One pass over the key: the stack holds the (lo, hi)
-        label bounds of the subtrees still to come, the next one on top."""
+        """Whether the key is a tree: letters as labels and multiplicities,
+        exact ints in 0..3 as child masks, a node for every child a mask names
+        and none left over, and search-tree order with this class's strictness.
+        One pass over the key: the stack holds the (lo, hi) label bounds of the
+        subtrees still to come, the next one on top, so a missing child empties
+        it too soon and a node left over leaves it nonempty."""
         key, width = self._key, 2 + self._MULT
-        if not _are_letters(key[0::3] + key[1::3] if self._MULT else key[0::2]):
+        masks = key[width - 1::width]
+        if not (_are_letters(key[0::3] + key[1::3] if self._MULT else key[0::2])
+                and _are_masks(masks)):
             return False
         equal_left, equal_right = self._EQUAL_LEFT, self._EQUAL_RIGHT
         stack = [(-inf, inf)] if key else []
-        for label, mask in zip(key[0::width], key[width - 1::width]):
-            lo, hi = stack.pop()
-            if (label < lo or label > hi or (label == lo and not equal_right)
-                    or (label == hi and not equal_left)):
-                return False
-            if mask & 2:
-                stack.append((label, hi))
-            if mask & 1:
-                stack.append((lo, label))
-        return True
+        try:
+            for label, mask in zip(key[0::width], masks):
+                lo, hi = stack.pop()
+                if (label < lo or label > hi or (label == lo and not equal_right)
+                        or (label == hi and not equal_left)):
+                    return False
+                if mask & 2:
+                    stack.append((label, hi))
+                if mask & 1:
+                    stack.append((lo, label))
+        except IndexError:  # a node that no mask names as a child
+            return False
+        return not stack
 
     def _nodes(self, plain, taiga):
         """(plain(label) or taiga(label, mult), child mask) per node, in preorder."""
@@ -373,12 +392,45 @@ class _SearchTree(_Canonical):
         return "".join(parts) + "".join(reversed(stack)) + ")"
 
     def to_json_dict(self):
-        """Nested {"label", ["mult",] "left", "right"} dicts, None if empty."""
-        return _unflatten(self._key, 2 + self._MULT, self._JSON_NODE)
+        """Nested {"label", ["mult",] "left", "right"} dicts, None if empty; a
+        tree deeper than _FLAT_DEPTH, flat {"labels", ["mults",] "children"}
+        lists, the key's columns.  A tree of at most _FLAT_DEPTH nodes is never
+        deeper, so it skips the depth pass."""
+        key, width = self._key, 2 + self._MULT
+        if len(key) <= _FLAT_DEPTH * width or not self._deeper_than(_FLAT_DEPTH):
+            return _unflatten(key, width, self._JSON_NODE)
+        flat = {"labels": list(key[0::width]), "children": list(key[width - 1::width])}
+        if self._MULT:
+            flat["mults"] = list(key[1::3])
+        return flat
+
+    def _deeper_than(self, levels) -> bool:
+        """Whether a node lies below the given number of levels.  depth is the
+        next node's; the stack holds the depths of right children still to come,
+        above a 0 for the end."""
+        width = 2 + self._MULT
+        depth, stack = 1, [0]
+        pop, push = stack.pop, stack.append
+        for mask in self._key[width - 1::width]:
+            if depth > levels:
+                return True
+            if mask == 3:
+                push(depth + 1)
+            depth = depth + 1 if mask else pop()
+        return False
+
+    @classmethod
+    def _json_key(cls, data) -> tuple:
+        """The key a payload of either form spells, valid or not: lists of
+        unequal lengths are padded with None, which is_valid refuses."""
+        if data is None or "labels" not in data:
+            return _key_of_root(data, cls._MULT, cls._JSON)
+        columns = (data["labels"], data["mults"]) if cls._MULT else (data["labels"],)
+        return tuple(chain.from_iterable(zip_longest(*columns, data["children"])))
 
     @classmethod
     def _from_json(cls, data):
-        tree = cls._make(_key_of_root(data, cls._MULT, cls._JSON))
+        tree = cls._make(cls._json_key(data))
         return tree if tree.is_valid() else None
 
     def to_dot(self) -> str:

@@ -3,11 +3,12 @@
 A word is a finite sequence of symbols.  Symbols come in two kinds that never
 mix inside one word: letters (exact ints >= 1, ordered in the usual way) and
 variables (identifier-like names, used to state identities), told apart by
-_are_letters and _are_variables, the package's one symbol check.  Everything
-else in the package is built on the statistics defined here: content,
-evaluation and the three occurrence skeletons ip/fp/mix.  Identities between
-variable words live in identities.py, so building objects never loads the
-identity machinery.
+_are_letters and _are_variables, the package's one symbol check; _are_masks
+runs the same type pass over the child masks of tree keys.  Everything else
+in the package is built on the statistics defined here: content, evaluation
+and the three occurrence skeletons ip/fp/mix.  Identities between variable
+words live in identities.py, so building objects never loads the identity
+machinery.
 """
 from __future__ import annotations
 
@@ -34,6 +35,12 @@ def _are_letters(seq) -> bool:
     skips the slower keyword-parsing call, which costs more than the pass.
     """
     return _INT.issuperset(map(type, seq)) and (not seq or min(seq) >= 1)
+
+
+def _are_masks(seq) -> bool:
+    """Whether every item of seq is a child mask of a tree key: an exact int
+    in 0..3, by the same two passes as _are_letters and one max() pass."""
+    return _INT.issuperset(map(type, seq)) and (not seq or min(seq) >= 0 and max(seq) <= 3)
 
 
 def _are_variables(seq) -> bool:

@@ -255,6 +255,23 @@ def test_json_roundtrip():
     assert LeftStrictBST.from_json_dict(json.loads(json.dumps(s.to_json_dict()))) == s
 
 
+def test_json_is_flat_lists_past_500_levels():
+    # the stdlib's json recurses once per level: deeper trees go as the key's columns
+    for n in (500, 501):
+        path = tuple(range(1, n + 1))  # a path of n levels in each tree family
+        for tree in (p_sylv(path), p_sylv_sharp(path), p_taig(path)):
+            data = tree.to_json_dict()
+            mult = isinstance(tree, TaigaTree)
+            flat = {"labels", "mults", "children"} if mult else {"labels", "children"}
+            nested = {"label", "mult", "left", "right"} if mult else {"label", "left", "right"}
+            assert set(data) == (flat if n > 500 else nested)
+            assert type(tree).from_json_dict(json.loads(json.dumps(data))) == tree
+    # many nodes but few levels stay nested
+    wide = p_sylv([(37 * i) % 1009 + 1 for i in range(1008)])
+    assert set(wide.to_json_dict()) == {"label", "left", "right"}
+    assert RightStrictBST.from_json_dict(json.loads(json.dumps(wide.to_json_dict()))) == wide
+
+
 def test_dot_output():
     dot = p_sylv("212").to_dot()
     assert dot.startswith("digraph")
@@ -318,6 +335,16 @@ def test_baxter_pairs_load_exactly_when_a_word_builds_them():
         assert b == built.get((sharp, plain))
         if b is not None:
             assert p_baxt(b.reading_word()) == b
+        # the JSON loader takes the same pairs, in either form
+        nested = {"sharp": sharp.to_json_dict(), "plain": plain.to_json_dict()}
+        for payload in (nested, {side: _flat(tree) for side, tree in nested.items()}):
+            try:
+                loaded = BaxterObject.from_json_dict(payload)
+            except ValueError:
+                loaded = None
+            assert loaded == b
+            if loaded is not None:
+                assert p_baxt(loaded.reading_word()) == b
 
 
 def test_baxter_json_roundtrip_and_reading_word():
@@ -346,6 +373,47 @@ _BAD_BAXTER_PAYLOADS = [  # (payload, the message that refuses it)
     # two valid trees that no word builds together
     ({"sharp": _SHARP, "plain": p_sylv("21").to_json_dict()},
      "no letter word builds this pair of trees"),
+]
+
+
+def _flat(node):
+    """The flat payload of a nested JSON tree: labels, [mults,] and child masks in preorder."""
+    rows = []
+    stack = [node] if node is not None else []
+    while stack:
+        node = stack.pop()
+        rows.append(node)
+        stack += [child for child in (node["right"], node["left"]) if child is not None]
+    flat = {"labels": [n["label"] for n in rows],
+            "children": [(n["left"] is not None) + 2 * (n["right"] is not None) for n in rows]}
+    if rows and "mult" in rows[0]:
+        flat["mults"] = [n["mult"] for n in rows]
+    return flat
+
+
+def _flat_side(side):
+    """side in flat form if it is a whole nested tree; as it is otherwise."""
+    nested = isinstance(side, dict) and {"label", "left", "right"} <= side.keys()
+    return _flat(side) if nested else side
+
+
+_FLAT_SHARP, _FLAT_PLAIN = _flat(_SHARP), _flat(_PLAIN)
+_BAD_FLAT_BAXTER_PAYLOADS = [
+    *(({side: _flat_side(tree) for side, tree in payload.items()}, message)
+      for payload, message in _BAD_BAXTER_PAYLOADS),
+    # a child mask, or a label, equal to a valid one but no exact int
+    *(({"sharp": _FLAT_SHARP, "plain": {**_FLAT_PLAIN, field: [bad, *_FLAT_PLAIN[field][1:]]}},
+       _NO_PLAIN) for field in ("labels", "children") for bad in (True, 1.0)),
+    *(({"sharp": {**_FLAT_SHARP, field: [*_FLAT_SHARP[field][:-1], bad]}, "plain": _FLAT_PLAIN},
+       _NO_SHARP) for field in ("labels", "children") for bad in (True, 1.0)),
+    # masks out of 0..3, a missing child, a node left over, unequal or missing columns
+    ({"sharp": {**_FLAT_SHARP, "children": [6, 0]}, "plain": _FLAT_PLAIN}, _NO_SHARP),
+    ({"sharp": _FLAT_SHARP, "plain": {**_FLAT_PLAIN, "children": [-1, 0]}}, _NO_PLAIN),
+    ({"sharp": {**_FLAT_SHARP, "children": [2, 1]}, "plain": _FLAT_PLAIN}, _NO_SHARP),
+    ({"sharp": _FLAT_SHARP, "plain": {**_FLAT_PLAIN, "children": [0, 0]}}, _NO_PLAIN),
+    ({"sharp": {**_FLAT_SHARP, "children": [2]}, "plain": _FLAT_PLAIN}, _NO_SHARP),
+    ({"sharp": _FLAT_SHARP, "plain": {"labels": _FLAT_PLAIN["labels"]}}, _NO_PLAIN),
+    ({"sharp": {"labels": 5, "children": 5}, "plain": _FLAT_PLAIN}, _NO_SHARP),
 ]
 
 
@@ -390,6 +458,76 @@ def test_is_valid_matches_naive_check(plain, taiga):
     assert TaigaTree(taiga).is_valid() == naive_is_valid(taiga, operator.lt, operator.gt)
 
 
+def naive_parse(rows):
+    """(True, the nested tree) of preorder (label, [mult,] mask) rows, or (False,
+    None) if a mask is no exact int in 0..3 or the masks spell no single tree."""
+    if any(type(row[-1]) is not int or not 0 <= row[-1] <= 3 for row in rows):
+        return False, None
+    rest = list(reversed(rows))
+
+    def node():
+        *fields, mask = rest.pop()  # IndexError: a child no row is left for
+        left = node() if mask & 1 else None
+        return (*fields, left, node() if mask & 2 else None)
+
+    try:
+        root = node() if rows else None
+    except IndexError:
+        return False, None
+    return not rest, root  # a row left over is no part of the tree
+
+
+masks = st.one_of(st.integers(0, 3), st.sampled_from([4, -1, True, 1.0]))
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2), masks), max_size=8))
+@example([(1, 1, 1)])  # a missing child
+@example([(1, 1, 0), (2, 1, 0)])  # a node left over
+@example([(1, 1, True)] + [(1, 1, 0)])  # a mask equal to 1 that is no int
+def test_is_valid_is_a_full_structural_check(rows):
+    # flat payloads spell any key; is_valid, the loader's one check, must refuse
+    # exactly what is no tree or breaks the order
+    cases = [(cls, [(a, m) for a, _, m in rows], left, right)
+             for cls, left, right in ((RightStrictBST, operator.le, operator.gt),
+                                      (LeftStrictBST, operator.lt, operator.ge))]
+    cases.append((TaigaTree, rows, operator.lt, operator.gt))
+    for cls, cls_rows, left_rel, right_rel in cases:
+        payload = {"labels": [row[0] for row in cls_rows],
+                   "children": [row[-1] for row in cls_rows]}
+        if cls is TaigaTree:
+            payload["mults"] = [row[1] for row in cls_rows]
+        shaped, root = naive_parse(cls_rows)
+        try:
+            tree = cls.from_json_dict(payload)
+        except ValueError:
+            tree = None
+        assert (tree is not None) == (shaped and naive_is_valid(root, left_rel, right_rel))
+        if tree is not None:
+            assert tree.is_valid() and tree.root == root
+
+
+flat_rows = st.lists(st.tuples(st.integers(1, 3), masks), max_size=6)
+
+
+@given(flat_rows, flat_rows)
+@example([(1, 1), (1, 1), (1, 1), (1, 2), (1, 2)], [(1, 0)])  # three left children missing
+def test_baxter_flat_payloads_load_as_the_tree_loaders_and_constructor_decide(sharp, plain):
+    # the loader's shortcut takes exactly the pairs the full checks take, and fails
+    # on no key, however malformed, with anything but ValueError
+    payload = {side: {"labels": [a for a, _ in rows], "children": [m for _, m in rows]}
+               for side, rows in (("sharp", sharp), ("plain", plain))}
+    try:
+        want = BaxterObject(LeftStrictBST.from_json_dict(payload["sharp"]),
+                            RightStrictBST.from_json_dict(payload["plain"]))
+    except ValueError:
+        want = None
+    try:
+        got = BaxterObject.from_json_dict(payload)
+    except ValueError:
+        got = None
+    assert got == want
+
+
 def test_from_json_rejects_invalid_trees():
     with pytest.raises(ValueError):  # an equal label right of a right strict node
         RightStrictBST.from_json_dict({"label": 2, "left": None, "right": {
@@ -407,8 +545,8 @@ def test_from_json_rejects_invalid_trees():
         BaxterObject.from_json_dict(data)
     with pytest.raises(ValueError):  # no "plain" field
         BaxterObject.from_json_dict({"sharp": None})
-    for data, message in _BAD_BAXTER_PAYLOADS:
-        with pytest.raises(ValueError, match=message):
+    for data, message in _BAD_BAXTER_PAYLOADS + _BAD_FLAT_BAXTER_PAYLOADS:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             BaxterObject.from_json_dict(data)
     with pytest.raises(ValueError):  # no "mult" field
         StalacticTableau.from_json_dict({"columns": [{"letter": 1}]})

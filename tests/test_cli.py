@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -252,21 +253,48 @@ def test_missing_subcommand_exits_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [["render", "--monoid", "sylv"],
-                                  ["object", "--monoid", "sylv", "--format", "json"]])
-def test_too_deep_to_draw_exits_two_without_traceback(argv):
-    # a 3,000-level tree: render draws it, but the stdlib's json.dumps recurses
-    # once per level of the nested payload
-    word = " ".join(str(i) for i in range(1, 3001))
+                                  ["object", "--format", "json", "--monoid"]])
+def test_deep_tree_output_exits_zero_without_traceback(argv):
+    # a 3,000-level tree: render draws it, and its JSON is flat lists, which the
+    # stdlib's json writes and reads back at any depth
+    letters = range(1, 3001)
+    word = " ".join(map(str, letters))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plactic_lab.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "plactic_lab.cli", *argv, "--word", word],
-                          env=env, capture_output=True, text=True, timeout=120)
-    if argv[0] == "render":
+    for family in ([None] if argv[0] == "render" else ["taig", "sylv", "sylvsharp", "baxt"]):
+        proc = subprocess.run([sys.executable, "-m", "plactic_lab.cli", *argv,
+                               *([family] if family else []), "--word", word],
+                              env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and not proc.stderr
-        assert proc.stdout.count("\n") == 3000
-        return
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        if family is None:
+            assert proc.stdout.count("\n") == 3000
+            continue
+        obj = canonical(MonoidFamily(family), tuple(letters))
+        assert type(obj).from_json_dict(json.loads(proc.stdout)) == obj
+
+
+def test_json_of_10_to_the_5_letters_loads_back(capsys):
+    rng = random.Random(5)
+    for word in (tuple(range(1, 10**5 + 1)), tuple(rng.choice((1, 2)) for _ in range(10**5))):
+        text = " ".join(map(str, word))
+        for family in ("taig", "sylv", "sylvsharp", "baxt"):
+            code, out, err = run(capsys, "object", "--monoid", family, "--word", text,
+                                 "--format", "json")
+            assert (code, err) == (0, "")
+            obj = canonical(MonoidFamily(family), word)
+            assert type(obj).from_json_dict(json.loads(out)) == obj
+
+
+@pytest.mark.parametrize("limit", [RecursionError, MemoryError])
+def test_resource_limits_exit_two_without_traceback(capsys, monkeypatch, limit):
+    # an input too large or too deep is an error, never a negative answer
+    from plactic_lab import cli
+
+    def canonical(*args):
+        raise limit("too deep")
+
+    monkeypatch.setattr(cli.monoids, "canonical", canonical)
+    code, out, err = run(capsys, "object", "--monoid", "sylv", "--word", "12", "--format", "json")
+    assert (code, out, err) == (2, "", f"error: input too large or too deep ({limit.__name__})\n")
 
 
 def test_closed_pipe_keeps_exit_code_without_traceback():

@@ -1,6 +1,7 @@
 import enum
 import hashlib
 import itertools
+import json
 import pickle
 import random
 
@@ -211,14 +212,20 @@ def test_families_pickle_to_themselves_and_key_dicts():
     assert len(set(MonoidFamily)) == len(table) == 8
 
 
-def test_insertion_keys_are_pinned():
-    # pickles and hashes rest on the keys: a faster kernel must keep them byte for byte
+def _short_words():
+    """2,000 seeded words of ranks 1-9 and lengths 0-40."""
     rng = random.Random(21)
     words = []
     for _ in range(2000):
         rank = rng.randint(1, 9)
         n = rng.randint(0, 40)
         words.append(tuple(rng.randint(1, rank) for _ in range(n)))
+    return words
+
+
+def test_insertion_keys_are_pinned():
+    # pickles and hashes rest on the keys: a faster kernel must keep them byte for byte
+    words = _short_words()
     long = _long_words(600)
     words += [long["monotone"], long["monotone"][::-1], long["zigzag"], long["binary"], (5,) * 600]
     digest = hashlib.sha256()
@@ -238,6 +245,16 @@ def test_insertion_keys_are_pinned():
         for w in words[:2000]:
             capped = tuple((a - 1) % cap + 1 for a in w)
             assert _FAMILIES[fam].key(bytes(capped)) == canonical(fam, capped)
+
+
+def test_short_json_payloads_are_pinned():
+    # payloads of shallow trees are nested, as they always were, byte for byte
+    words, digest = _short_words(), hashlib.sha256()
+    for fam in INSERTION:
+        for w in words:
+            digest.update(json.dumps(canonical(fam, w).to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "002127cac47082af52a2cb6b7b2b0aaa02d72bc253a8b866971853b91d703285")
 
 
 @given(letter_seqs, letter_seqs)
