@@ -25,10 +25,10 @@ _SOURCES = {
     "identities": ("CounterExample", "DecisionMismatchError", "Derivation", "DerivationError",
                    "DerivationStep", "Exhaustive", "HoldsWithinBound", "Identity",
                    "RandomSearch", "UnboundVariableError", "apply_substitution", "basis",
-                   "derivation_certificate", "derivation_to_json", "derive_search",
-                   "find_counterexample", "invert_steps", "load_identity_system",
-                   "normal_form", "normalize_derivation", "oracle", "satisfies",
-                   "step_from_json", "step_to_json", "verdict_to_json", "verify_derivation"),
+                   "derivation_certificate", "derivation_from_json", "derivation_to_json",
+                   "derive_search", "find_counterexample", "invert_steps",
+                   "load_identity_system", "normal_form", "normalize_derivation", "oracle",
+                   "satisfies", "verdict_to_json", "verify_derivation"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

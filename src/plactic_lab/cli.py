@@ -1,16 +1,15 @@
 """Command line front end: one table of subcommands, one output path, one failure path.
 
-A subcommand maps the parsed arguments to its exit code and its output: one
-thunk per ``--format`` value, returning a dict, an iterator of a JSON array's
-items or the text lines (``None`` for no output).  ``main`` runs only the
-requested thunk and writes all of stdout, JSON as one line with sorted keys, an
-array one item at a time.  Exit codes: 0 for positive results (equivalent,
-identity holds, derivation found), 1 for negative ones, and 2 for any failure,
-while computing the answer or while writing it: usage or parse errors, a
-derivation that fails its own check, an input too large or too deep (a
-RecursionError or a MemoryError), or a stdout that cannot be written, such as a
-full disk.  A failure writes one ``error: ...`` line on stderr.  A reader
-closing stdout early changes no code.
+A subcommand maps the parsed arguments to its exit code and its output
+(``None`` for none): one thunk per ``--format`` value, returning a JSON value
+or the text lines.  ``main`` runs only the requested thunk and writes all of
+stdout, any JSON value as one line with sorted keys.  Exit codes: 0 for
+positive results (equivalent, identity holds, derivation found), 1 for
+negative ones, and 2 for any failure, while computing the answer or while
+writing it: usage or parse errors, a derivation that fails its own check, an
+input too large or too deep (a RecursionError or a MemoryError), or a stdout
+that cannot be written, such as a full disk.  A failure writes one ``error:
+...`` line on stderr.  A reader closing stdout early changes no code.
 
 A call loads only what it runs: identities (and with it dataclasses) only for
 check-identity, nf, oracle and derive, json only for JSON output, and the
@@ -144,7 +143,7 @@ def _derive(args):
         steps = identities.derivation_certificate(args.monoid, ident)
     if not identities.verify_derivation(sigma, steps):
         raise identities.DerivationError("derivation failed verification")
-    return 0, {"json": lambda: map(identities.step_to_json, steps),
+    return 0, {"json": lambda: identities.derivation_to_json(steps),
                "text": lambda: map(_describe_step, steps) if steps
                else ["(empty derivation: sides already identical)"]}
 
@@ -200,13 +199,7 @@ def main(argv=None) -> int:
             lines = forms[args.format]()
             if args.format == "json":
                 import json  # only JSON output needs it
-                if isinstance(lines, dict):
-                    lines = [json.dumps(lines, sort_keys=True)]
-                else:  # an array, written one item at a time lest its text be held whole
-                    print(end="[")
-                    for i, item in enumerate(lines):
-                        print(", " if i else "", json.dumps(item, sort_keys=True), sep="", end="")
-                    lines = ["]"]
+                lines = [json.dumps(lines, sort_keys=True)]
             for line in lines:
                 print(line)
             print(end="", flush=True)  # a write fails here, not at exit; no-op without stdout

@@ -23,10 +23,12 @@ is the mirror image of sylv.
 
 A Derivation holds its start word and one rule application per step: where,
 which rule, which way and the images, given or, in O(1), as lengths read off
-the word when it is replayed; + joins two, building no step.  An image may be
-empty, substituting the unit element, which makes short consequences of long
-rules reachable, e.g. xyxy = yxxy from xysxty = yxsxty.  verify_derivation can
-reject empty images (the semigroup notion); derive_search uses nonempty ones.
+the word when it is replayed; + joins two, building no step.  It is also its
+own JSON: derivation_to_json writes it as it is held, texts for its words, and
+derivation_from_json reads it back, for verify_derivation to check.  An image
+may be empty, substituting the unit element, which makes short consequences of
+long rules reachable, e.g. xyxy = yxxy from xysxty = yxsxty.  verify_derivation
+can reject empty images (the semigroup notion); derive_search uses nonempty ones.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .monoids import (
@@ -398,14 +400,14 @@ class DerivationStep:
     endo: dict
 
 
-def _step(item, endo: Optional[dict] = None) -> DerivationStep:
+def _step(item) -> DerivationStep:
     """The step of a _replay item, built before its rewrite; DerivationError on False."""
     if not item:
         raise DerivationError("the applications do not replay from start to end")
     word, start, stop, rule_index, direction, images, target_side = item
     before, make = tuple(word), Word._make
     after = before[:start] + _substitute(images, target_side) + before[stop:]
-    endo = endo or {name: make(tuple(img)) for name, img in images.items()}  # a list step's own
+    endo = {name: make(tuple(img)) for name, img in images.items()}
     return DerivationStep(make(before), make(after), rule_index, direction, make(before[:start]),
                           make(before[stop:]), endo)
 
@@ -510,34 +512,21 @@ def _read_images(word: list, pos: int, side: tuple, reads: list, lengths, known:
     return len(word) + 1 if None in images.values() else pos, images
 
 
-def verify_derivation(sigma: Sequence[Identity], steps: Iterable[DerivationStep],
+def verify_derivation(sigma: Sequence[Identity], d: Derivation,
                       require_nonempty_images: bool = False) -> bool:
-    """Replay a Derivation, rebuilding each rule application from sigma.  A list
-    of DerivationSteps is replayed once as the Derivation of its own images, each endo
-    applied at len(prefix); its words must be Words equal to the replayed steps'."""
-    if type(steps) is Derivation:
-        return all(_replay(sigma, steps, require_nonempty_images))
-    steps = list(steps)
-    if not steps or not all(isinstance(st, DerivationStep) and isinstance(st.endo, dict)
-                            and type(st.before) is type(st.after) is Word is type(st.prefix)
-                            is type(st.suffix) for st in steps):
-        return not steps  # an empty list verifies, a malformed one does not
-    d = Derivation(sigma, steps[0].before, [(len(st.prefix), st.rule_index, st.direction, st.endo)
-                                            for st in steps], steps[-1].after)
-    # zip drops a trailing False only after every step matched, the last up to d.end
-    return all(item and _step(item, st.endo) == st
-               for item, st in zip(_replay(sigma, d, require_nonempty_images), steps))
+    """Replay a Derivation, rebuilding each rule application from sigma; anything
+    that is no Derivation gives False."""
+    return type(d) is Derivation and all(_replay(sigma, d, require_nonempty_images))
 
 
-def invert_steps(steps: Sequence[DerivationStep]) -> Derivation | list:
+def invert_steps(d: Derivation) -> Derivation:
     """Run a derivation backwards: reverse the order and flip each step.  An
     application that is no 4-tuple stays as it is, for the replay to refuse."""
-    if type(steps) is Derivation:
-        flipped = [(*app[:2], RTL if app[2] == LTR else LTR, app[3])
-                   if type(app) is tuple and len(app) == 4 else app for app in reversed(steps.apps)]
-        return Derivation(steps.rules, steps.end, flipped, steps.start)
-    return [replace(st, before=st.after, after=st.before,
-                    direction=RTL if st.direction == LTR else LTR) for st in reversed(steps)]
+    if type(d) is not Derivation:
+        raise TypeError(f"invert_steps takes a Derivation, not {type(d).__name__}")
+    flipped = [(*app[:2], RTL if app[2] == LTR else LTR, app[3])
+               if type(app) is tuple and len(app) == 4 else app for app in reversed(d.apps)]
+    return Derivation(d.rules, d.end, flipped, d.start)
 
 
 def _gather_steps(w: Word, rules: tuple) -> Derivation:
@@ -784,35 +773,43 @@ def derive_search(sigma: Sequence[Identity], u: Word, v: Word, max_steps: int = 
 # serialization
 
 
-def step_to_json(step: DerivationStep) -> dict:
-    return {
-        "before": step.before.text(),
-        "after": step.after.text(),
-        "rule": step.rule_index,
-        "direction": step.direction,
-        "prefix": step.prefix.text(),
-        "suffix": step.suffix.text(),
-        "endo": {name: img.text() for name, img in sorted(step.endo.items())},
-    }
+def derivation_to_json(d: Derivation) -> dict:
+    """d as it is held, in JSON values: each rule as its two side texts, the start and
+    end texts, and each application as [start, rule, direction, lengths or images]."""
+    return {"rules": [[rule.lhs.text(), rule.rhs.text()] for rule in d.rules],
+            "start": d.start.text(), "end": d.end.text(),
+            "apps": [[start, ri, direction, {name: img.text() for name, img in images.items()}
+                      if type(images) is dict else [*images]]
+                     for start, ri, direction, images in d.apps]}
 
 
-def step_from_json(data: dict) -> DerivationStep:
-    """Read each text as the kind it spells; ValueError if texts of both kinds occur,
-    or if the payload is no step_to_json payload: the rule an exact int >= 0, the
-    direction "ltr" or "rtl"."""
+def _exact(value, kind: type, size: Optional[int] = None):
+    """value if its type is kind and, for a size, its length is size; else TypeError."""
+    if type(value) is not kind or size is not None and len(value) != size:
+        raise TypeError(f"expected a {kind.__name__}{f' of {size}' if size else ''}, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def derivation_from_json(data) -> Derivation:
+    """The Derivation of a derivation_to_json payload, lists made tuples and texts Words,
+    each read as the kind it spells.  ValueError if the payload has the wrong shape or its
+    texts spell both letter and variable words; verify_derivation checks the rest."""
     try:
-        words = {k: _parse_word(data[k]) for k in ("before", "after", "prefix", "suffix")}
-        endo = {name: _parse_word(img) for name, img in data["endo"].items()}
-        rule, direction = data["rule"], data["direction"]
-    except (KeyError, TypeError, AttributeError):  # a missing field, or one of a wrong type
-        raise ValueError("not a valid DerivationStep payload") from None
-    if type(rule) is not int or rule < 0 or direction not in (LTR, RTL):
-        raise ValueError(f"not a valid DerivationStep payload: rule {rule!r}, "
-                         f"direction {direction!r}")
-    if len({w.kind for w in (*words.values(), *endo.values())} - {None}) > 1:
-        raise ValueError("a step's texts spell both letter and variable words")
-    return DerivationStep(rule_index=rule, direction=direction, endo=endo, **words)
-
-
-def derivation_to_json(steps: Iterable[DerivationStep]) -> list:
-    return [*map(step_to_json, steps)]
+        rules = [Identity(*(Word.variables(_exact(side, str)) for side in _exact(sides, list, 2)))
+                 for sides in _exact(data["rules"], list)]
+        words = [_parse_word(_exact(data["start"], str)), _parse_word(_exact(data["end"], str))]
+        apps = []
+        for app in _exact(data["apps"], list):
+            start, ri, direction, images = _exact(app, list, 4)
+            if type(images) is dict:
+                images = {name: _parse_word(_exact(text, str)) for name, text in images.items()}
+                words += images.values()
+            else:  # the lengths
+                images = tuple(_exact(images, list))
+            apps.append((start, ri, direction, images))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"not a valid Derivation payload: {exc}") from None
+    if len({w.kind for w in words} - {None}) > 1:
+        raise ValueError("a derivation's texts spell both letter and variable words")
+    return Derivation(rules, words[0], apps, words[1])

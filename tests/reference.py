@@ -5,6 +5,8 @@ the l21 and r21 families realise: a unit 1 adjoined to the left zero and the
 right zero semigroup on {a, b}.  directional_occ is the statistic in which
 Cain, Malheiro and Ribeiro state the sylvester, #-sylvester and Baxter
 characterisations.  restrict makes subwords for tests of the package's words.
+step_json writes each step of a derivation as its texts, the form whose
+digests the tests pin.
 """
 from plactic_lab import Word
 
@@ -39,3 +41,12 @@ def restrict(w, symbols) -> Word:
     """The subword of w of the occurrences of the given symbols."""
     wanted = set(symbols)
     return Word(s for s in w if s in wanted)
+
+
+def step_json(steps) -> list:
+    """Each step as the texts of its words, its rule and direction, and its images."""
+    return [{"before": step.before.text(), "after": step.after.text(), "rule": step.rule_index,
+             "direction": step.direction, "prefix": step.prefix.text(),
+             "suffix": step.suffix.text(),
+             "endo": {name: img.text() for name, img in sorted(step.endo.items())}}
+            for step in steps]

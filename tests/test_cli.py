@@ -151,8 +151,8 @@ def test_derive_certificate(capsys):
     code, out, _ = run(capsys, "derive", "--monoid", "sylv", "--id", "xyxy = yxxy",
                        "--format", "json")
     assert code == 0
-    steps = json.loads(out)
-    assert steps[0]["before"] == "xyxy" and steps[-1]["after"] == "yxxy"
+    payload = json.loads(out)
+    assert (payload["start"], payload["end"]) == ("xyxy", "yxxy") and len(payload["apps"]) == 1
 
 
 def test_derive_failed_verification_exits_two(capsys, monkeypatch):
@@ -196,8 +196,8 @@ def test_derive_search_with_sigma_file(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
-def test_derive_json_is_streamed_as_the_library_array(tmp_path, capsys):
-    # the array is written one step at a time, in the bytes of one json.dumps of the list
+def test_derive_json_is_one_line_of_the_library_payload(tmp_path, capsys):
+    # the Derivation as it is held, which derivation_from_json reads back
     sigma = tmp_path / "rules.txt"
     sigma.write_text("xyx = yxx\nxx = x\n")
     rules = identities.load_identity_system(sigma)
@@ -207,7 +207,10 @@ def test_derive_json_is_streamed_as_the_library_array(tmp_path, capsys):
         d = identities.derive_search(rules, Word.variables(lhs), Word.variables(rhs))
         assert code == 0 and out == json.dumps(identities.derivation_to_json(d),
                                                sort_keys=True) + "\n"
-    assert out == "[]\n"
+        restored = identities.derivation_from_json(json.loads(out))
+        assert restored == d and identities.verify_derivation(rules, restored)
+    assert json.loads(out) == {"rules": [["xyx", "yxx"], ["xx", "x"]], "start": "xyx",
+                               "end": "xyx", "apps": []}
     code, out, _ = run(capsys, "derive", "--monoid", "sylv", "--id", "xyxyxy = xxyyxy",
                        "--format", "json")
     cert = identities.derivation_certificate(F.SYLV, Identity.parse("xyxyxy = xxyyxy"))
@@ -270,6 +273,20 @@ def test_deep_tree_output_exits_zero_without_traceback(argv):
             continue
         obj = canonical(MonoidFamily(family), tuple(letters))
         assert type(obj).from_json_dict(json.loads(proc.stdout)) == obj
+
+
+@pytest.mark.parametrize("family", list(MonoidFamily), ids=str)
+def test_json_of_the_empty_word_loads_back(capsys, family):
+    # an empty tree is null, one JSON value like any other
+    code, out, err = run(capsys, "object", "--monoid", str(family), "--word", "", "--format",
+                         "json")
+    assert (code, err) == (0, "") and out.count("\n") == 1
+    obj = canonical(family, ())
+    if hasattr(obj, "from_json_dict"):
+        assert type(obj).from_json_dict(json.loads(out)) == obj
+    else:
+        assert json.loads(out) == ({"exponent": 0} if family is MonoidFamily.FREE_MONOGENIC else
+                                   {"element": obj})
 
 
 def test_json_of_10_to_the_5_letters_loads_back(capsys):

@@ -3,7 +3,6 @@ import json
 import logging
 import pickle
 import random
-from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -19,6 +18,7 @@ from plactic_lab import (
     Word,
     basis,
     derivation_certificate,
+    derivation_from_json,
     derivation_to_json,
     derive_search,
     fp,
@@ -29,16 +29,26 @@ from plactic_lab import (
     normal_form,
     normalize_derivation,
     satisfies,
-    step_from_json,
-    step_to_json,
     verify_derivation,
 )
-from reference import restrict
+from reference import restrict, step_json
+from test_acceptance import _criterion_5_space
 
 F = MonoidFamily
 INSERTION = (F.STAL, F.TAIG, F.SYLV, F.SYLV_SHARP, F.BAXT)
 
 var_words = st.lists(st.sampled_from("wxyz"), max_size=9).map(Word.variables)
+
+
+def inverted(steps) -> list:
+    """The steps backwards, each one flipped: what invert_steps of their Derivation gives."""
+    return [replace(st, before=st.after, after=st.before,
+                    direction="rtl" if st.direction == "ltr" else "ltr") for st in reversed(steps)]
+
+
+def reread(payload):
+    """A payload through JSON text and derivation_from_json."""
+    return derivation_from_json(json.loads(json.dumps(payload)))
 
 
 def assert_chain(fam, w, steps):
@@ -104,10 +114,11 @@ def test_unit_images_reach_short_consequences():
 
 def test_nonempty_images_are_required_on_both_sides():
     # y occurs only on the target side of x = xy; its empty image must count too
-    a, unit = Word.variables("a"), Word.variables("")
-    step = DerivationStep(a, a, 0, "ltr", unit, unit, {"x": a, "y": unit})
-    assert verify_derivation([Identity.parse("x = xy")], [step])
-    assert not verify_derivation([Identity.parse("x = xy")], [step], require_nonempty_images=True)
+    sigma = [Identity.parse("x = xy")]
+    d = reread({"rules": [["x", "xy"]], "start": "a", "end": "a",
+                "apps": [[0, 0, "ltr", {"x": "a", "y": ""}]]})
+    assert verify_derivation(sigma, d)
+    assert not verify_derivation(sigma, d, require_nonempty_images=True)
 
 
 def test_certificates_connect_the_sides():
@@ -145,61 +156,57 @@ def test_certificates_for_random_satisfied_identities(ident):
 def test_verify_rejects_tampering():
     sigma = basis(F.SYLV)
     cert = derivation_certificate(F.SYLV, Identity.parse("xyxy = yxxy"))
-    good = cert[0]
-    wrong_after = DerivationStep(good.before, Word.variables("xyyx"), 0,
-                                 good.direction, good.prefix, good.suffix, good.endo)
-    assert not verify_derivation(sigma, [wrong_after])
-    wrong_rule = DerivationStep(good.before, good.after, 3, good.direction,
-                                good.prefix, good.suffix, good.endo)
-    assert not verify_derivation(sigma, [wrong_rule])
-    wrong_dir = DerivationStep(good.before, good.after, 0, "down",
-                               good.prefix, good.suffix, good.endo)
-    assert not verify_derivation(sigma, [wrong_dir])
-    flipped = DerivationStep(good.before, good.after, 0,
-                             "rtl" if good.direction == "ltr" else "ltr",
-                             good.prefix, good.suffix, good.endo)
-    assert not verify_derivation(sigma, [flipped])
-    missing_var = DerivationStep(good.before, good.after, 0, good.direction,
-                                 good.prefix, good.suffix,
-                                 {k: v for k, v in good.endo.items() if k != "s"})
-    assert not verify_derivation(sigma, [missing_var])
-    # images of both kinds make no word, so the step cannot be recomputed
-    mixed_images = DerivationStep(good.before, good.after, 0, good.direction,
-                                  good.prefix, good.suffix, {**good.endo, "x": Word.letters("1")})
-    assert not verify_derivation(sigma, [mixed_images])
-    # letter images make a letter factor inside a variable context
-    letter_images = DerivationStep(good.before, good.after, 0, good.direction, good.prefix,
-                                   good.suffix, {k: Word.letters([1] * len(img)) if img else img
-                                                 for k, img in good.endo.items()})
-    assert not verify_derivation(sigma, [letter_images])
-    # a tuple where a word belongs makes no step
-    tuple_endo = replace(good, endo={k: img.symbols for k, img in good.endo.items()})
-    assert not verify_derivation(sigma, [tuple_endo])
-    assert not verify_derivation(sigma, [replace(good, prefix=good.prefix.symbols)])
-    # True equals 1, but it is no rule index
-    baxt = derivation_certificate(F.BAXT, Identity.parse("xyxyxy = xyyxxy"))
-    assert [step.rule_index for step in baxt] == [1]
-    assert verify_derivation(basis(F.BAXT), baxt)
-    assert not verify_derivation(basis(F.BAXT), [replace(baxt[0], rule_index=True)])
-    # an endo that is no dict of images
-    assert not verify_derivation(sigma, [replace(good, endo=None)])
-    assert not verify_derivation(sigma, [replace(good, endo=5)])
-    # a letter prefix before variable images makes no word
-    assert not verify_derivation(sigma, [replace(good, prefix=Word.letters("1"))])
+    good = derivation_to_json(cert)
+    [(start, rule, direction, lengths)] = good["apps"]
+    flipped = "rtl" if direction == "ltr" else "ltr"
+    # the same application, its images given
+    images = {name: img.text() for name, img in cert[0].endo.items()}
+    for payload in (good, dict(good, apps=[[start, rule, direction, images]])):
+        assert verify_derivation(sigma, reread(payload))
+    # each loads, and none verifies
+    for bad in (dict(good, end="xyyx"), dict(good, start="x" + good["start"]),
+                dict(good, apps=[[start, 3, direction, lengths]]),
+                dict(good, apps=[[start, -1, direction, lengths]]),
+                dict(good, apps=[[start, "0", direction, lengths]]),
+                dict(good, apps=[[start, True, direction, lengths]]),  # True is 1, but no index
+                dict(good, apps=[[start, rule, "down", lengths]]),
+                dict(good, apps=[[start, rule, flipped, lengths]]),
+                dict(good, apps=[[start + 1, rule, direction, lengths]]),
+                dict(good, apps=[[start, rule, direction, lengths[:-1]]]),
+                dict(good, apps=[[start, rule, direction, [*lengths[:-1], 1.0]]]),
+                dict(good, apps=[[start, rule, direction, {**images, "x": "y"}]]),
+                # a missing image
+                dict(good, apps=[[start, rule, direction, {k: images[k] for k in "txy"}]]),
+                dict(good, apps=[[start, rule, direction, [*images.values()]]]),
+                dict(good, rules=[["yxsxty", "xysxty"]])):
+        assert not verify_derivation(sigma, reread(bad)), bad
+    # images of both kinds make no word
+    for mixed in ({**images, "x": "1"}, {k: "1" * len(v) for k, v in images.items()}):
+        with pytest.raises(ValueError, match="both letter and variable"):
+            reread(dict(good, apps=[[start, rule, direction, mixed]]))
+    # no word text, no list of four, no images
+    for bad in (dict(good, start=["x", "y"]), dict(good, start="1x"),
+                dict(good, apps=[[start, rule, direction]]), dict(good, apps=[(*good["apps"][0],)]),
+                dict(good, apps=[[start, rule, direction, None]]),
+                dict(good, apps=[[start, rule, direction, 5]])):
+        with pytest.raises(ValueError, match="not a valid Derivation payload"):
+            derivation_from_json(bad)
     # sides without a common variable: each substituted side is of one kind
-    unit = Word.variables("")
-    across = DerivationStep(Word.letters("1"), Word.variables("z"), 0, "ltr", unit, unit,
-                            {"x": Word.letters("1"), "y": Word.variables("z")})
-    assert not verify_derivation([Identity.parse("x = y")], [across])
+    with pytest.raises(ValueError, match="both letter and variable"):
+        derivation_from_json({"rules": [["x", "y"]], "start": "1", "end": "z",
+                              "apps": [[0, 0, "ltr", {"x": "1", "y": "z"}]]})
 
 
 def test_verify_rejects_broken_chains():
     sigma = basis(F.STAL)
-    steps = normalize_derivation(F.STAL, Word.variables("xyxyx"))
-    assert len(steps) >= 2
-    assert verify_derivation(sigma, steps)
-    assert not verify_derivation(sigma, steps[::-1])
-    assert not verify_derivation(sigma, [steps[0], steps[0]])
+    d = normalize_derivation(F.STAL, Word.variables("xyxyx"))
+    good = derivation_to_json(d)
+    assert len(d) >= 2
+    assert verify_derivation(sigma, reread(good))
+    assert not verify_derivation(sigma, reread(dict(good, apps=good["apps"][::-1])))
+    assert not verify_derivation(sigma, reread(dict(good, apps=good["apps"][:1] * 2)))
+    # a list of the steps is no Derivation
+    assert not verify_derivation(sigma, list(d)) and not verify_derivation(sigma, good)
 
 
 def test_invert_steps_roundtrip():
@@ -212,6 +219,15 @@ def test_invert_steps_roundtrip():
     assert back[0].before == normal_form(F.BAXT, w)
     assert back[-1].after == w
     assert invert_steps(back) == steps
+    assert back == inverted(steps)
+    # the inverse's payload is the reversed applications, each direction flipped
+    payload, forward = derivation_to_json(back), derivation_to_json(steps)
+    assert payload["apps"] == [[*app[:2], "rtl" if app[2] == "ltr" else "ltr", app[3]]
+                               for app in forward["apps"][::-1]]
+    assert (payload["start"], payload["end"]) == (forward["end"], forward["start"])
+    assert reread(payload) == back and verify_derivation(sigma, reread(payload))
+    with pytest.raises(TypeError):
+        invert_steps(list(steps))
 
 
 def test_baxt_uses_both_rules():
@@ -362,37 +378,74 @@ def test_step_json_roundtrip():
     for rules, cert in ((basis(F.SYLV), derivation_certificate(F.SYLV, Identity.parse("xyxy = yxxy"))),
                         (swap, derive_search(swap, Word.variables("foo bar"),
                                              Word.variables("bar foo")))):
-        payload = json.loads(json.dumps(derivation_to_json(cert)))
-        restored = [step_from_json(d) for d in payload]
-        assert restored == cert
+        payload = derivation_to_json(cert)
+        assert json.loads(json.dumps(payload)) == payload
+        restored = reread(payload)
+        assert restored == cert and restored.rules == tuple(rules)
         assert verify_derivation(rules, restored)
+    assert payload == {"rules": [["xy", "yx"]], "start": "foo bar", "end": "bar foo",
+                       "apps": [[0, 0, "ltr", {"x": "foo ", "y": "bar "}]]}
 
 
 def test_letter_step_json_roundtrip():
     w = Word.letters("212212")
     steps = normalize_derivation(F.SYLV, w)
     assert steps, "example word is not normal, so steps must exist"
-    payload = json.loads(json.dumps(derivation_to_json(steps)))
-    restored = [step_from_json(d) for d in payload]
-    assert restored == steps
+    restored = reread(derivation_to_json(steps))
+    assert restored == steps and (restored.start, restored.end) == (w, steps.end)
     assert verify_derivation(basis(F.SYLV), restored)
+    # a letter-word search gives its images as letter texts
+    sigma = basis(F.STAL)
+    found = derive_search(sigma, Word.letters("1211"), Word.letters("2111"))
+    payload = derivation_to_json(found)
+    assert payload["apps"] == [[0, 0, "ltr", {"x": "1", "y": "2"}]]
+    assert reread(payload) == found and verify_derivation(sigma, reread(payload))
 
 
 def test_step_json_refuses_mixed_kinds():
-    step = step_to_json(normalize_derivation(F.SYLV, Word.letters("212212"))[0])
-    step["endo"] = {name: "x" * len(img) for name, img in step["endo"].items()}
+    good = derivation_to_json(normalize_derivation(F.SYLV, Word.letters("212212")))
     with pytest.raises(ValueError, match="both letter and variable"):
-        step_from_json(step)
-    # a payload that is no step at all is refused the same way, like every loader
-    good = step_to_json(normalize_derivation(F.SYLV, Word.letters("212212"))[0])
-    for bad in ({k: v for k, v in good.items() if k != "before"},
-                {k: v for k, v in good.items() if k != "rule"},
-                dict(good, before=5), dict(good, endo=None), [good],
-                # each loaded at the parent; no basis can verify such a step
-                dict(good, rule="0"), dict(good, rule=True), dict(good, rule=-1),
-                dict(good, rule=1.0), dict(good, direction="sideways")):
-        with pytest.raises(ValueError, match="not a valid DerivationStep payload"):
-            step_from_json(bad)
+        derivation_from_json(dict(good, end="xyxyxy"))
+    # a payload that is no derivation at all is refused the same way, like every loader
+    for bad in ({k: v for k, v in good.items() if k != "start"},
+                {k: v for k, v in good.items() if k != "apps"},
+                dict(good, start=5), dict(good, apps=None), dict(good, rules=[["xy"]]),
+                dict(good, rules=[["x", "1"]]), dict(good, rules="xy"), [good], None):
+        with pytest.raises(ValueError, match="not a valid Derivation payload"):
+            derivation_from_json(bad)
+
+
+def test_every_certificate_and_search_result_round_trips_through_json():
+    def round_trip(rules, d):
+        payload = derivation_to_json(d)
+        assert json.loads(json.dumps(payload)) == payload  # JSON values only: lists, no tuples
+        restored = reread(payload)
+        assert restored == d and restored.rules == tuple(rules)
+        assert verify_derivation(restored.rules, restored)
+
+    for ident in _criterion_5_space():
+        for fam in INSERTION:
+            if satisfies(fam, ident):
+                round_trip(basis(fam), derivation_certificate(fam, ident))
+    # 150 seeded searches; their steps hash as they did when derive wrote each step's texts
+    systems = [basis(F.STAL), [Identity.parse("xx = x")], [Identity.parse("x = xx")]]
+    rng, digest, found = random.Random(7), hashlib.sha256(), 0
+    for i in range(150):
+        sigma = systems[i % 3]
+        u = Word.variables([rng.choice("xyz"[: rng.randint(1, 3)])
+                            for _ in range(rng.randint(1, 6))])
+        if i % 3 == 0:
+            v = (normal_form(F.STAL, u) if rng.random() < 0.7 else
+                 Word.variables(rng.sample(u.symbols, len(u))))
+        else:
+            v = Word.variables([rng.choice("xyz") for _ in range(rng.randint(1, 6))])
+        d = derive_search(sigma, u, v, max_steps=rng.randint(1, 6), max_word_len=rng.randint(4, 9))
+        if d is not None:
+            found += 1
+            round_trip(sigma, d)
+        digest.update(json.dumps(None if d is None else step_json(d), sort_keys=True).encode())
+    assert (found, digest.hexdigest()) == (
+        45, "22a918121a70450372a9d779683705444d27f668a0ce50da40e6fae77feadfa1")
 
 
 def test_sylvsharp_certificate_costs_no_more_than_sylv(peak_bytes):
@@ -422,8 +475,7 @@ def test_normal_forms_and_steps_are_pinned():
             steps = normalize_derivation(fam, w)
             if v is not None and satisfies(fam, Identity(w, v)):
                 steps = [*steps, *derivation_certificate(fam, Identity(w, v))]
-            digest.update(json.dumps([normal_form(fam, w).text(),
-                                      derivation_to_json(steps)]).encode())
+            digest.update(json.dumps([normal_form(fam, w).text(), step_json(steps)]).encode())
     assert digest.hexdigest() == (
         "dc19ee713182975b5eadbc51af40ced3c6540a804ba7f9adede341db30223ecd")
 
@@ -449,7 +501,7 @@ def test_a_derivation_is_the_sequence_of_its_steps(w):
         for d in derivations:
             assert type(d) is Derivation
             steps = list(d)
-            assert verify_derivation(basis(fam), d) and verify_derivation(basis(fam), steps)
+            assert verify_derivation(basis(fam), d) and not verify_derivation(basis(fam), steps)
             assert steps == [d[i] for i in range(len(d))] == [d[i - len(d)] for i in range(len(d))]
             assert steps == d
             assert bool(d) == bool(steps)
@@ -481,7 +533,9 @@ def test_a_derivation_supports_the_list_operations():
         list(d + d)
     assert d != steps[:-1] and d != steps[::-1] and d != tuple(steps) and d != "steps"
     assert d == Derivation(d.rules, d.start, d.apps, d.end)
-    assert invert_steps(d) == invert_steps(steps)
+    assert invert_steps(d) == inverted(steps)
+    with pytest.raises(TypeError):
+        invert_steps(steps)
     assert repr(d) == "Derivation('yxzxyzx' => 'zxxyyzx', steps=4)"
     with pytest.raises(IndexError):
         d[4]
@@ -545,16 +599,6 @@ def test_verify_rejects_tampered_applications():
                 tampered[index]
 
 
-@pytest.mark.parametrize("nonempty", [False, True])
-def test_a_list_of_steps_is_replayed_once(monkeypatch, nonempty):
-    # the list is checked against its own replay as it goes, not replayed a second time
-    d = normalize_derivation(F.STAL, Word.variables("xyxzyx"))
-    steps, calls, replay = list(d), [], identities._replay
-    monkeypatch.setattr(identities, "_replay", lambda *args: calls.append(args) or replay(*args))
-    assert len(steps) == 3 and verify_derivation(basis(F.STAL), steps, nonempty)
-    assert len(calls) == 1
-
-
 def test_a_400_letter_certificate_builds_and_verifies_in_little_memory(peak_bytes):
     # each step is one O(1) application, replayed on one list; at the parent
     # design of six words per step this certificate peaked at about 366 MB
@@ -605,13 +649,13 @@ def test_derive_search_returns_a_derivation():
         d = derive_search(sigma, u, v, max_steps=6, max_word_len=6)
         assert type(d) is Derivation and (d.start, d.end, d.rules) == (u, v, tuple(sigma))
         steps = list(d)
-        assert verify_derivation(sigma, d) and verify_derivation(sigma, steps)
+        assert verify_derivation(sigma, d) and not verify_derivation(sigma, steps)
         assert pickle.loads(pickle.dumps(d)) == d == steps
         assert d[-1] == steps[-1] and (d[0].before, d[-1].after) == (u, v)
         back = invert_steps(d)
-        assert type(back) is Derivation and back == invert_steps(steps)
-        assert verify_derivation(sigma, back) and verify_derivation(sigma, list(back))
-        assert back[-1] == invert_steps(steps)[-1] and back[-1].after == u
+        assert type(back) is Derivation and back == inverted(steps)
+        assert verify_derivation(sigma, back) and not verify_derivation(sigma, list(back))
+        assert back[-1] == inverted(steps)[-1] and back[-1].after == u
     assert [app[2] for app in derive_search(erase, Word.variables("aab"),
                                             Word.variables("aabb")).apps] == ["ltr", "rtl"]
     empty = derive_search(stal, Word.variables("xyx"), Word.variables("xyx"))
@@ -619,7 +663,7 @@ def test_derive_search_returns_a_derivation():
 
 
 def test_given_images_are_checked_like_list_steps():
-    # an application may give its images as a dict of Words, as a list step's endo does
+    # an application may give its images as a dict of Words, as a step's endo does
     sigma = [Identity.parse("xy = x")]
     a, ab, b = Word.variables("a"), Word.variables("ab"), Word.variables("b")
     good = Derivation(sigma, a, [(0, 0, "rtl", {"x": a, "y": b})], ab)
@@ -633,14 +677,16 @@ def test_given_images_are_checked_like_list_steps():
         assert not verify_derivation(sigma, tampered), images
         with pytest.raises(DerivationError):
             list(tampered)
-    # a list step is the Derivation of its own endo: extra names pass, words must be Words
-    step = good[0]
-    assert verify_derivation(sigma, [replace(step, endo={**step.endo, "z": a})])
-    for field in ("before", "after", "prefix", "suffix"):
-        assert not verify_derivation(sigma, [replace(step, **{field: None})]), field
-    assert not verify_derivation(sigma, [replace(step, endo=(1, 1))])
-    assert not verify_derivation(sigma, [replace(step, suffix=b)])
-    # an item with the fields of a step, but no DerivationStep, is refused, not an error
-    fields = vars(step)
-    assert not verify_derivation(sigma, [fields])
-    assert not verify_derivation(sigma, [namedtuple("Step", fields)(**fields)])
+    # a payload gives images as texts: extra names pass, every text must be there
+    payload = derivation_to_json(good)
+    assert payload["apps"] == [[0, 0, "rtl", {"x": "a", "y": "b"}]]
+    assert verify_derivation(sigma, reread(dict(payload, apps=[[0, 0, "rtl", {"x": "a", "y": "b",
+                                                                                "z": "a"}]])))
+    for field in ("start", "end"):
+        with pytest.raises(ValueError, match="not a valid Derivation payload"):
+            derivation_from_json(dict(payload, **{field: None}))
+    assert not verify_derivation(sigma, reread(dict(payload, apps=[[0, 0, "rtl", [1, 1]]])))
+    assert not verify_derivation(sigma, reread(dict(payload, end="abb")))
+    # the steps, or the payload, are no Derivation: refused, not an error
+    assert not verify_derivation(sigma, list(good)) and not verify_derivation(sigma, payload)
+    assert not verify_derivation(sigma, [vars(good[0])])
