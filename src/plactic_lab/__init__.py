@@ -16,12 +16,11 @@ import sys
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "words": ("Word", "con", "ev", "fp", "ip", "mix"),
+    "words": ("MonoidFamily", "RankViolationError", "Word", "con", "ev", "fp", "ip", "mix"),
     "tableaux": ("StalacticTableau", "TaigaTree", "p_stal", "p_taig"),
     "bst": ("BaxterObject", "LeftStrictBST", "RightStrictBST", "p_baxt", "p_sylv",
             "p_sylv_sharp"),
-    "monoids": ("MonoidFamily", "RankViolationError", "alphabet_cap", "canonical",
-                "check_rank", "equivalent"),
+    "monoids": ("alphabet_cap", "canonical", "check_rank", "equivalent"),
     "identities": ("CounterExample", "DecisionMismatchError", "Derivation", "DerivationError",
                    "DerivationStep", "Exhaustive", "HoldsWithinBound", "Identity",
                    "RandomSearch", "UnboundVariableError", "apply_substitution", "basis",

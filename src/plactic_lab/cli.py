@@ -11,9 +11,10 @@ input too large or too deep (a RecursionError or a MemoryError), or a stdout
 that cannot be written, such as a full disk.  A failure writes one ``error:
 ...`` line on stderr.  A reader closing stdout early changes no code.
 
-A call loads only what it runs: identities (and with it dataclasses) only for
-check-identity, nf, oracle and derive, json only for JSON output, and the
-parser is built once per process.
+A call loads only what it runs: monoids, with the tree code, for object,
+render, equiv and oracle, once the words are parsed; identities for
+check-identity, nf, oracle and derive; json for JSON output.  The parser is
+built once per process.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ import functools
 import os
 import sys
 
-from . import monoids, words
-from .monoids import MonoidFamily
-from .words import Word, _parse_word
+from . import words
+from .words import MonoidFamily, Word, _parse_word
 
 
 def _family(value: str) -> MonoidFamily:
@@ -34,8 +34,15 @@ def _family(value: str) -> MonoidFamily:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _canonical(args):
+    w = Word.letters(args.word)
+    from . import monoids  # after the word: a bad word loads no tree code
+
+    return monoids.canonical(args.monoid, w)
+
+
 def _object(args):
-    obj = monoids.canonical(args.monoid, Word.letters(args.word))
+    obj = _canonical(args)
 
     def text():
         yield f"family: {args.monoid}"
@@ -49,7 +56,7 @@ def _object(args):
 
 
 def _render(args):
-    obj = monoids.canonical(args.monoid, Word.letters(args.word))
+    obj = _canonical(args)
 
     def dot():
         if not hasattr(obj, "to_dot"):
@@ -61,7 +68,10 @@ def _render(args):
 
 
 def _equiv(args):
-    same = monoids.equivalent(args.monoid, Word.letters(args.lhs), Word.letters(args.rhs))
+    u, v = Word.letters(args.lhs), Word.letters(args.rhs)
+    from . import monoids
+
+    same = monoids.equivalent(args.monoid, u, v)
     return 0 if same else 1, {"json": lambda: {"equivalent": same},
                               "text": lambda: ["equivalent" if same else "not equivalent"]}
 

@@ -1,8 +1,8 @@
 """Identities and their checking: exact decisions, normal forms, oracles, derivations.
 
-Identity (two variable words) and load_identity_system are defined here, the
-one module of the package that uses dataclasses; the CLI loads it only for
-check-identity, nf, oracle and derive.
+Identity (two variable words) and load_identity_system are defined here; the
+CLI loads this module only for check-identity, nf, oracle and derive; only the
+oracle loads monoids and the tree code.  Its six records are namedtuples.
 
 Each of the eight families has one row in _THEORIES: its finite identity
 basis, the invariant that decides satisfaction (an identity holds exactly
@@ -37,22 +37,15 @@ import operator
 import random
 import sys
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .monoids import (
-    _FAMILIES,
-    MonoidFamily,
-    RankViolationError,
-    _FamilyTable,
-    alphabet_cap,
-    canonical,
-    check_rank,
-)
 from .words import (
     LETTERS,
+    MonoidFamily,
+    RankViolationError,
     Word,
+    _FamilyTable,
     _first_last_positions,
     _fp,
     _ip,
@@ -87,30 +80,50 @@ def _debug_log(name: str):
     return log if log and log.isEnabledFor(logging.DEBUG) else None
 
 
-@dataclass(frozen=True)
-class Identity:
-    """A formal identity between two variable words."""
+class _Record:
+    """The records' mixin: a record equals only a record of its own type, never a plain
+    tuple, and hashes as its field tuple.  As a namedtuple, it pickles and is immutable."""
 
-    lhs: Word
-    rhs: Word
+    __slots__ = ()
 
-    def __post_init__(self):
-        for side in (self.lhs, self.rhs):
-            if side.kind == LETTERS:
-                raise ValueError("identity sides must be variable words")
+    def __eq__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's own
+    __hash__ = tuple.__hash__
+
+    # namedtuple's _replace calls _make: through __new__, both run the record's checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+class Identity(_Record, namedtuple("Identity", "lhs rhs")):
+    """A formal identity between two variable words, lhs and rhs."""
+
+    __slots__ = ()
+
+    def __new__(cls, lhs: Word, rhs: Word):
+        if LETTERS in (lhs.kind, rhs.kind):
+            raise ValueError("identity sides must be variable words")
+        return super().__new__(cls, lhs, rhs)
 
     @classmethod
     def parse(cls, text: str) -> "Identity":
-        """Parse "xyx = yxx"; also accepts the unicode approx sign.  Each side is stripped,
-        so no side is one multi-character variable: "foo = bar" reads f o o = b a r."""
+        """Parse "xyx = yxx" or "xyx ≈ yxx": each side as Word.variables reads it, less the
+        text's outer whitespace and one whitespace character by the '='.  So "foo = bar"
+        reads f o o = b a r, and "foo  =  bar", as text() writes it, foo = bar."""
         norm = text.replace("≈", "=")
         if norm.count("=") != 1:
             raise ValueError(f"identity must contain exactly one '=': {text!r}")
-        left, right = norm.split("=")
-        return cls(Word.variables(left.strip()), Word.variables(right.strip()))
+        left, right = norm.strip().split("=")
+        return cls(Word.variables(left[:-1] if left[-1:].isspace() else left),
+                   Word.variables(right[1:] if right[:1].isspace() else right))
 
     def text(self) -> str:
-        return f"{self.lhs.text()} = {self.rhs.text()}"
+        """What parse reads back: a lone longer variable's space is next to the '='."""
+        rhs = self.rhs.text()
+        return f"{self.lhs.text()} = {' ' + rhs[:-1] if rhs.endswith(' ') else rhs}"
 
     def variables(self) -> tuple:
         """Sorted names occurring on either side."""
@@ -242,57 +255,47 @@ def apply_substitution(sub: Mapping[str, Word], w: Word) -> Word:
     return Word(_substitute(images, w.symbols))
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(_Record, namedtuple("Exhaustive", "max_len")):
     """Scan all substitutions with images of length 0..max_len."""
 
-    max_len: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_len < 0:
-            raise ValueError(f"max_len must be >= 0, got {self.max_len}")
+    def __new__(cls, max_len: int):
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {max_len}")
+        return super().__new__(cls, max_len)
 
 
-@dataclass(frozen=True)
-class RandomSearch:
+class RandomSearch(_Record, namedtuple("RandomSearch", "trials max_len seed")):
     """Try seeded random substitutions with images of length 0..max_len."""
 
-    trials: int
-    max_len: int
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.trials < 0 or self.max_len < 0:
-            raise ValueError(f"trials and max_len must be >= 0, got {self.trials}, {self.max_len}")
-
-
-@dataclass(frozen=True)
-class HoldsWithinBound:
-    checked: int
+    def __new__(cls, trials: int, max_len: int, seed: int = 0):
+        if trials < 0 or max_len < 0:
+            raise ValueError(f"trials and max_len must be >= 0, got {trials}, {max_len}")
+        return super().__new__(cls, trials, max_len, seed)
 
 
-@dataclass
-class CounterExample:
-    substitution: dict
-    lhs_object: object
-    rhs_object: object
+class HoldsWithinBound(_Record, namedtuple("HoldsWithinBound", "checked")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lhs_object == self.rhs_object:
+
+class CounterExample(_Record, namedtuple("CounterExample", "substitution lhs_object rhs_object")):
+    """A substitution (name -> letter Word) whose sides have different objects."""
+
+    __slots__ = ()
+
+    def __new__(cls, substitution: dict, lhs_object, rhs_object):
+        if lhs_object == rhs_object:
             raise ValueError("counterexample objects are equal; not a counterexample")
+        return super().__new__(cls, substitution, lhs_object, rhs_object)
 
 
 def _image_candidates(rank: int, max_len: int, pack: Callable) -> list:
     """All letter words of length 0..max_len over 1..rank, shortest first, packed."""
     letters = range(1, rank + 1)
     return [pack(w) for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
-
-
-def _counterexample(family, images: dict, u, v) -> CounterExample:
-    # from tuples: the objects and Words of a counterexample hold ints, never bytes
-    return CounterExample(substitution={name: Word(tuple(img)) for name, img in images.items()},
-                          lhs_object=canonical(family, tuple(u)),
-                          rhs_object=canonical(family, tuple(v)))
 
 
 def _random_images(rng: random.Random, trials: int, rank: int, max_len: int, count: int, pack):
@@ -317,6 +320,8 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     build keys only when the two substituted sides are different words.  A side
     is one join of its images: bytes up to rank 255, read as ints, tuples above.
     """
+    from .monoids import _FAMILIES, check_rank
+
     log = _debug_log("plactic_lab.oracle")
     start = time.perf_counter() if log else None
     row = _FAMILIES[family]
@@ -341,7 +346,9 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
         if u != v:  # equal words have equal keys
             keyed += 1
             if key(u) != key(v):
-                verdict = _counterexample(family, dict(zip(names, imgs)), u, v)
+                # from tuples: the objects and Words of a counterexample hold ints, not bytes
+                verdict = CounterExample({n: Word(tuple(img)) for n, img in zip(names, imgs)},
+                                         row.obj(tuple(u)), row.obj(tuple(v)))
                 break
     else:
         verdict = HoldsWithinBound(checked=checked)
@@ -367,6 +374,8 @@ def find_counterexample(family: MonoidFamily, ident: Identity, cap: int = 6) -> 
     Raises DecisionMismatchError if nothing is found up to image length cap
     (>= 1); that would mean the exact decision and the oracle disagree.
     """
+    from .monoids import alphabet_cap
+
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     rank = min(2, alphabet_cap(family) or 2)
@@ -383,21 +392,15 @@ def find_counterexample(family: MonoidFamily, ident: Identity, cap: int = 6) -> 
 # derivations
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(_Record, namedtuple(
+        "DerivationStep", "before after rule_index direction prefix suffix endo")):
     """One rewrite: before = prefix + endo(side) + suffix, after uses the other side.
 
     endo maps every variable of the applied rule to a word; an image may be
     empty, which substitutes the unit element for that variable.
     """
 
-    before: Word
-    after: Word
-    rule_index: int
-    direction: str
-    prefix: Word
-    suffix: Word
-    endo: dict
+    __slots__ = ()
 
 
 def _step(item) -> DerivationStep:
@@ -444,7 +447,8 @@ class Derivation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, Derivation)):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return ((isinstance(other, list) or other.rules == self.rules) and len(self) == len(other)
+                and all(a == b for a, b in zip(self, other)))
 
     def __add__(self, other) -> Derivation:
         return (Derivation(self.rules, self.start, self.apps + other.apps, other.end)

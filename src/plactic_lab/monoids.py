@@ -7,7 +7,8 @@ to a plain hashable value that is equal exactly for equivalent words;
 equivalent() and the oracle compare keys.  The object builder returns the
 public canonical object that canonical() hands out: a tableau or tree for the
 five insertion families, an element name or an exponent.  The cap is the
-largest letter the family admits.
+largest letter the family admits.  MonoidFamily and RankViolationError are
+words.py's, imported here, so that only building objects or keys loads tree code.
 
 Besides the five insertion families there are three reference monoids: the
 two three-element monoids {1, a, b} obtained by adjoining a unit 1 to the left
@@ -18,39 +19,10 @@ last in r21.
 """
 from __future__ import annotations
 
-import enum
 from typing import Callable, NamedTuple, Optional
 
 from . import bst, tableaux
-from .words import _are_letters, _symbols
-
-
-class RankViolationError(ValueError):
-    """A word uses letters outside the declared alphabet."""
-
-
-class MonoidFamily(enum.Enum):
-    STAL = "stal"
-    TAIG = "taig"
-    SYLV = "sylv"
-    SYLV_SHARP = "sylvsharp"
-    BAXT = "baxt"
-    LEFT_ZERO = "l21"
-    RIGHT_ZERO = "r21"
-    FREE_MONOGENIC = "free1"
-
-    # members are singletons equal by identity; Enum's hash is Python code, run per lookup
-    __hash__ = object.__hash__
-
-    @classmethod
-    def parse(cls, name: str) -> "MonoidFamily":
-        for fam in cls:
-            if fam.value == name:
-                return fam
-        raise ValueError(f"unknown monoid family {name!r}")
-
-    def __str__(self) -> str:
-        return self.value
+from .words import MonoidFamily, RankViolationError, _are_letters, _FamilyTable, _symbols
 
 
 def check_rank(w, rank: int) -> None:
@@ -74,13 +46,6 @@ class _Family(NamedTuple):
     key: Callable       # letter tuple -> hashable value, equal exactly for equivalent words
     obj: Callable       # word -> public canonical object; gets checked letters if cap is set
     cap: Optional[int]  # largest letter admitted; None means any
-
-
-class _FamilyTable(dict):
-    """One row per MonoidFamily member; any other key raises ValueError."""
-
-    def __missing__(self, family):
-        raise ValueError(f"unknown family {family!r}")
 
 
 # The object builders look the insertion functions up at call time, so that

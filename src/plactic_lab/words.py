@@ -8,10 +8,12 @@ runs the same type pass over the child masks of tree keys.  Everything else
 in the package is built on the statistics defined here: content, evaluation
 and the three occurrence skeletons ip/fp/mix.  Identities between variable
 words live in identities.py, so building objects never loads the identity
-machinery.
+machinery.  MonoidFamily, RankViolationError and _FamilyTable live here too,
+so that naming a family loads no tree code.
 """
 from __future__ import annotations
 
+import enum
 import re
 from collections import Counter
 from reprlib import repr as _short_repr
@@ -25,6 +27,41 @@ LETTERS = "letter"
 VARIABLES = "variable"
 
 _INT, _STR = {int}, {str}
+
+
+class RankViolationError(ValueError):
+    """A word uses letters outside the declared alphabet."""
+
+
+class MonoidFamily(enum.Enum):
+    STAL = "stal"
+    TAIG = "taig"
+    SYLV = "sylv"
+    SYLV_SHARP = "sylvsharp"
+    BAXT = "baxt"
+    LEFT_ZERO = "l21"
+    RIGHT_ZERO = "r21"
+    FREE_MONOGENIC = "free1"
+
+    # members are singletons equal by identity; Enum's hash is Python code, run per lookup
+    __hash__ = object.__hash__
+
+    @classmethod
+    def parse(cls, name: str) -> "MonoidFamily":
+        for fam in cls:
+            if fam.value == name:
+                return fam
+        raise ValueError(f"unknown monoid family {name!r}")
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class _FamilyTable(dict):
+    """One row per MonoidFamily member; any other key raises ValueError."""
+
+    def __missing__(self, family):
+        raise ValueError(f"unknown family {family!r}")
 
 
 def _are_letters(seq) -> bool:

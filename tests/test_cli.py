@@ -304,12 +304,12 @@ def test_json_of_10_to_the_5_letters_loads_back(capsys):
 @pytest.mark.parametrize("limit", [RecursionError, MemoryError])
 def test_resource_limits_exit_two_without_traceback(capsys, monkeypatch, limit):
     # an input too large or too deep is an error, never a negative answer
-    from plactic_lab import cli
+    from plactic_lab import monoids
 
     def canonical(*args):
         raise limit("too deep")
 
-    monkeypatch.setattr(cli.monoids, "canonical", canonical)
+    monkeypatch.setattr(monoids, "canonical", canonical)
     code, out, err = run(capsys, "object", "--monoid", "sylv", "--word", "12", "--format", "json")
     assert (code, out, err) == (2, "", f"error: input too large or too deep ({limit.__name__})\n")
 

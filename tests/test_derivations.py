@@ -3,7 +3,6 @@ import json
 import logging
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -42,8 +41,9 @@ var_words = st.lists(st.sampled_from("wxyz"), max_size=9).map(Word.variables)
 
 def inverted(steps) -> list:
     """The steps backwards, each one flipped: what invert_steps of their Derivation gives."""
-    return [replace(st, before=st.after, after=st.before,
-                    direction="rtl" if st.direction == "ltr" else "ltr") for st in reversed(steps)]
+    return [DerivationStep(st.after, st.before, st.rule_index,
+                           "rtl" if st.direction == "ltr" else "ltr", st.prefix, st.suffix, st.endo)
+            for st in reversed(steps)]
 
 
 def reread(payload):
@@ -662,6 +662,16 @@ def test_derive_search_returns_a_derivation():
     assert type(empty) is Derivation and not empty and verify_derivation(stal, empty)
 
 
+def test_derivations_over_other_rules_are_not_equal():
+    # a payload whose rule list gained a rule fails verification: it must not read back ==
+    d = normalize_derivation(F.STAL, Word.variables("xyx"))
+    extra = Derivation([*d.rules, Identity.parse("xy = yx")], d.start, d.apps, d.end)
+    assert len(d) == 1 and d == Derivation(d.rules, d.start, d.apps, d.end) and d == list(d)
+    assert extra != d and d != extra and not d == extra and extra == list(d)
+    assert not verify_derivation(basis(F.STAL), extra)
+    assert reread(derivation_to_json(extra)) != d
+
+
 def test_given_images_are_checked_like_list_steps():
     # an application may give its images as a dict of Words, as a step's endo does
     sigma = [Identity.parse("xy = x")]
@@ -689,4 +699,4 @@ def test_given_images_are_checked_like_list_steps():
     assert not verify_derivation(sigma, reread(dict(payload, end="abb")))
     # the steps, or the payload, are no Derivation: refused, not an error
     assert not verify_derivation(sigma, list(good)) and not verify_derivation(sigma, payload)
-    assert not verify_derivation(sigma, [vars(good[0])])
+    assert not verify_derivation(sigma, [good[0]._asdict()])

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import pickle
 import random
 import re
 import time
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from plactic_lab import (
     CounterExample,
     DecisionMismatchError,
+    DerivationStep,
     Exhaustive,
     HoldsWithinBound,
     Identity,
@@ -290,6 +292,51 @@ def test_counterexample_rejects_equal_objects():
     t = canonical(F.STAL, Word.letters("12"))
     with pytest.raises(ValueError):
         CounterExample({}, t, t)
+
+
+_V = Word.variables
+# record, its fields in order, a field change its checks refuse (None: it has none), repr
+RECORDS = [
+    (Identity, (_V("xyx"), _V("yxx")), {"rhs": Word.letters("1")}, "Identity('xyx = yxx')"),
+    (Exhaustive, (1,), {"max_len": -1}, "Exhaustive(max_len=1)"),
+    (RandomSearch, (3, 2, 7), {"trials": -1}, "RandomSearch(trials=3, max_len=2, seed=7)"),
+    (HoldsWithinBound, (49,), None, "HoldsWithinBound(checked=49)"),
+    (CounterExample, ({"x": Word.letters("1")}, "a", "b"), {"rhs_object": "a"},
+     "CounterExample(substitution={'x': Word('1')}, lhs_object='a', rhs_object='b')"),
+    (DerivationStep, (_V("xy"), _V("yx"), 0, "ltr", _V(""), _V(""), {"x": _V("x"), "y": _V("y")}),
+     None, "DerivationStep(before=Word('xy'), after=Word('yx'), rule_index=0, direction='ltr', "
+           "prefix=Word(''), suffix=Word(''), endo={'x': Word('x'), 'y': Word('y')})"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, bad, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_compare_hash_and_pickle_as_frozen_records(cls, fields, bad, text):
+    rec, by_name = cls(*fields), dict(zip(cls._fields, fields))
+    assert rec == cls(**by_name) and not rec != cls(**by_name) and repr(rec) == text
+    # equal only to a record of its own type: never a plain tuple or another record type
+    twin = type("Twin", (cls,), {"__slots__": ()})(*fields)
+    for other in (fields, twin, HoldsWithinBound(1) if cls is Exhaustive else Exhaustive(1)):
+        assert rec != other and other != rec and not rec == other and not other == rec
+    assert Exhaustive(1) != HoldsWithinBound(1)
+    try:
+        expected = hash(fields)  # a frozen dataclass hashes its field tuple
+    except TypeError:  # a dict field
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == expected
+    for name in (cls._fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, fields[0])
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is cls
+    if bad is not None:
+        changed = {**by_name, **bad}
+        for make in (lambda: cls(**changed), lambda: cls(*changed.values()),
+                     lambda: rec._replace(**bad)):
+            with pytest.raises(ValueError):
+                make()
+    assert RandomSearch(3, 2) == RandomSearch(trials=3, max_len=2, seed=0)
 
 
 def test_oracle_random_mode_is_reproducible():

@@ -1,7 +1,8 @@
 """The package loads a submodule only when one of its names is used, and the
-CLI loads identities (and with it dataclasses) only for the subcommands that
-need it, and json only to write JSON.  Each check runs in a child interpreter,
-whose sys.modules starts empty of the package."""
+CLI loads the tree code (monoids, bst, tableaux) and identities only for the
+subcommands that need them, dataclasses and inspect never, and json only to
+write JSON.  Each check runs in a child interpreter, whose sys.modules starts
+empty of the package."""
 import importlib
 import json
 import os
@@ -54,6 +55,28 @@ def test_setup_call_loads_no_identities():
 ], ids=["object", "render", "equiv", "stats", "bad-word", "usage-error"])
 def test_cli_without_identities_loads_neither(argv, exit_code):
     assert _loaded_after_cli(*argv) == (exit_code, [])
+
+
+TREES = ("plactic_lab.bst", "plactic_lab.monoids", "plactic_lab.tableaux")
+IDS = ("plactic_lab.identities",)
+
+
+@pytest.mark.parametrize("argv, exit_code, loaded", [
+    (["object", "--monoid", "stal", "--word", "121"], 0, TREES),
+    (["render", "--monoid", "baxt", "--word", "3121", "--format", "dot"], 0, TREES),
+    (["equiv", "--monoid", "sylv", "--lhs", "12", "--rhs", "21"], 1, TREES),
+    (["stats", "--word", "3613151265", "--format", "json"], 0, ()),
+    (["check-identity", "--monoid", "sylv", "--id", "xyxy = yxxy"], 0, IDS),
+    (["nf", "--monoid", "baxt", "--word", "yxsxty", "--format", "json"], 0, IDS),
+    (["derive", "--monoid", "sylv", "--id", "xysxty = yxsxty"], 0, IDS),
+    (["oracle", "--monoid", "sylv", "--id", "xyx = yxx", "--max-len", "1"], 1, TREES + IDS),
+    (["object", "--monoid", "sylv", "--word", "120"], 2, ()),
+], ids=["object", "render", "equiv", "stats", "check-identity", "nf", "derive", "oracle",
+        "bad-word"])
+def test_each_subcommand_loads_only_what_it_runs(argv, exit_code, loaded):
+    # the identity subcommands name a family through words.py, and build no tree
+    watch = (*TREES, *IDS, "dataclasses", "inspect")
+    assert _loaded_after_cli(*argv, watch=watch) == (exit_code, sorted(loaded))
 
 
 def test_check_identity_loads_identities():

@@ -152,6 +152,23 @@ def test_identity_parse_and_text():
         Identity(Word.letters("12"), Word.letters("21"))
 
 
+@given(variable_words, variable_words)
+def test_identity_text_round_trips(lhs, rhs):
+    # a lone longer variable keeps its space next to the '=', where a rule file's strip
+    # cannot remove it: "foo  =  bar"
+    ident = Identity(lhs, rhs)
+    assert Identity.parse(ident.text()) == ident == Identity.parse(ident.text().strip())
+
+
+def test_identity_text_of_lone_longer_variables():
+    foo, bar = Word.variables(["foo"]), Word.variables(["bar"])
+    assert Identity(foo, bar).text() == "foo  =  bar"
+    assert Identity.parse("foo  =  bar") == Identity(foo, bar)
+    assert Identity.parse(" foo = bar ") == Identity.parse("foo\t=\tbar")  # f o o = b a r
+    assert Identity.parse("foo = bar").lhs == Word.variables("foo") != foo
+    assert Identity(foo, Word.variables("xy")).text() == "foo  = xy"
+
+
 def test_load_identity_system(tmp_path):
     path = tmp_path / "sigma.txt"
     path.write_text("# basis\nxyx = yxx\n\nxy = yx  # swap\n")
