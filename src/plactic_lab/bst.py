@@ -13,8 +13,9 @@ first, and the second as the first of the reversed word; _baxt_key sorts
 once for both.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
-A pair from outside is accepted only with a word, read off both in-orders, that
-builds both trees (see _twin_witness and _SearchTree._in_order_parents).
+A pair from outside, built or loaded, is accepted only by the constructor: with
+exact int labels and masks, and a word, read off both in-orders, that builds
+both trees (see _twin_witness and _SearchTree._in_order_parents).
 """
 from __future__ import annotations
 
@@ -120,12 +121,14 @@ class BaxterObject(_Canonical):
     _insert = staticmethod(lambda w: p_baxt(w))
 
     def __init__(self, sharp: LeftStrictBST, plain: RightStrictBST):
-        """The pair, if some word builds both trees; ValueError otherwise."""
+        """The pair, if its labels and masks are exact ints (True or 1.0 is no 1) and the
+        word _twin_witness finds builds both trees; ValueError otherwise."""
         if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
             raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
         key = (sharp._key, plain._key)
-        witness = _twin_witness(sharp, plain)
-        if not _are_letters(witness) or _baxt_key(witness) != key:
+        both = key[0] + key[1]  # labels at even places, masks at odd ones
+        if not (_are_letters(both[0::2]) and _are_masks(both[1::2])
+                and _baxt_key(witness := _twin_witness(sharp, plain)) == key):
             raise ValueError("no letter word builds this pair of trees")
         super().__init__(key, witness)
 
@@ -157,21 +160,13 @@ class BaxterObject(_Canonical):
 
     @classmethod
     def _from_json(cls, data: dict) -> "BaxterObject":
-        """The pair, taken at once if its labels and masks are exact ints and
-        the witness word builds both trees, which proves them insertion trees
-        with no search-order pass.  Any other payload goes through the tree
-        loaders and the constructor, which say what is wrong with it."""
+        """The constructor's pair of the trees the payload spells, taken as they
+        are; if it refuses them, the tree loaders say which side is wrong."""
         sharp, plain = data["sharp"], data["plain"]
         try:
-            key = LeftStrictBST._json_key(sharp), RightStrictBST._json_key(plain)
+            return cls(LeftStrictBST._json_tree(sharp), RightStrictBST._json_tree(plain))
         except (KeyError, TypeError, ValueError):
-            key = None
-        # exact ints, lest a label True or 1.0 pass for 1 in the key comparison
-        if key is not None and _are_letters(key[0][0::2] + key[1][0::2]) and _are_masks(
-                key[0][1::2] + key[1][1::2]):
-            witness = _twin_witness(LeftStrictBST._make(key[0]), RightStrictBST._make(key[1]))
-            if _baxt_key(witness) == key:
-                return cls._make(key, witness)
+            pass
         return cls(LeftStrictBST.from_json_dict(sharp), RightStrictBST.from_json_dict(plain))
 
 

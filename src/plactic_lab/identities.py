@@ -10,10 +10,11 @@ when both sides have equal invariants), a normal form for variable words
 such that an identity holds exactly when both sides have the same normal
 form, and the rewriting that derives that normal form with basis rules only.
 The three reference monoids l21, r21 and free1 have an invariant but no
-basis, normal form or derivation.  The invariants, the normal forms and the
-brute force oracle, which substitutes letter words for variables and
-compares the raw keys of monoids._FAMILIES, are written separately and
-cross-validated in the test suite.
+basis, normal form or derivation.  stal and taig share one row: the stalactic
+columns (words._columns, also the stal key) are its invariant and, spelled, its
+normal form.  The brute force oracle substitutes letter words for variables and
+compares the raw keys of monoids._FAMILIES; the test suite cross-validates it,
+the invariants and the normal forms.
 
 The sylv and baxt normal forms are each described once, as bounds (positions
 that stay in place) and a sort key for every stretch between two bounds:
@@ -45,6 +46,7 @@ from .words import (
     MonoidFamily,
     RankViolationError,
     Word,
+    _columns,
     _FamilyTable,
     _first_last_positions,
     _fp,
@@ -53,6 +55,7 @@ from .words import (
     _like,
     _mix_positions,
     _parse_word,
+    _spelled,
     _symbols,
 )
 
@@ -172,8 +175,9 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
     """Decide whether the family satisfies the identity, for every rank >= 2.
 
     The sides must have equal invariants, after Cain, Malheiro and Ribeiro:
-    stal and taig compare ev and fp; sylv adds how many y follow the last x,
-    for all x and y; sylvsharp is the mirror image of sylv; baxt needs both.
+    stal and taig compare ev and fp, which the stalactic columns record (whose
+    spelling is their normal form); sylv adds how many y follow the last x, for
+    all x and y; sylvsharp is the mirror image of sylv; baxt needs both.
     """
     invariant = _THEORIES[family].invariant
     return invariant(ident.lhs.symbols) == invariant(ident.rhs.symbols)
@@ -181,11 +185,6 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
 
 # ---------------------------------------------------------------------------
 # normal forms
-
-
-def _gathered(syms: tuple) -> tuple:
-    """The gathered form: the copies of each symbol together, symbols in fp order."""
-    return tuple(sorted(syms, key=dict(zip(_fp(syms), itertools.count())).__getitem__))
 
 
 def _sylv_stretches(syms: tuple) -> tuple:
@@ -463,9 +462,10 @@ def _replay(sigma: Sequence[Identity], d: Derivation, require_nonempty_images: b
     (word, start, stop, rule_index, direction, images, target side) before each
     rewrite of word[start:stop], and False, then stops, at the first failed check.
     d must have sigma as its rules and Words as its start and end, and reach its
-    end.  Given images are Words of one kind, one per variable of the rule."""
+    end.  Given images are Words, one per variable of the rule; they, the start and the
+    end are of one kind: kinds holds the kinds met so far, None the empty word's."""
     layouts, fits = {}, d.rules == tuple(sigma) and type(d.start) is Word is type(d.end)
-    word = [*d.start.symbols] if fits else None
+    word, kinds = ([*d.start.symbols], {d.start.kind, d.end.kind, None}) if fits else (None, None)
     for app in d.apps if fits else ():
         if type(app) is not tuple or len(app) != 4:
             break
@@ -483,8 +483,8 @@ def _replay(sigma: Sequence[Identity], d: Derivation, require_nonempty_images: b
         src, dst, reads, known = layouts[ri, direction]  # each name maps to None: no image yet
         if isinstance(lengths, dict):  # the images themselves; extra names are ignored
             if (set(map(type, lengths.values())) - {Word} or known.keys() - lengths.keys()
-                    or len({lengths[name].kind for name in known} - {None}) > 1):  # both kinds
-                break
+                    or len(kinds := kinds | {lengths[name].kind for name in known}) > 2):
+                break  # no Word, an image missing, or both kinds
             known = {name: [*lengths[name].symbols] for name in known}
             lengths = tuple(map(len, known.values()))
         stop, images = _read_images(word, start, src, reads, lengths, known)
@@ -635,7 +635,7 @@ class _Theory(NamedTuple):
     derivation: Optional[Callable]   # (Word, basis) -> Derivation to its normal form
 
 
-_GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: (Counter(syms), _fp(syms)), _gathered,
+_GATHER = _Theory(_rules(["xyx = yxx"]), _columns, lambda syms: _spelled(_columns(syms)),
                   _gather_steps)
 _THEORIES = _FamilyTable({
     MonoidFamily.STAL: _GATHER,

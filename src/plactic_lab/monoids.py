@@ -7,8 +7,8 @@ to a plain hashable value that is equal exactly for equivalent words;
 equivalent() and the oracle compare keys.  The object builder returns the
 public canonical object that canonical() hands out: a tableau or tree for the
 five insertion families, an element name or an exponent.  The cap is the
-largest letter the family admits.  MonoidFamily and RankViolationError are
-words.py's, imported here, so that only building objects or keys loads tree code.
+largest letter the family admits; _letters, shared with check_rank, holds the one
+comparison with a cap.  MonoidFamily and RankViolationError live in words.py.
 
 Besides the five insertion families there are three reference monoids: the
 two three-element monoids {1, a, b} obtained by adjoining a unit 1 to the left
@@ -22,16 +22,14 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from . import bst, tableaux
-from .words import MonoidFamily, RankViolationError, _are_letters, _FamilyTable, _symbols
+from .words import MonoidFamily, RankViolationError, _columns, _FamilyTable
 
 
 def check_rank(w, rank: int) -> None:
-    """Ensure every letter of w lies in 1..rank."""
+    """Ensure w, read and checked as insertion reads it, has no letter above rank."""
     if rank < 1:
         raise RankViolationError(f"rank must be >= 1, got {rank}")
-    seq = _symbols(w)
-    if not (_are_letters(seq) and max(seq, default=1) <= rank):
-        raise RankViolationError(f"the word is not over the letters 1..{rank}")
+    _letters(w, rank)
 
 
 def _l21(seq) -> str:
@@ -51,7 +49,7 @@ class _Family(NamedTuple):
 # The object builders look the insertion functions up at call time, so that
 # code which wraps tableaux.p_* or bst.p_* (tracing, say) sees every call.
 _FAMILIES = _FamilyTable({
-    MonoidFamily.STAL: _Family(tableaux._stal_columns, lambda w: tableaux.p_stal(w), None),
+    MonoidFamily.STAL: _Family(_columns, lambda w: tableaux.p_stal(w), None),
     MonoidFamily.TAIG: _Family(tableaux._taiga_key, lambda w: tableaux.p_taig(w), None),
     MonoidFamily.SYLV: _Family(bst._sylv_key, lambda w: bst.p_sylv(w), None),
     MonoidFamily.SYLV_SHARP: _Family(bst._sylv_sharp_key, lambda w: bst.p_sylv_sharp(w), None),
@@ -67,10 +65,11 @@ def alphabet_cap(family: MonoidFamily) -> Optional[int]:
     return _FAMILIES[family].cap
 
 
-def _letters(row: _Family, w) -> tuple:
-    seq = tableaux._letter_seq(w)  # checks the letters once
-    if row.cap is not None and seq and max(seq) > row.cap:
-        raise RankViolationError(f"the word is not over the letters 1..{row.cap}")
+def _letters(w, cap: Optional[int]) -> tuple:
+    """The letters of w, checked once as insertion checks them, and none above cap."""
+    seq = tableaux._letter_seq(w)
+    if cap is not None and seq and max(seq) > cap:
+        raise RankViolationError(f"the word is not over the letters 1..{cap}")
     return seq
 
 
@@ -81,11 +80,11 @@ def canonical(family: MonoidFamily, w):
     exponent of the single generator; l21/r21 return the monoid element.
     """
     row = _FAMILIES[family]
-    return row.obj(w if row.cap is None else _letters(row, w))  # insertion checks w itself
+    return row.obj(w if row.cap is None else _letters(w, row.cap))  # insertion checks w itself
 
 
 def equivalent(family: MonoidFamily, u, v) -> bool:
     """Do u and v define the same element, i.e. the same canonical object?"""
     row = _FAMILIES[family]
-    a, b = _letters(row, u), _letters(row, v)
+    a, b = _letters(u, row.cap), _letters(v, row.cap)
     return a == b or row.key(a) == row.key(b)

@@ -15,16 +15,16 @@ walk with an explicit stack, at any depth: counting, validity, JSON round
 trip and ASCII/DOT pictures; a tree too deep for the stdlib's json goes to
 JSON as flat lists.  Insertion builds that key in one stack pass over a
 Cartesian tree (_shape_key, a sentinel-bottomed loop); a taiga tree is the
-one on the columns that _column_counts finds for the tableau.
+one on the tableau's columns, words._columns.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat, starmap, zip_longest
+from itertools import chain, zip_longest
 from math import inf
 from operator import itemgetter
 
-from .words import Word, _are_letters, _are_masks, _symbols
+from .words import Word, _are_letters, _are_masks, _columns, _spelled, _symbols
 
 
 def _letter_seq(w) -> tuple:
@@ -42,10 +42,11 @@ class _Canonical:
     are equal exactly when their words are equivalent.  _word is that letter
     tuple (for a Baxter pair from outside, a word found to build it), or None
     for a tableau or tree from outside, whose reading word the class spells
-    (_spell).  Constructors check outside input; _make wraps a key known to
+    (_spell).  The StalacticTableau and BaxterObject constructors check their
+    input in full; a tree's constructor checks only its shape, and is_valid()
+    and from_json_dict check its order and letters.  _make wraps a key known to
     be valid.  from_json_dict is the one loader: a class's _from_json turns a
-    payload into an object, None if invalid.  _insert, the family's insertion,
-    makes products.
+    payload into an object, None if invalid.  _insert, the insertion, makes products.
     """
 
     __slots__ = ("_key", "_word")
@@ -133,8 +134,7 @@ class StalacticTableau(_Canonical):
         return sum(m for _, m in self.columns)
 
     def _spell(self) -> tuple:
-        """Each column's letter, repeated by its multiplicity, from left to right."""
-        return tuple(chain.from_iterable(starmap(repeat, self.columns)))
+        return _spelled(self.columns)
 
     def __repr__(self) -> str:
         return f"StalacticTableau({list(self.columns)!r})"
@@ -156,23 +156,10 @@ class StalacticTableau(_Canonical):
         return cls((c["letter"], c["mult"]) for c in data["columns"])
 
 
-def _column_counts(seq) -> dict:
-    """Each letter of seq and its multiplicity, by decreasing last occurrence."""
-    counts = {}
-    for a in reversed(seq):
-        counts[a] = counts.get(a, 0) + 1
-    return counts
-
-
-def _stal_columns(seq) -> tuple:
-    """(letter, multiplicity) columns, letters in order of last occurrence."""
-    return tuple(reversed(_column_counts(seq).items()))
-
-
 def p_stal(w) -> StalacticTableau:
     """Insert the letters of w from right to left into the empty tableau."""
     seq = _letter_seq(w)
-    return StalacticTableau._make(_stal_columns(seq), seq)
+    return StalacticTableau._make(_columns(seq), seq)
 
 
 def _shape_key(labels, inorder, rows=False) -> tuple:
@@ -306,9 +293,7 @@ class _SearchTree(_Canonical):
     def _preorder(self) -> tuple:
         """Labels in preorder, each repeated by its multiplicity."""
         key = self._key
-        if not self._MULT:
-            return key[0::2]
-        return tuple(chain.from_iterable(map(repeat, key[0::3], key[1::3])))
+        return _spelled(zip(key[0::3], key[1::3])) if self._MULT else key[0::2]
 
     def as_counter(self) -> Counter:
         return Counter(self._preorder())
@@ -420,17 +405,17 @@ class _SearchTree(_Canonical):
         return False
 
     @classmethod
-    def _json_key(cls, data) -> tuple:
-        """The key a payload of either form spells, valid or not: lists of
+    def _json_tree(cls, data):
+        """The tree a payload of either form spells, valid or not: lists of
         unequal lengths are padded with None, which is_valid refuses."""
         if data is None or "labels" not in data:
-            return _key_of_root(data, cls._MULT, cls._JSON)
+            return cls._make(_key_of_root(data, cls._MULT, cls._JSON))
         columns = (data["labels"], data["mults"]) if cls._MULT else (data["labels"],)
-        return tuple(chain.from_iterable(zip_longest(*columns, data["children"])))
+        return cls._make(tuple(chain.from_iterable(zip_longest(*columns, data["children"]))))
 
     @classmethod
     def _from_json(cls, data):
-        tree = cls._make(cls._json_key(data))
+        tree = cls._json_tree(data)
         return tree if tree.is_valid() else None
 
     def to_dot(self) -> str:
@@ -486,10 +471,10 @@ class TaigaTree(_SearchTree):
 def _taiga_key(seq) -> tuple:
     """Key of the taiga tree of seq: the Cartesian tree of its stalactic
     columns, in-order by letter, the latest last occurrence at the root."""
-    counts = _column_counts(seq)
-    letters = list(reversed(counts))  # by last occurrence: the priorities
-    inorder = sorted(range(len(letters)), key=letters.__getitem__)
-    return _shape_key(list(zip(reversed(counts.values()), letters)), inorder, True)
+    columns = _columns(seq)
+    letters = [a for a, _ in columns]  # by last occurrence: the priorities
+    inorder = sorted(range(len(letters)), key=letters.__getitem__)  # ints sort fastest
+    return _shape_key([(m, a) for a, m in columns], inorder, True)
 
 
 def p_taig(w) -> TaigaTree:

@@ -5,17 +5,19 @@ mix inside one word: letters (exact ints >= 1, ordered in the usual way) and
 variables (identifier-like names, used to state identities), told apart by
 _are_letters and _are_variables, the package's one symbol check; _are_masks
 runs the same type pass over the child masks of tree keys.  Everything else
-in the package is built on the statistics defined here: content, evaluation
-and the three occurrence skeletons ip/fp/mix.  Identities between variable
-words live in identities.py, so building objects never loads the identity
-machinery.  MonoidFamily, RankViolationError and _FamilyTable live here too,
-so that naming a family loads no tree code.
+in the package is built on the statistics defined here: content, evaluation,
+the skeletons ip/fp/mix and the stalactic columns (_columns), which are the
+stal key, the stal/taig invariant and, spelled by _spelled, their normal form.
+Identities between variable words live in identities.py, so building objects
+never loads the identity machinery.  MonoidFamily, RankViolationError and
+_FamilyTable live here too, so that naming a family loads no tree code.
 """
 from __future__ import annotations
 
 import enum
 import re
 from collections import Counter
+from itertools import chain, repeat, starmap
 from reprlib import repr as _short_repr
 from typing import Iterable, Iterator, Union
 
@@ -234,6 +236,20 @@ def con(w) -> frozenset:
 def ev(w) -> Counter:
     """Evaluation of w: symbol -> occurrence count (symbols absent are omitted)."""
     return Counter(_symbols(w))
+
+
+def _columns(seq) -> tuple:
+    """The stalactic columns of seq: (symbol, multiplicity) pairs, in the order of last
+    occurrences.  Two words share them exactly when they share ev and fp."""
+    counts = {}
+    for a in reversed(seq):
+        counts[a] = counts.get(a, 0) + 1
+    return tuple(reversed(counts.items()))
+
+
+def _spelled(columns) -> tuple:
+    """Each column's symbol, repeated by its multiplicity, from left to right."""
+    return tuple(chain.from_iterable(starmap(repeat, columns)))
 
 
 def _last_stretches(syms: tuple) -> list:

@@ -317,6 +317,13 @@ def test_baxter_component_mismatch_rejected():
     for sharp, plain in ((p_sylv("12"), p_sylv("12")), (p_sylv_sharp("12"), "12")):
         with pytest.raises(TypeError):  # each argument must be a tree of its side
             BaxterObject(sharp, plain)
+    # True == 1 == 1.0, so only an exact-int check tells these pairs from p_baxt([1]),
+    # as the loader tells their payloads (see _BAD_BAXTER_PAYLOADS)
+    for label in (True, 1.0):
+        for sharp, plain in ((p_sylv_sharp([1]), RightStrictBST((label, None, None))),
+                             (LeftStrictBST((label, None, None)), p_sylv([1]))):
+            with pytest.raises(ValueError, match="^no letter word builds this pair of trees$"):
+                BaxterObject(sharp, plain)
 
 
 def test_baxter_pairs_load_exactly_when_a_word_builds_them():

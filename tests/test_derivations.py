@@ -700,3 +700,29 @@ def test_given_images_are_checked_like_list_steps():
     # the steps, or the payload, are no Derivation: refused, not an error
     assert not verify_derivation(sigma, list(good)) and not verify_derivation(sigma, payload)
     assert not verify_derivation(sigma, [good[0]._asdict()])
+
+
+def test_a_replay_holds_one_kind_across_its_applications():
+    # each application gives images of one kind, but the two together put a
+    # letter into a variable word, a -> 1a -> a; over variables, a -> ba -> a
+    sigma = [Identity.parse("x = xy")]
+    a, empty = Word.variables("a"), Word(())
+    for y, holds in ((Word.letters("1"), False), (Word.variables("b"), True)):
+        images = {"x": empty, "y": y}
+        d = Derivation(sigma, a, [(0, 0, "ltr", images), (0, 0, "rtl", images)], a)
+        assert verify_derivation(sigma, d) is holds, y
+        if holds:
+            assert [step.after for step in d] == [Word.variables("ba"), a]
+            assert verify_derivation(sigma, reread(derivation_to_json(d)))
+        else:  # as its JSON is refused
+            with pytest.raises(DerivationError):
+                list(d)
+            with pytest.raises(ValueError, match="both letter and variable"):
+                derivation_from_json(derivation_to_json(d))
+    # with an empty start and end, the kinds meet across applications alone
+    sigma, one, b = [Identity.parse(" = x")], Word.letters("1"), Word.variables("b")
+    apps = [(0, 0, "ltr", {"x": one}), (0, 0, "ltr", {"x": b}), (0, 0, "rtl", {"x": b}),
+            (0, 0, "rtl", {"x": one})]
+    assert not verify_derivation(sigma, Derivation(sigma, empty, apps, empty))
+    apps = [(0, 0, direction, {"x": b}) for direction in ("ltr", "ltr", "rtl", "rtl")]
+    assert verify_derivation(sigma, Derivation(sigma, empty, apps, empty))

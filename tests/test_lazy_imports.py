@@ -30,7 +30,7 @@ print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
 
-def _loaded_after_cli(*argv, watch=HEAVY):
+def _loaded_after_cli(*argv, watch):
     proc = subprocess.run([sys.executable, "-c", _CLI_PROBE % (watch,), *argv], env=ENV,
                           capture_output=True, text=True, timeout=120)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
@@ -43,18 +43,6 @@ def test_setup_call_loads_no_identities():
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout == "[]\n"
-
-
-@pytest.mark.parametrize("argv, exit_code", [
-    (["object", "--monoid", "stal", "--word", "121"], 0),
-    (["render", "--monoid", "baxt", "--word", "3121", "--format", "dot"], 0),
-    (["equiv", "--monoid", "sylv", "--lhs", "12", "--rhs", "21"], 1),
-    (["stats", "--word", "3613151265", "--format", "json"], 0),
-    (["object", "--monoid", "sylv", "--word", "120"], 2),
-    (["equiv", "--monoid", "nope", "--lhs", "1", "--rhs", "1"], 2),
-], ids=["object", "render", "equiv", "stats", "bad-word", "usage-error"])
-def test_cli_without_identities_loads_neither(argv, exit_code):
-    assert _loaded_after_cli(*argv) == (exit_code, [])
 
 
 TREES = ("plactic_lab.bst", "plactic_lab.monoids", "plactic_lab.tableaux")
@@ -71,17 +59,13 @@ IDS = ("plactic_lab.identities",)
     (["derive", "--monoid", "sylv", "--id", "xysxty = yxsxty"], 0, IDS),
     (["oracle", "--monoid", "sylv", "--id", "xyx = yxx", "--max-len", "1"], 1, TREES + IDS),
     (["object", "--monoid", "sylv", "--word", "120"], 2, ()),
+    (["equiv", "--monoid", "nope", "--lhs", "1", "--rhs", "1"], 2, ()),
 ], ids=["object", "render", "equiv", "stats", "check-identity", "nf", "derive", "oracle",
-        "bad-word"])
+        "bad-word", "usage-error"])
 def test_each_subcommand_loads_only_what_it_runs(argv, exit_code, loaded):
     # the identity subcommands name a family through words.py, and build no tree
     watch = (*TREES, *IDS, "dataclasses", "inspect")
     assert _loaded_after_cli(*argv, watch=watch) == (exit_code, sorted(loaded))
-
-
-def test_check_identity_loads_identities():
-    code, loaded = _loaded_after_cli("check-identity", "--monoid", "sylv", "--id", "xyxy = yxxy")
-    assert code == 0 and "plactic_lab.identities" in loaded
 
 
 def test_only_json_output_loads_json():

@@ -66,6 +66,15 @@ def test_check_rank():
     check_rank(Word.letters("123"), 3)
     with pytest.raises(RankViolationError):
         check_rank(Word.letters("123"), 2)
+    # a word is read as insertion reads it: text "12" is the letters 1 and 2
+    check_rank("12", 2)
+    check_rank("10 2", 10)
+    with pytest.raises(RankViolationError, match=r"^the word is not over the letters 1\.\.2$"):
+        check_rank("13", 2)
+    for bad in ((1, 0), [1, "x"], (True,), "1x"):  # no letter word: insertion's ValueError
+        with pytest.raises(ValueError) as info:
+            check_rank(bad, 9)
+        assert type(info.value) is ValueError
 
 
 def test_adjoined_zero_tables():
