@@ -45,7 +45,18 @@ def test_setup_call_loads_no_identities():
     assert proc.stdout == "[]\n"
 
 
-TREES = ("plactic_lab.bst", "plactic_lab.monoids", "plactic_lab.tableaux")
+@pytest.mark.parametrize("argv, exit_code", [
+    (["object", "--monoid", "stal", "--word", "121"], 0),
+    (["render", "--monoid", "baxt", "--word", "3121", "--format", "dot"], 0),
+    (["equiv", "--monoid", "sylv", "--lhs", "12", "--rhs", "21"], 1),
+    (["stats", "--word", "3613151265", "--format", "json"], 0),
+    (["object", "--monoid", "sylv", "--word", "120"], 2),
+], ids=["object", "render", "equiv", "stats", "bad-word"])
+def test_cli_without_identities_loads_neither(argv, exit_code):
+    assert _loaded_after_cli(*argv, watch=HEAVY) == (exit_code, [])
+
+
+TREES =("plactic_lab.bst", "plactic_lab.monoids", "plactic_lab.tableaux")
 IDS = ("plactic_lab.identities",)
 
 
