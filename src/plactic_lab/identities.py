@@ -316,7 +316,8 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     Exhaustive mode enumerates images in shortlex order, first variable most
     significant, and reports the first counterexample; Random mode replays a
     seeded stream.  Both scan serially, one substitution at a time, and
-    build keys only when the two substituted sides are different words.  A side
+    build keys only when the two substituted sides are different words with
+    different pre-keys (taig's columns), where the family's row has one.  A side
     is one join of its images: bytes up to rank 255, read as ints, tuples above.
     """
     from .monoids import _FAMILIES, check_rank
@@ -337,12 +338,12 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
                                 len(names), pack)
     else:
         raise TypeError(f"unknown oracle mode {mode!r}")
-    at, key = {name: i for i, name in enumerate(names)}, row.key
+    at, key, pre = {name: i for i, name in enumerate(names)}, row.key, row.pre
     lhs, rhs = (_picker([at[n] for n in side.symbols]) for side in (ident.lhs, ident.rhs))
     checked = keyed = 0
     for checked, imgs in enumerate(stream, 1):
         u, v = join(lhs(imgs)), join(rhs(imgs))
-        if u != v:  # equal words have equal keys
+        if u != v and (pre is None or pre(u) != pre(v)):  # else the keys are equal
             keyed += 1
             if key(u) != key(v):
                 # from tuples: the objects and Words of a counterexample hold ints, not bytes

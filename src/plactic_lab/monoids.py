@@ -1,10 +1,12 @@
 """Monoid families and their canonical objects.
 
 Each of the eight families is described once, by its row in _FAMILIES: the
-raw key builder, the object builder and the alphabet cap; the table itself
-refuses any other family with ValueError.  The key builder maps a letter tuple
-to a plain hashable value that is equal exactly for equivalent words;
-equivalent() and the oracle compare keys.  The object builder returns the
+raw key builder, the object builder, the alphabet cap and the pre-key; the
+table itself refuses any other family with ValueError.  The key builder maps a
+letter tuple to a plain hashable value that is equal exactly for equivalent
+words; equivalent() and the oracle compare keys, after the pre-key where a row
+has one: a cheaper function the key is built from (the stalactic columns in
+taig), so equal pre-keys mean equal keys.  The object builder returns the
 public canonical object that canonical() hands out: a tableau or tree for the
 five insertion families, an element name or an exponent.  The cap is the
 largest letter the family admits; _letters, shared with check_rank, holds the one
@@ -44,13 +46,14 @@ class _Family(NamedTuple):
     key: Callable       # letter tuple -> hashable value, equal exactly for equivalent words
     obj: Callable       # word -> public canonical object; gets checked letters if cap is set
     cap: Optional[int]  # largest letter admitted; None means any
+    pre: Optional[Callable] = None  # pre-key: key is built from it, so equal pre-keys, equal keys
 
 
 # The object builders look the insertion functions up at call time, so that
 # code which wraps tableaux.p_* or bst.p_* (tracing, say) sees every call.
 _FAMILIES = _FamilyTable({
     MonoidFamily.STAL: _Family(_columns, lambda w: tableaux.p_stal(w), None),
-    MonoidFamily.TAIG: _Family(tableaux._taiga_key, lambda w: tableaux.p_taig(w), None),
+    MonoidFamily.TAIG: _Family(tableaux._taiga_key, lambda w: tableaux.p_taig(w), None, _columns),
     MonoidFamily.SYLV: _Family(bst._sylv_key, lambda w: bst.p_sylv(w), None),
     MonoidFamily.SYLV_SHARP: _Family(bst._sylv_sharp_key, lambda w: bst.p_sylv_sharp(w), None),
     MonoidFamily.BAXT: _Family(bst._baxt_key, lambda w: bst.p_baxt(w), None),
@@ -84,7 +87,9 @@ def canonical(family: MonoidFamily, w):
 
 
 def equivalent(family: MonoidFamily, u, v) -> bool:
-    """Do u and v define the same element, i.e. the same canonical object?"""
+    """Do u and v define the same element, i.e. the same canonical object?
+
+    Equal words, or equal pre-keys (taig's columns), say yes without a key."""
     row = _FAMILIES[family]
     a, b = _letters(u, row.cap), _letters(v, row.cap)
-    return a == b or row.key(a) == row.key(b)
+    return a == b or row.pre is not None and row.pre(a) == row.pre(b) or row.key(a) == row.key(b)

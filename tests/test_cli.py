@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -439,3 +440,93 @@ def test_cached_parser_leaks_no_state_between_calls(capsys, monkeypatch):
         fresh = _fresh_process(argv, env)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
     assert [_fresh_process(argv, env).returncode for argv in calls] == [0, 2, 0, 0, 1]
+
+
+_NO_OUTPUT = object()  # derive's exit 1: the reason goes to stderr
+
+
+def _library_answer(command, name, text, form, extra):
+    """The exit code and the JSON value (text: any value) that the library gives
+    for a sweep case; it raises where the CLI must exit 2."""
+    if command == "stats":
+        w = Word.letters(text)
+        ev = plactic_lab.ev(w)
+        return 0, {"con": sorted(ev), "ev": {str(a): ev[a] for a in sorted(ev)},
+                   "ip": plactic_lab.ip(w).text(), "fp": plactic_lab.fp(w).text(),
+                   "mix": plactic_lab.mix(w).text()}
+    family = MonoidFamily.parse(name)
+    if command in ("object", "render"):
+        obj = canonical(family, Word.letters(text))
+        if command == "render":
+            return 0, obj.to_dot() if form == "dot" else obj
+        if hasattr(obj, "to_json_dict"):
+            return 0, obj.to_json_dict()
+        return 0, {("exponent" if isinstance(obj, int) else "element"): obj}
+    if command == "equiv":
+        same = equivalent(family, Word.letters(text), Word.letters("1"))
+        return 1 - same, {"equivalent": same}
+    if command == "nf":
+        w = plactic_lab.words._parse_word(text)
+        return 0, {"word": w.text(), "normal_form": identities.normal_form(family, w).text()}
+    ident = Identity.parse(text)
+    if command == "check-identity":
+        holds = identities.satisfies(family, ident)
+        return 1 - holds, {"identity": ident.text(), "holds": holds}
+    if command == "derive":
+        if not identities.satisfies(family, ident):
+            return 1, _NO_OUTPUT
+        return 0, identities.derivation_to_json(identities.derivation_certificate(family, ident))
+    options = {"--rank": 2, "--max-len": 2, "--trials": None}
+    options.update((flag, int(value)) for flag, value in zip(extra[::2], extra[1::2]))
+    mode = (identities.Exhaustive(options["--max-len"]) if options["--trials"] is None else
+            identities.RandomSearch(options["--trials"], options["--max-len"], seed=0))
+    verdict = identities.oracle(family, options["--rank"], ident, mode)
+    return (int(isinstance(verdict, identities.CounterExample)),
+            identities.verdict_to_json(verdict))
+
+
+# the flag that takes the boundary text, and the further arguments to try with it
+_SWEEP = {"object": ("--word", [[]]), "render": ("--word", [[]]),
+          "equiv": ("--lhs", [["--rhs", "1"]]), "stats": ("--word", [[]]),
+          "check-identity": ("--id", [[]]), "nf": ("--word", [[]]),
+          "oracle": ("--id", [[], ["--rank", "0"], ["--rank", "256"], ["--max-len", "-1"],
+                              ["--trials", "-1"]]),
+          "derive": ("--id", [[]])}
+_BOUNDARY_TEXTS = ["", "1", "0", "a1", "foo bar", " = ", "x = y = z", "12345678901234567890 "]
+
+
+def test_every_subcommand_keeps_the_exit_code_contract_on_boundary_inputs(capsys):
+    # exit 0 or 1 only with the library's answer and parseable JSON, and exit 2
+    # only where the library raises, with an empty stdout and a last stderr line
+    # that says error
+    from plactic_lab.cli import SUBCOMMANDS
+
+    assert set(_SWEEP) == set(SUBCOMMANDS)
+    codes = set()
+    for command, (flag, extras) in _SWEEP.items():
+        names = [None] if command == "stats" else [*map(str, MonoidFamily), "nope"]
+        for name, form, text, extra in itertools.product(names, SUBCOMMANDS[command][2],
+                                                         _BOUNDARY_TEXTS, extras):
+            argv = [command, "--format", form, flag, text, *extra,
+                    *(["--monoid", name] if name else [])]
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+            out, err = capsys.readouterr()
+            codes.add(code)
+            try:
+                expected = _library_answer(command, name, text, form, extra)
+            except (ValueError, TypeError, AttributeError):
+                expected = None
+            if code == 2:
+                assert expected is None and not out, argv
+                last = err.splitlines()[-1]
+                assert last.startswith(("error: ", f"plactic-lab {command}: error: ")), argv
+                continue
+            assert expected is not None and code == expected[0], argv
+            if expected[1] is _NO_OUTPUT:
+                assert not out, argv
+            else:
+                assert out and (form != "json" or json.loads(out) == expected[1]), argv
+    assert codes == {0, 1, 2}

@@ -38,7 +38,7 @@ from plactic_lab import (
     satisfies,
     verdict_to_json,
 )
-from reference import directional_occ
+from reference import directional_occ, full_key_scan, same_columns, substitutions
 
 F = MonoidFamily
 INSERTION = (F.STAL, F.TAIG, F.SYLV, F.SYLV_SHARP, F.BAXT)
@@ -417,22 +417,8 @@ def test_decision_matches_reference_oracle(ident):
 def reference_scan(family, rank, ident, mode):
     """The oracle written plainly: a dict per substitution, both sides always compared."""
     names = sorted(set(ident.lhs.symbols) | set(ident.rhs.symbols))
-    if isinstance(mode, Exhaustive):
-        images = [()]
-        for length in range(1, mode.max_len + 1):
-            images.extend(itertools.product(range(1, rank + 1), repeat=length))
-        combos = itertools.product(images, repeat=len(names))
-    else:
-        rng = random.Random(mode.seed)
-        combos = []
-        for _ in range(mode.trials):
-            combo = []
-            for _ in names:
-                length = rng.randint(0, mode.max_len)
-                combo.append(tuple(rng.randint(1, rank) for _ in range(length)))
-            combos.append(combo)
     checked = 0
-    for combo in combos:
+    for combo in substitutions(names, rank, mode):
         checked += 1
         sub = dict(zip(names, combo))
         lhs = [a for nm in ident.lhs.symbols for a in sub[nm]]
@@ -440,6 +426,18 @@ def reference_scan(family, rank, ident, mode):
         if canonical(family, lhs) != canonical(family, rhs):
             return sub, canonical(family, lhs), canonical(family, rhs)
     return checked
+
+
+def assert_same_verdict(verdict, expected):
+    """The oracle's verdict against a reference scan's count or counterexample."""
+    if isinstance(expected, int):
+        assert verdict == HoldsWithinBound(checked=expected)
+    else:
+        sub, lhs_object, rhs_object = expected
+        assert isinstance(verdict, CounterExample)
+        assert verdict.substitution == {nm: Word(img) for nm, img in sub.items()}
+        assert (verdict.lhs_object, verdict.rhs_object) == (lhs_object, rhs_object)
+        assert_ints(verdict)
 
 
 def assert_ints(verdict):
@@ -461,26 +459,53 @@ def test_oracle_matches_reference_scan(ident, max_len, seed):
         if alphabet_cap(fam) is None:  # images are bytes up to rank 255, tuples above
             runs += [(255, RandomSearch(30, 3, seed=seed)), (256, RandomSearch(30, 3, seed=seed))]
         for rank, mode in runs:
-            verdict = oracle(fam, rank, ident, mode)
-            expected = reference_scan(fam, rank, ident, mode)
-            if isinstance(expected, int):
-                assert verdict == HoldsWithinBound(checked=expected)
-            else:
-                sub, lhs_object, rhs_object = expected
-                assert isinstance(verdict, CounterExample)
-                assert verdict.substitution == {nm: Word(img) for nm, img in sub.items()}
-                assert (verdict.lhs_object, verdict.rhs_object) == (lhs_object, rhs_object)
-                assert_ints(verdict)
+            assert_same_verdict(oracle(fam, rank, ident, mode),
+                                reference_scan(fam, rank, ident, mode))
+
+
+def _parity_identities():
+    """The basis rules, xzy = zxy, and 50 seeded identities over 2-4 variables:
+    half of them a word against a reordering with the same last occurrences,
+    which taig satisfies, so that every substitution is scanned; half two words
+    drawn apart."""
+    rng = random.Random(29)
+    # at rank 3, the first three draws of RandomSearch(60, 3, seed=3) with different
+    # columns in xzy = zxy, such as 132 = 312, have equal taiga trees: the keys decide
+    idents = [rule for fam in INSERTION for rule in basis(fam)] + [Identity.parse("xzy = zxy")]
+    for n in range(50):
+        names = "xyzt"[:rng.randint(2, 4)]
+        lhs = [rng.choice(names) for _ in range(rng.randint(2, 8))]
+        rhs = (same_columns(lhs, rng) if n % 2 else
+               [rng.choice(names) for _ in range(rng.randint(1, 8))])
+        idents.append(Identity(Word.variables(lhs), Word.variables(rhs)))
+    return idents
+
+
+@pytest.mark.parametrize("rank", [2, 3, 255, 256])
+def test_taig_oracle_matches_the_full_key_scan(rank):
+    # the taig oracle builds keys only for sides with different columns; the
+    # reference builds them for all different sides, and must meet the same verdict
+    modes = [Exhaustive(0), Exhaustive(1), Exhaustive(2), RandomSearch(60, 3, seed=rank),
+             RandomSearch(20, 8, seed=rank + 1)]
+    for ident in _parity_identities():
+        for mode in modes:
+            if isinstance(mode, Exhaustive):  # at most 2,401 substitutions
+                per_var = sum(rank ** n for n in range(mode.max_len + 1))
+                if per_var ** len(ident.variables()) > 2401:
+                    continue
+            assert_same_verdict(oracle(F.TAIG, rank, ident, mode),
+                                full_key_scan(F.TAIG, rank, ident, mode))
 
 
 def test_oracle_scans_both_sides_of_the_bytes_boundary():
-    # images are bytes up to rank 255 and tuples above; Exhaustive(1) has rank + 1 per variable
-    for rank in (255, 256):
-        cex = oracle(F.STAL, rank, Identity.parse("xy = yx"), Exhaustive(1))
+    # images are bytes up to rank 255 and tuples above, and taig takes the columns of
+    # both before any key; Exhaustive(1) has rank + 1 per variable
+    for fam, rank in itertools.product((F.STAL, F.TAIG), (255, 256)):
+        cex = oracle(fam, rank, Identity.parse("xy = yx"), Exhaustive(1))
         assert cex.substitution == {"x": Word.letters("1"), "y": Word.letters("2")}
-        assert cex.lhs_object == canonical(F.STAL, (1, 2)) != cex.rhs_object
+        assert cex.lhs_object == canonical(fam, (1, 2)) != cex.rhs_object
         assert_ints(cex)
-        holds = oracle(F.STAL, rank, Identity.parse("xyx = yxx"), Exhaustive(1))
+        holds = oracle(fam, rank, Identity.parse("xyx = yxx"), Exhaustive(1))
         assert holds == HoldsWithinBound(checked=(rank + 1) ** 2)
 
 
@@ -491,13 +516,18 @@ def test_oracle_logs_one_debug_record_per_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="plactic_lab.oracle"):
         oracle(F.SYLV, 2, ident, Exhaustive(1))
         oracle(F.STAL, 2, Identity.parse("xyx = yxx"), Exhaustive(1))
-    first, second = [r.getMessage() for r in caplog.records if r.name == "plactic_lab.oracle"]
+        oracle(F.TAIG, 2, Identity.parse("xyx = yxx"), Exhaustive(1))
+    first, second, third = [r.getMessage() for r in caplog.records
+                            if r.name == "plactic_lab.oracle"]
     # of the six substitutions up to x = 1, y = 2 only the last gives two different words
     assert first.startswith("sylv rank 2 Exhaustive(max_len=1): 6 substitutions, 1 keyed, "
                             "CounterExample in ")
     # the sides differ for 2 of the 9 (x, y = 1, 2 and 2, 1)
     assert second.startswith("stal rank 2 Exhaustive(max_len=1): 9 substitutions, 2 keyed, "
                              "HoldsWithinBound in ")
+    # taig keys neither: the two have equal columns
+    assert third.startswith("taig rank 2 Exhaustive(max_len=1): 9 substitutions, 0 keyed, "
+                            "HoldsWithinBound in ")
 
 
 def test_oracle_ignores_threads_env(monkeypatch):

@@ -34,7 +34,7 @@ from plactic_lab import (
 )
 from plactic_lab import bst, tableaux
 from plactic_lab.monoids import _FAMILIES
-from reference import ELEMENTS, L21, R21, fold
+from reference import ELEMENTS, L21, R21, fold, same_columns
 
 INSERTION = (
     MonoidFamily.STAL,
@@ -275,6 +275,30 @@ def test_equivalent_agrees_with_canonical_objects(u, v):
         cap = alphabet_cap(fam)
         cu, cv = [(a - 1) % cap + 1 for a in u], [(a - 1) % cap + 1 for a in v]
         assert equivalent(fam, cu, cv) == (canonical(fam, cu) == canonical(fam, cv))
+
+
+# two letter words over one rank of 1-9, of 0-40 letters each
+word_pairs = st.integers(1, 9).flatmap(
+    lambda rank: st.tuples(*[st.lists(st.integers(1, rank), max_size=40).map(tuple)] * 2))
+
+
+@given(word_pairs, st.randoms(use_true_random=False))
+def test_equal_pre_keys_give_equal_keys(pair, rng):
+    # the oracle and equivalent build keys only for words whose pre-keys differ;
+    # taig's pre-key is the stalactic columns, and no other row has one
+    assert [fam for fam in MonoidFamily if _FAMILIES[fam].pre] == [MonoidFamily.TAIG]
+    row, (u, other) = _FAMILIES[MonoidFamily.TAIG], pair
+    same = same_columns(u, rng)
+    assert row.pre(same) == row.pre(u)
+    # different columns, equal taiga trees: the keys decide
+    assert row.pre((1, 3, 2)) != row.pre((3, 1, 2)) and row.key((1, 3, 2)) == row.key((3, 1, 2))
+    pairs = [(u, same), (u, other), ((1, 3, 2), (3, 1, 2))]
+    for x, y in pairs + [(bytes(x), bytes(y)) for x, y in pairs]:  # the oracle's sides to 255
+        assert (row.pre(x), row.key(x)) == (row.pre(tuple(x)), row.key(tuple(x)))
+        if row.pre(x) == row.pre(y):
+            assert row.key(x) == row.key(y)
+        assert equivalent(MonoidFamily.TAIG, x, y) == (
+            canonical(MonoidFamily.TAIG, x) == canonical(MonoidFamily.TAIG, y))
 
 
 @given(st.lists(st.integers(1, 2), max_size=14), st.lists(st.integers(1, 2), max_size=14))
