@@ -12,10 +12,11 @@ one immutability, pickling, equality, hash, reading word, product and JSON
 loader for all.  _SearchTree, the tree class behind TaigaTree and the two
 strict trees of bst, keys a tree by its flat preorder, which all its methods
 walk with an explicit stack, at any depth: counting, validity, JSON round
-trip and ASCII/DOT pictures; a tree too deep for the stdlib's json goes to
-JSON as flat lists.  Insertion builds that key in one stack pass over a
-Cartesian tree (_shape_key, a sentinel-bottomed loop); a taiga tree is the
-one on the tableau's columns, words._columns.
+trip and ASCII/DOT pictures; a tree of more than 500 nodes, which could nest
+too deep for the stdlib's json, goes to JSON as flat lists.  Insertion builds
+that key in one stack pass over a Cartesian tree (_shape_key, a
+sentinel-bottomed loop); a taiga tree is the one on the tableau's columns,
+words._columns.
 """
 from __future__ import annotations
 
@@ -244,10 +245,10 @@ def _unflatten(key, width, make):
     return built[0] if built else None
 
 
-# A tree deeper than this many levels goes to JSON as flat lists: the stdlib's json
-# recurses once per level, and this leaves half its ~1,000 levels to any document
-# that embeds the payload.
-_FLAT_DEPTH = 500
+# A tree of more than this many nodes goes to JSON as flat lists: the stdlib's json
+# recurses once per level, and n nodes nest at most n levels, which leaves half its
+# ~1,000 levels to any document that embeds the payload.
+_NESTED_NODES = 500
 
 # Outline prefixes by 2 * depth (+ 1 for a right child) for the indented levels;
 # deeper lines write "(depth) " instead, lest a deep outline grow quadratically.
@@ -266,11 +267,10 @@ class _SearchTree(_Canonical):
     None) and (2, None, (2, None, None)).  root, rebuilt on each access, and
     the constructor use nested tuples (label, [mult,] left, right), empty =
     None; _JSON reads a nested JSON node as one, _JSON_NODE writes one.  A
-    tree deeper than _FLAT_DEPTH goes to JSON as the key's columns instead,
-    {"labels", ["mults",] "children"}.  _EQUAL_LEFT
-    and _EQUAL_RIGHT say on which side of a node an equal label may sit;
-    _FORWARD says whether the expanded preorder rebuilds the tree as is or
-    reversed.
+    tree of more than _NESTED_NODES nodes goes to JSON as the key's columns
+    instead, {"labels", ["mults",] "children"}.  _EQUAL_LEFT and _EQUAL_RIGHT
+    say on which side of a node an equal label may sit; _FORWARD says whether
+    the expanded preorder rebuilds the tree as is or reversed.
     """
 
     __slots__ = ()
@@ -378,31 +378,15 @@ class _SearchTree(_Canonical):
 
     def to_json_dict(self):
         """Nested {"label", ["mult",] "left", "right"} dicts, None if empty; a
-        tree deeper than _FLAT_DEPTH, flat {"labels", ["mults",] "children"}
-        lists, the key's columns.  A tree of at most _FLAT_DEPTH nodes is never
-        deeper, so it skips the depth pass."""
+        tree of more than _NESTED_NODES nodes, flat {"labels", ["mults",]
+        "children"} lists, the key's columns."""
         key, width = self._key, 2 + self._MULT
-        if len(key) <= _FLAT_DEPTH * width or not self._deeper_than(_FLAT_DEPTH):
+        if len(key) <= _NESTED_NODES * width:
             return _unflatten(key, width, self._JSON_NODE)
         flat = {"labels": list(key[0::width]), "children": list(key[width - 1::width])}
         if self._MULT:
             flat["mults"] = list(key[1::3])
         return flat
-
-    def _deeper_than(self, levels) -> bool:
-        """Whether a node lies below the given number of levels.  depth is the
-        next node's; the stack holds the depths of right children still to come,
-        above a 0 for the end."""
-        width = 2 + self._MULT
-        depth, stack = 1, [0]
-        pop, push = stack.pop, stack.append
-        for mask in self._key[width - 1::width]:
-            if depth > levels:
-                return True
-            if mask == 3:
-                push(depth + 1)
-            depth = depth + 1 if mask else pop()
-        return False
 
     @classmethod
     def _json_tree(cls, data):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import operator
+import random
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from plactic_lab import (
     p_sylv_sharp,
     p_taig,
 )
+from plactic_lab import tableaux
 
 EXAMPLE = Word.letters("3613151265")
 
@@ -255,21 +257,57 @@ def test_json_roundtrip():
     assert LeftStrictBST.from_json_dict(json.loads(json.dumps(s.to_json_dict()))) == s
 
 
-def test_json_is_flat_lists_past_500_levels():
-    # the stdlib's json recurses once per level: deeper trees go as the key's columns
+def _depth(node):
+    """Levels of a shallow nested-tuple tree."""
+    return 0 if node is None else 1 + max(_depth(node[-2]), _depth(node[-1]))
+
+
+def test_json_is_flat_lists_past_500_nodes():
+    # the stdlib's json recurses once per level, and n nodes nest at most n levels:
+    # a tree of more than 500 nodes goes as the key's columns, whatever its depth
+    def shape(tree):
+        mult = isinstance(tree, TaigaTree)
+        flat = {"labels", "mults", "children"} if mult else {"labels", "children"}
+        nested = {"label", "mult", "left", "right"} if mult else {"label", "left", "right"}
+        return flat if len(tree.in_order()) > 500 else nested
+
+    def check(obj, trees):
+        data = json.loads(json.dumps(obj.to_json_dict()))
+        for tree, side in zip(trees, (data["sharp"], data["plain"]) if len(trees) == 2 else (data,)):
+            assert set(side) == shape(tree)
+        assert type(obj).from_json_dict(data) == obj
+
+    rng = random.Random(500)
     for n in (500, 501):
         path = tuple(range(1, n + 1))  # a path of n levels in each tree family
         for tree in (p_sylv(path), p_sylv_sharp(path), p_taig(path)):
-            data = tree.to_json_dict()
-            mult = isinstance(tree, TaigaTree)
-            flat = {"labels", "mults", "children"} if mult else {"labels", "children"}
-            nested = {"label", "mult", "left", "right"} if mult else {"label", "left", "right"}
-            assert set(data) == (flat if n > 500 else nested)
-            assert type(tree).from_json_dict(json.loads(json.dumps(data))) == tree
-    # many nodes but few levels stay nested
-    wide = p_sylv([(37 * i) % 1009 + 1 for i in range(1008)])
-    assert set(wide.to_json_dict()) == {"label", "left", "right"}
-    assert RightStrictBST.from_json_dict(json.loads(json.dumps(wide.to_json_dict()))) == wide
+            check(tree, (tree,))
+        shuffled = rng.sample(range(1, n + 1), n)  # n nodes but few levels
+        for tree in (p_sylv(shuffled), p_sylv_sharp(shuffled), p_taig(shuffled)):
+            assert _depth(tree.root) < 100
+            check(tree, (tree,))
+        b = p_baxt(shuffled)
+        check(b, (b.sharp, b.plain))
+    wide = p_sylv([(37 * i) % 1009 + 1 for i in range(1008)])  # 1,008 nodes, few levels
+    assert _depth(wide.root) < 100
+    check(wide, (wide,))
+
+
+def test_nested_payloads_of_more_than_500_nodes_still_load():
+    # older payloads nested every tree at most 500 levels deep, whatever its size
+    def nested(tree):
+        return tableaux._unflatten(tree._key, 2 + tree._MULT, type(tree)._JSON_NODE)
+
+    word = [(37 * i) % 1009 + 1 for i in range(1008)]
+    for tree in (p_sylv(word), p_sylv_sharp(word), p_taig(word)):
+        data = json.loads(json.dumps(nested(tree)))
+        assert type(tree).from_json_dict(data) == tree
+    b = p_baxt(word)
+    sharp, plain = nested(b.sharp), nested(b.plain)
+    for payload in ({"sharp": sharp, "plain": plain},
+                    {"sharp": sharp, "plain": b.plain.to_json_dict()},
+                    {"sharp": b.sharp.to_json_dict(), "plain": plain}):
+        assert BaxterObject.from_json_dict(json.loads(json.dumps(payload))) == b
 
 
 def test_dot_output():
