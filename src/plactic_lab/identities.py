@@ -5,22 +5,21 @@ CLI loads this module only for check-identity, nf, oracle and derive; only the
 oracle loads monoids and the tree code.  Its six records are namedtuples.
 
 Each of the eight families has one row in _THEORIES: its finite identity
-basis, the invariant that decides satisfaction (an identity holds exactly
-when both sides have equal invariants), a normal form for variable words
-such that an identity holds exactly when both sides have the same normal
-form, and the rewriting that derives that normal form with basis rules only.
-The three reference monoids l21, r21 and free1 have an invariant but no
-basis, normal form or derivation.  stal and taig share one row: the stalactic
-columns (words._columns, also the stal key) are its invariant and, spelled, its
-normal form.  The brute force oracle substitutes letter words for variables and
-compares the raw keys of monoids._FAMILIES; the test suite cross-validates it,
-the invariants and the normal forms.
+basis, a normal form for variable words, such that an identity holds exactly
+when both sides have the same normal form (satisfies compares the two), and
+the rewriting that derives that normal form with basis rules only.  The three
+reference monoids l21, r21 and free1 have a normal form (ip, fp and the sorted
+word) but no basis or derivation.  stal and taig share one row: its normal form
+is the stalactic columns (words._columns, also the stal key), spelled.  The
+brute force oracle substitutes letter words for variables and compares the raw
+keys of monoids._FAMILIES; the test suite checks the normal forms against it and
+against the characterisations of Cain, Malheiro and Ribeiro as stated.
 
 The sylv and baxt normal forms are each described once, as bounds (positions
-that stay in place) and a sort key for every stretch between two bounds:
-normal_form sorts each stretch in O(n log n), and the derivation performs the
-same sort one adjacent swap, one basis rule application, at a time.  sylvsharp
-is the mirror image of sylv.
+that stay in place) and an order in which every stretch between two bounds
+sorts: normal_form sorts each stretch in O(n log n), and the derivation bubble
+sorts each stretch toward that normal form, one adjacent swap, one basis rule
+application, at a time.  sylvsharp is the mirror image of sylv.
 
 A Derivation holds its start word and one rule application per step: where,
 which rule, which way and the images, given or, in O(1), as lengths read off
@@ -38,7 +37,7 @@ import operator
 import random
 import sys
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .words import (
@@ -46,12 +45,12 @@ from .words import (
     MonoidFamily,
     RankViolationError,
     Word,
+    _check_count,
     _columns,
     _FamilyTable,
     _first_last_positions,
     _fp,
     _ip,
-    _last_stretches,
     _like,
     _mix_positions,
     _parse_word,
@@ -174,63 +173,54 @@ def basis(family: MonoidFamily) -> tuple:
 def satisfies(family: MonoidFamily, ident: Identity) -> bool:
     """Decide whether the family satisfies the identity, for every rank >= 2.
 
-    The sides must have equal invariants, after Cain, Malheiro and Ribeiro:
-    stal and taig compare ev and fp, which the stalactic columns record (whose
-    spelling is their normal form); sylv adds how many y follow the last x, for
-    all x and y; sylvsharp is the mirror image of sylv; baxt needs both.
+    The sides must have the same normal form.  After Cain, Malheiro and Ribeiro,
+    that is equal ev and fp in stal and taig; in sylv, also as many y after the
+    last x, for all x and y; in sylvsharp, the mirror image (ip, and the y before
+    the first x); in baxt, both; in l21 equal ip, in r21 fp and in free1 ev.
     """
-    invariant = _THEORIES[family].invariant
-    return invariant(ident.lhs.symbols) == invariant(ident.rhs.symbols)
+    nf = _THEORIES[family].normal_form
+    return nf(ident.lhs.symbols) == nf(ident.rhs.symbols)
 
 
 # ---------------------------------------------------------------------------
 # normal forms
 
 
-def _sylv_stretches(syms: tuple) -> tuple:
-    """The sylvester normal form as (bounds, rank_at): see _sorted_stretches.
-
-    The bounds are the last occurrences.  In each stretch, the letter whose
-    last occurrence ends it sorts after the rest; the others sort in fp order.
-    """
-    _, last = _first_last_positions(syms)
-    fpidx = dict(zip(_fp(syms), itertools.count()))
-
-    def rank_at(pos):
-        xk = syms[pos]
-        return lambda c: len(fpidx) if c == xk else fpidx[c]
-
-    return sorted(last.values()), rank_at
+def _bounds(syms: tuple, first_too: bool = False) -> list:
+    """The positions a sort keeps in place, in order: the last occurrences (sylv) and,
+    with first_too, the first ones (baxt)."""
+    return sorted(_mix_positions(syms) if first_too else dict(zip(syms, itertools.count())).values())
 
 
-def _baxt_stretches(syms: tuple) -> tuple:
-    """The Baxter normal form as (bounds, rank_at): see _sorted_stretches.
-
-    The bounds are the first and last occurrences; every stretch sorts in ip order.
-    """
-    ipidx = dict(zip(_ip(syms), itertools.count()))
-    return sorted(_mix_positions(syms)), lambda pos: ipidx.__getitem__
-
-
-def _sorted_stretches(syms: tuple, stretches: Callable) -> tuple:
-    """syms with each stretch strictly between consecutive bounds sorted.
-
-    stretches(syms) gives the sorted bound positions, whose symbols stay in
-    place, and rank_at: rank_at(pos) is the sort key of the stretch ending at
-    pos.  The last symbol is always a bound.
-    """
-    bounds, rank_at = stretches(syms)
-    out, prev = [], -1
+def _sorted_stretches(syms: tuple, bounds: list, order: tuple, bound_last: bool = False) -> tuple:
+    """syms with each stretch strictly between consecutive bounds (the last symbol is
+    one) sorted in the order of the symbols of order, by a C-level key; with bound_last,
+    the copies of the symbol at the bound that ends the stretch go last."""
+    rank, out, prev = dict(zip(order, itertools.count())).__getitem__, [], 0
     for pos in bounds:
-        out += sorted(syms[prev + 1 : pos], key=rank_at(pos))
+        stretch = sorted(syms[prev:pos], key=rank) if pos - prev > 1 else syms[prev:pos]
+        k = stretch.count(syms[pos]) if bound_last else 0
+        out += stretch[k:] + stretch[:k] if k else stretch
         out.append(syms[pos])
-        prev = pos
+        prev = pos + 1
     return tuple(out)
+
+
+def _sylv_form(syms: tuple) -> tuple:
+    """The sylvester normal form: each stretch sorts in fp order, except that the copies
+    of the letter whose last occurrence ends it, which fp order puts first, go last."""
+    bounds = _bounds(syms)  # the fp order is that of the symbols at the bounds
+    return _sorted_stretches(syms, bounds, [syms[pos] for pos in bounds], bound_last=True)
+
+
+def _baxt_form(syms: tuple) -> tuple:
+    """The Baxter normal form: each stretch sorts in ip order."""
+    return _sorted_stretches(syms, _bounds(syms, first_too=True), _ip(syms))
 
 
 def normal_form(family: MonoidFamily, w: Word) -> Word:
     """Canonical representative of w's class; equal exactly for equivalent words."""
-    return _like(w, _theory(family, "normal_form")(_symbols(w)))
+    return _like(w, _THEORIES[family].normal_form(_symbols(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +250,7 @@ class Exhaustive(_Record, namedtuple("Exhaustive", "max_len")):
     __slots__ = ()
 
     def __new__(cls, max_len: int):
-        if max_len < 0:
-            raise ValueError(f"max_len must be >= 0, got {max_len}")
+        _check_count("max_len", max_len, 0)
         return super().__new__(cls, max_len)
 
 
@@ -271,8 +260,8 @@ class RandomSearch(_Record, namedtuple("RandomSearch", "trials max_len seed")):
     __slots__ = ()
 
     def __new__(cls, trials: int, max_len: int, seed: int = 0):
-        if trials < 0 or max_len < 0:
-            raise ValueError(f"trials and max_len must be >= 0, got {trials}, {max_len}")
+        _check_count("trials", trials, 0)
+        _check_count("max_len", max_len, 0)
         return super().__new__(cls, trials, max_len, seed)
 
 
@@ -376,8 +365,7 @@ def find_counterexample(family: MonoidFamily, ident: Identity, cap: int = 6) -> 
     """
     from .monoids import alphabet_cap
 
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    _check_count("cap", cap, 1)
     rank = min(2, alphabet_cap(family) or 2)
     for max_len in range(1, cap + 1):
         verdict = oracle(family, rank, ident, Exhaustive(max_len))
@@ -534,8 +522,8 @@ def invert_steps(d: Derivation) -> Derivation:
     return Derivation(d.rules, d.end, flipped, d.start)
 
 
-def _gather_steps(w: Word, rules: tuple) -> Derivation:
-    """Drive a word to the gathered form using xyx = yxx only.
+def _gather_steps(w: Word, rules: tuple, nf: tuple) -> Derivation:
+    """Drive a word to the gathered form, its normal form nf, using xyx = yxx only.
 
     Working right to left, the currently last letter of the unfinished prefix
     is pulled together: scanning leftwards, each stray copy hops over the gap
@@ -557,9 +545,10 @@ def _gather_steps(w: Word, rules: tuple) -> Derivation:
     return Derivation(rules, w, apps, Word._make(tuple(syms)))
 
 
-def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable,
+def _sort_steps(w: Word, rules: tuple, nf: tuple, swap: Callable, first_too: bool = False,
                 mirrored: bool = False) -> Derivation:
-    """Bubble sort the stretches of w (see _sorted_stretches), one application per swap.
+    """Bubble sort each stretch of w between its _bounds(w, first_too) toward nf, w's
+    normal form (see _sorted_stretches), one application per swap.
 
     swap(syms, p, first, last) is the application (start, stop, rule_index,
     direction, lengths) that swaps syms[p] and syms[p + 1]; it reads only the
@@ -567,13 +556,13 @@ def _sort_steps(w: Word, rules: tuple, stretches: Callable, swap: Callable,
     mirrored sorts w reversed and mirrors each start to n - stop: the xysxty rules
     of sylv become the ytxsyx rules of sylvsharp.
     """
-    given = w.symbols[::-1] if mirrored else w.symbols
+    given, target = (w.symbols[::-1], nf[::-1]) if mirrored else (w.symbols, nf)
     syms, n, apps = list(given), len(given), []
     first, last = _first_last_positions(given)
-    bounds, rank_at = stretches(given)
     prev = -1
-    for pos in bounds:
-        rank = rank_at(pos)
+    for pos in _bounds(given, first_too):
+        # a symbol's place in the sorted stretch: one symbol's copies are adjacent there
+        rank = dict(zip(target[prev + 1 : pos], itertools.count())).__getitem__
         changed = True
         while changed:
             changed = False
@@ -619,52 +608,53 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
             (j1 - p - 2, j2 - j1 - 1, i2 - i1 - 1, p - i2 - 1, 1, 1))
 
 
-def normalize_derivation(family: MonoidFamily, w: Word) -> Derivation:
-    """A derivation from w to normal_form(family, w), basis rules only, with no steps
-    when w is already normal.  Every family's rewriting has its end checked here, and
-    only here: DerivationError if it ends on any other word."""
-    d = _theory(family, "derivation")(w, basis(family))
-    if d.end != normal_form(family, w):
+def _rewriting(family: MonoidFamily, w: Word, nf: tuple) -> Derivation:
+    """The family's derivation from w to nf, its normal form.  Every family's rewriting
+    has its end checked here, and only here: DerivationError if it ends on any other word."""
+    d = _theory(family, "derivation")(w, basis(family), nf)
+    if d.end.symbols != nf:
         raise DerivationError(f"the {family} rewriting did not end on the normal form")
     return d
 
 
+def normalize_derivation(family: MonoidFamily, w: Word) -> Derivation:
+    """A derivation from w to normal_form(family, w), basis rules only, with no steps
+    when w is already normal."""
+    return _rewriting(family, w, _THEORIES[family].normal_form(w.symbols))
+
+
 class _Theory(NamedTuple):
     basis: Optional[tuple]
-    invariant: Callable              # symbol tuple -> value, equal iff an identity holds
-    normal_form: Optional[Callable]  # symbol tuple -> symbol tuple
-    derivation: Optional[Callable]   # (Word, basis) -> Derivation to its normal form
+    normal_form: Callable            # symbol tuple -> symbol tuple, equal iff an identity holds
+    derivation: Optional[Callable]   # (Word, basis, its normal form) -> Derivation to it
 
 
-_GATHER = _Theory(_rules(["xyx = yxx"]), _columns, lambda syms: _spelled(_columns(syms)),
-                  _gather_steps)
+_GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: _spelled(_columns(syms)), _gather_steps)
 _THEORIES = _FamilyTable({
     MonoidFamily.STAL: _GATHER,
     MonoidFamily.TAIG: _GATHER,
-    MonoidFamily.SYLV: _Theory(_rules(["xysxty = yxsxty"]), _last_stretches,
-                               lambda syms: _sorted_stretches(syms, _sylv_stretches),
-                               lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap)),
+    MonoidFamily.SYLV: _Theory(
+        _rules(["xysxty = yxsxty"]), _sylv_form,
+        lambda w, rules, nf: _sort_steps(w, rules, nf, _sylv_swap)),
     MonoidFamily.SYLV_SHARP: _Theory(
-        _rules(["ytxsyx = ytxsxy"]), lambda syms: _last_stretches(syms[::-1]),
-        lambda syms: _sorted_stretches(syms[::-1], _sylv_stretches)[::-1],
-        lambda w, rules: _sort_steps(w, rules, _sylv_stretches, _sylv_swap, mirrored=True)),
+        _rules(["ytxsyx = ytxsxy"]), lambda syms: _sylv_form(syms[::-1])[::-1],
+        lambda w, rules, nf: _sort_steps(w, rules, nf, _sylv_swap, mirrored=True)),
     MonoidFamily.BAXT: _Theory(
-        _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]),
-        lambda syms: (_last_stretches(syms), _last_stretches(syms[::-1])),
-        lambda syms: _sorted_stretches(syms, _baxt_stretches),
-        lambda w, rules: _sort_steps(w, rules, _baxt_stretches, _baxt_swap)),
-    MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None, None),
-    MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None, None),
-    MonoidFamily.FREE_MONOGENIC: _Theory(None, Counter, None, None),
+        _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]), _baxt_form,
+        lambda w, rules, nf: _sort_steps(w, rules, nf, _baxt_swap, first_too=True)),
+    MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None),
+    MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None),
+    MonoidFamily.FREE_MONOGENIC: _Theory(None, lambda syms: tuple(sorted(syms)), None),
 })
 
 
 def derivation_certificate(family: MonoidFamily, ident: Identity) -> Derivation:
-    """Derivation from lhs to rhs through the shared normal form."""
-    if not satisfies(family, ident):
+    """Derivation from lhs to rhs through the shared normal form, computed once per side:
+    ValueError, before any rewriting, if the sides have different ones."""
+    lhs, rhs = map(_THEORIES[family].normal_form, (ident.lhs.symbols, ident.rhs.symbols))
+    if lhs != rhs:
         raise ValueError(f"{family} does not satisfy {ident.text()!r}")
-    return normalize_derivation(family, ident.lhs) + invert_steps(
-        normalize_derivation(family, ident.rhs))
+    return _rewriting(family, ident.lhs, lhs) + invert_steps(_rewriting(family, ident.rhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +712,8 @@ def derive_search(sigma: Sequence[Identity], u: Word, v: Word, max_steps: int = 
     depth reached, the words reached from each side and, when there are any,
     the rewrites pruned because they are longer than max_word_len.
     """
-    if max_steps < 0 or max_word_len < 0:
-        raise ValueError(f"max_steps and max_word_len must be >= 0: {max_steps}, {max_word_len}")
+    _check_count("max_steps", max_steps, 0)
+    _check_count("max_word_len", max_word_len, 0)
     forward, backward = {u: None}, {v: None}
     ffront, bfront = [u], [v]
     depth = pruned = 0

@@ -9,8 +9,9 @@ has one: a cheaper function the key is built from (the stalactic columns in
 taig), so equal pre-keys mean equal keys.  The object builder returns the
 public canonical object that canonical() hands out: a tableau or tree for the
 five insertion families, an element name or an exponent.  The cap is the
-largest letter the family admits; _letters, shared with check_rank, holds the one
-comparison with a cap.  MonoidFamily and RankViolationError live in words.py.
+largest letter the family admits; _letters, shared with check_rank, compares a
+word's letters with it, and identities.oracle compares its rank with it.
+MonoidFamily and RankViolationError live in words.py.
 
 Besides the five insertion families there are three reference monoids: the
 two three-element monoids {1, a, b} obtained by adjoining a unit 1 to the left
@@ -24,13 +25,13 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from . import bst, tableaux
-from .words import MonoidFamily, RankViolationError, _columns, _FamilyTable
+from .words import MonoidFamily, RankViolationError, _check_count, _columns, _FamilyTable
 
 
 def check_rank(w, rank: int) -> None:
-    """Ensure w, read and checked as insertion reads it, has no letter above rank."""
-    if rank < 1:
-        raise RankViolationError(f"rank must be >= 1, got {rank}")
+    """Ensure w, read and checked as insertion reads it, has no letter above rank, an
+    exact int >= 1 (TypeError for any other type)."""
+    _check_count("rank", rank, 1, RankViolationError)
     _letters(w, rank)
 
 

@@ -7,7 +7,7 @@ _are_letters and _are_variables, the package's one symbol check; _are_masks
 runs the same type pass over the child masks of tree keys.  Everything else
 in the package is built on the statistics defined here: content, evaluation,
 the skeletons ip/fp/mix and the stalactic columns (_columns), which are the
-stal key, the stal/taig invariant and, spelled by _spelled, their normal form.
+stal key, the taig pre-key and, spelled by _spelled, the stal/taig normal form.
 Identities between variable words live in identities.py, so building objects
 never loads the identity machinery.  MonoidFamily, RankViolationError and
 _FamilyTable live here too, so that naming a family loads no tree code.
@@ -86,6 +86,15 @@ def _are_variables(seq) -> bool:
     """Whether every item of seq is a variable: an exact str matching
     _VARIABLE_NAME, which runs once per distinct name."""
     return _STR.issuperset(map(type, seq)) and all(map(_VARIABLE_NAME.match, set(seq)))
+
+
+def _check_count(name: str, value, least: int, error: type = ValueError) -> None:
+    """Refuse a count or bound that is no exact int >= least: TypeError, naming it, for
+    any other type (a float, a bool), error for an int below least."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {_short_repr(value)}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
 
 
 def _refusal(syms: tuple) -> str:
@@ -252,19 +261,6 @@ def _spelled(columns) -> tuple:
     return tuple(chain.from_iterable(starmap(repeat, columns)))
 
 
-def _last_stretches(syms: tuple) -> list:
-    """For each last occurrence, in order: its symbol and the sorted symbols since the
-    previous one.  Two words share it exactly when they share ev, fp and every "after"
-    count, since what follows x's entry is what follows x's last occurrence.  O(n) memory.
-    """
-    last = {s: i for i, s in enumerate(syms)}
-    out, prev = [], 0
-    for pos in sorted(last.values()):
-        out.append((syms[pos], sorted(syms[prev:pos])))
-        prev = pos + 1
-    return out
-
-
 def _ip(syms: tuple) -> tuple:
     return tuple(dict.fromkeys(syms))
 
@@ -280,8 +276,8 @@ def _like(w, syms: tuple) -> Word:
 
 def _first_last_positions(syms: tuple) -> tuple[dict, dict]:
     """Each symbol's first and last position in syms."""
-    n = len(syms) - 1
-    return {s: n - i for i, s in enumerate(reversed(syms))}, {s: i for i, s in enumerate(syms)}
+    n = len(syms)
+    return dict(zip(reversed(syms), range(n - 1, -1, -1))), dict(zip(syms, range(n)))
 
 
 def _mix_positions(syms: tuple) -> set:

@@ -110,10 +110,16 @@ def test_nf(capsys):
     assert out.strip() == "222112"
 
 
-def test_nf_rejects_families_without_one(capsys):
-    code, _, err = run(capsys, "nf", "--monoid", "l21", "--word", "xy")
-    assert code == 2
-    assert "error" in err
+def test_nf_answers_in_the_reference_families(capsys):
+    # ip in l21, fp in r21, the sorted word in free1
+    for family, expected in (("l21", "yxz"), ("r21", "zxy"), ("free1", "xxyyz")):
+        code, out, _ = run(capsys, "nf", "--monoid", family, "--word", "yxzxy")
+        assert code == 0 and out == f"{expected}\n"
+        code, out, _ = run(capsys, "nf", "--monoid", family, "--word", "yxzxy", "--format", "json")
+        assert code == 0 and json.loads(out) == {"word": "yxzxy", "normal_form": expected}
+    # their bases and rewritings remain open: l21 satisfies xyx = xy, but derive refuses it
+    code, out, err = run(capsys, "derive", "--monoid", "l21", "--id", "xyx = xy")
+    assert code == 2 and not out and err == "error: no basis registered for l21\n"
 
 
 def test_oracle_holds_and_counterexample(capsys):

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import logging
 import pickle
 import random
+import time
 
 import pytest
 
@@ -73,7 +75,7 @@ def test_normalize_derivation_refuses_a_rewriting_that_ends_off_the_normal_form(
     # a builder that stops at once: xyyxyxxy is not normal in any insertion family
     row = identities._THEORIES[fam]
     monkeypatch.setitem(identities._THEORIES, fam,
-                        row._replace(derivation=lambda w, rules: Derivation(rules, w, (), w)))
+                        row._replace(derivation=lambda w, rules, nf: Derivation(rules, w, (), w)))
     with pytest.raises(DerivationError, match="did not end on the normal form"):
         normalize_derivation(fam, Word.variables("xyyxyxxy"))
 
@@ -89,6 +91,16 @@ def test_normalize_already_normal_word_is_empty():
     for fam in INSERTION:
         w = normal_form(fam, Word.variables("xyxzy"))
         assert normalize_derivation(fam, w) == []
+
+
+def test_certificate_refuses_a_long_unsatisfied_identity_before_rewriting():
+    # a side's normal form decides: rewriting 20,000 letters would take minutes
+    w = Word.variables(random.Random(31).choices("abcdefgh", k=20000))
+    for fam in INSERTION:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="does not satisfy"):
+            derivation_certificate(fam, Identity(w, w.reverse()))
+        assert time.perf_counter() - start < 1, fam
 
 
 def test_gather_step_shape():
@@ -289,6 +301,10 @@ def test_derive_search_refuses_negative_bounds():
     for bounds in ({"max_steps": -1}, {"max_word_len": -1}):
         with pytest.raises(ValueError, match="must be >= 0"):
             derive_search(sigma, w, Word.variables("yxx"), **bounds)
+    # and exact ints: max_steps=1.5 would search two levels
+    for name, value in itertools.product(("max_steps", "max_word_len"), (1.5, 8.0, True)):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            derive_search(sigma, w, Word.variables("yxx"), **{name: value})
 
 
 def test_derive_search_matches_a_rule_side_longer_than_the_recursion_limit():

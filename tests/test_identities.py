@@ -126,23 +126,24 @@ def test_satisfies_known_cases():
 
 
 def paper_holds(family, ident):
-    """Cain, Malheiro and Ribeiro's characterisation as stated, from public statistics only.
+    """Each family's characterisation as stated, from public statistics only.
 
-    sylv: equal ev and fp, and for every pair x, y as many y after the last x;
-    sylvsharp: equal ev and ip, and as many y before the first x; baxt: all of these.
+    After Cain, Malheiro and Ribeiro: stal and taig, equal ev and fp; sylv, equal ev
+    and fp, and for every pair x, y as many y after the last x; sylvsharp, equal ev
+    and ip, and as many y before the first x; baxt, all of these.  l21: equal ip;
+    r21: equal fp; free1: equal ev.
     """
     u, v = ident.lhs, ident.rhs
-    conditions = {F.SYLV: [(fp, "after")], F.SYLV_SHARP: [(ip, "before")],
-                  F.BAXT: [(fp, "after"), (ip, "before")]}[family]
-    if ev(u) != ev(v):
+    statistics, directions = {
+        F.STAL: ((ev, fp), ()), F.TAIG: ((ev, fp), ()), F.SYLV: ((ev, fp), ("after",)),
+        F.SYLV_SHARP: ((ev, ip), ("before",)), F.BAXT: ((ev, fp, ip), ("after", "before")),
+        F.LEFT_ZERO: ((ip,), ()), F.RIGHT_ZERO: ((fp,), ()), F.FREE_MONOGENIC: ((ev,), ()),
+    }[family]
+    if any(statistic(u) != statistic(v) for statistic in statistics):
         return False
-    for skeleton, direction in conditions:
-        if skeleton(u) != skeleton(v):
-            return False
-        for x, y in itertools.product(con(u), repeat=2):
-            if directional_occ(direction, x, y, u) != directional_occ(direction, x, y, v):
-                return False
-    return True
+    # every family with a direction compares ev first, so both sides have u's content
+    return all(directional_occ(direction, x, y, u) == directional_occ(direction, x, y, v)
+               for direction in directions for x, y in itertools.product(con(u), repeat=2))
 
 
 def test_satisfies_matches_the_paper_condition():
@@ -152,11 +153,12 @@ def test_satisfies_matches_the_paper_condition():
         for u in itertools.product("xyz", repeat=n):
             for v in set(itertools.permutations(u)):
                 ident = Identity(Word.variables(u), Word.variables(v))
-                for fam in (F.SYLV, F.SYLV_SHARP, F.BAXT):
+                for fam in F:
                     expected = paper_holds(fam, ident)
                     assert satisfies(fam, ident) == expected, (fam, ident)
                     held[fam] += expected
-    assert held == {F.SYLV: 508, F.SYLV_SHARP: 508, F.BAXT: 364}
+    assert held == {F.STAL: 1480, F.TAIG: 1480, F.SYLV: 508, F.SYLV_SHARP: 508, F.BAXT: 364,
+                    F.LEFT_ZERO: 1480, F.RIGHT_ZERO: 1480, F.FREE_MONOGENIC: 5404}
 
 
 @given(identities)
@@ -204,8 +206,9 @@ def test_normal_form_frozen_cases():
         normal_form(F.BAXT, Word.variables("ysxtxyhxky")).text() == "ysxtyxhxky"
     )
     assert normal_form(F.SYLV, Word()).symbols == ()
-    with pytest.raises(ValueError):
-        normal_form(F.LEFT_ZERO, Word.variables("xy"))
+    # the reference monoids: ip in l21, fp in r21, the sorted word in free1
+    for fam, text in ((F.LEFT_ZERO, "yxz"), (F.RIGHT_ZERO, "zxy"), (F.FREE_MONOGENIC, "xxyyz")):
+        assert normal_form(fam, Word.variables("yxzxy")).text() == text
 
 
 @given(identities)
@@ -336,6 +339,12 @@ def test_records_compare_hash_and_pickle_as_frozen_records(cls, fields, bad, tex
                      lambda: rec._replace(**bad)):
             with pytest.raises(ValueError):
                 make()
+    for name in {"trials", "max_len"} & set(cls._fields):  # bounds are exact ints
+        for value in (1.5, 2.0, True):
+            for make in (lambda: cls(**{**by_name, name: value}),
+                         lambda: rec._replace(**{name: value})):
+                with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                    make()
     assert RandomSearch(3, 2) == RandomSearch(trials=3, max_len=2, seed=0)
 
 
@@ -355,6 +364,9 @@ def test_oracle_random_mode_is_reproducible():
 def test_oracle_rank_validation():
     with pytest.raises(RankViolationError):
         oracle(F.LEFT_ZERO, 3, Identity.parse("xy = yx"), Exhaustive(1))
+    for rank in (2.5, 2.0, True):  # an exact int only, refused before any scan
+        with pytest.raises(TypeError, match="^rank must be an int"):
+            oracle(F.SYLV, rank, Identity.parse("xy = yx"), Exhaustive(1))
     with pytest.raises(RankViolationError):
         oracle(F.FREE_MONOGENIC, 2, Identity.parse("xy = yx"), Exhaustive(1))
     with pytest.raises(RankViolationError):
@@ -402,6 +414,9 @@ def test_find_counterexample_refuses_a_cap_below_one(cap):
     # nothing would be searched, so no disagreement could have been found
     with pytest.raises(ValueError, match="cap must be >= 1"):
         find_counterexample(F.STAL, Identity.parse("xy = yx"), cap=cap)
+    # and an exact int: a float cap would fail deep in the scan
+    with pytest.raises(TypeError, match="^cap must be an int"):
+        find_counterexample(F.STAL, Identity.parse("xy = yx"), cap=cap + 1.5)
 
 
 @settings(deadline=None, max_examples=60)

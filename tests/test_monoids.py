@@ -71,6 +71,9 @@ def test_check_rank():
     check_rank("10 2", 10)
     with pytest.raises(RankViolationError, match=r"^the word is not over the letters 1\.\.2$"):
         check_rank("13", 2)
+    for rank in (2.5, 3.0, True):  # the rank is an exact int
+        with pytest.raises(TypeError, match="^rank must be an int"):
+            check_rank("12", rank)
     for bad in ((1, 0), [1, "x"], (True,), "1x"):  # no letter word: insertion's ValueError
         with pytest.raises(ValueError) as info:
             check_rank(bad, 9)
