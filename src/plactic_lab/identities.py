@@ -304,10 +304,11 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
 
     Exhaustive mode enumerates images in shortlex order, first variable most
     significant, and reports the first counterexample; Random mode replays a
-    seeded stream.  Both scan serially, one substitution at a time, and
-    build keys only when the two substituted sides are different words with
-    different pre-keys (taig's columns), where the family's row has one.  A side
-    is one join of its images: bytes up to rank 255, read as ints, tuples above.
+    seeded stream.  Both scan serially and key only sides that are different
+    words with different pre-keys (taig's columns).  Unlike equivalent(), no
+    evaluation screen: each pair keyed before the first counterexample has equal
+    keys, hence equal evaluations, so two sorts per substitution would save one
+    key pair at most.  A side joins its images: bytes to rank 255, tuples above.
     """
     from .monoids import _FAMILIES, check_rank
 

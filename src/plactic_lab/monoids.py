@@ -1,14 +1,16 @@
 """Monoid families and their canonical objects.
 
 Each of the eight families is described once, by its row in _FAMILIES: the
-raw key builder, the object builder, the alphabet cap and the pre-key; the
-table itself refuses any other family with ValueError.  The key builder maps a
-letter tuple to a plain hashable value that is equal exactly for equivalent
-words; equivalent() and the oracle compare keys, after the pre-key where a row
-has one: a cheaper function the key is built from (the stalactic columns in
-taig), so equal pre-keys mean equal keys.  The object builder returns the
-public canonical object that canonical() hands out: a tableau or tree for the
-five insertion families, an element name or an exponent.  The cap is the
+raw key builder, the object builder, the alphabet cap, the pre-key and the
+homogeneous flag; the table itself refuses any other family with ValueError.
+The key builder maps a letter tuple to a plain hashable value that is equal
+exactly for equivalent words.  A pre-key is a cheaper function the key is built
+from (taig's stalactic columns), so equal pre-keys mean equal keys.  A row is
+homogeneous when equivalent words have equal evaluations, as in the five
+insertion families.  equivalent() decides in this order: equal words, then
+unequal sorted words in a homogeneous row, equal pre-keys and last the keys.
+The object builder returns canonical()'s public object: a tableau or tree for
+the insertion families, an element name or an exponent.  The cap is the
 largest letter the family admits; _letters, shared with check_rank, compares a
 word's letters with it, and identities.oracle compares its rank with it.
 MonoidFamily and RankViolationError live in words.py.
@@ -48,16 +50,19 @@ class _Family(NamedTuple):
     obj: Callable       # word -> public canonical object; gets checked letters if cap is set
     cap: Optional[int]  # largest letter admitted; None means any
     pre: Optional[Callable] = None  # pre-key: key is built from it, so equal pre-keys, equal keys
+    homogeneous: bool = False       # equivalent words have one evaluation (sorted word)
 
 
 # The object builders look the insertion functions up at call time, so that
 # code which wraps tableaux.p_* or bst.p_* (tracing, say) sees every call.
 _FAMILIES = _FamilyTable({
-    MonoidFamily.STAL: _Family(_columns, lambda w: tableaux.p_stal(w), None),
-    MonoidFamily.TAIG: _Family(tableaux._taiga_key, lambda w: tableaux.p_taig(w), None, _columns),
-    MonoidFamily.SYLV: _Family(bst._sylv_key, lambda w: bst.p_sylv(w), None),
-    MonoidFamily.SYLV_SHARP: _Family(bst._sylv_sharp_key, lambda w: bst.p_sylv_sharp(w), None),
-    MonoidFamily.BAXT: _Family(bst._baxt_key, lambda w: bst.p_baxt(w), None),
+    MonoidFamily.STAL: _Family(_columns, lambda w: tableaux.p_stal(w), None, homogeneous=True),
+    MonoidFamily.TAIG: _Family(tableaux._taiga_key, lambda w: tableaux.p_taig(w), None, _columns,
+                               homogeneous=True),
+    MonoidFamily.SYLV: _Family(bst._sylv_key, lambda w: bst.p_sylv(w), None, homogeneous=True),
+    MonoidFamily.SYLV_SHARP: _Family(bst._sylv_sharp_key, lambda w: bst.p_sylv_sharp(w), None,
+                                     homogeneous=True),
+    MonoidFamily.BAXT: _Family(bst._baxt_key, lambda w: bst.p_baxt(w), None, homogeneous=True),
     MonoidFamily.LEFT_ZERO: _Family(_l21, _l21, 2),
     MonoidFamily.RIGHT_ZERO: _Family(_r21, _r21, 2),
     MonoidFamily.FREE_MONOGENIC: _Family(len, len, 1),
@@ -88,9 +93,13 @@ def canonical(family: MonoidFamily, w):
 
 
 def equivalent(family: MonoidFamily, u, v) -> bool:
-    """Do u and v define the same element, i.e. the same canonical object?
-
-    Equal words, or equal pre-keys (taig's columns), say yes without a key."""
+    """Do u and v define the same element?  After the letter check, equal words
+    say yes, different lengths or sorted words in a homogeneous row say no, equal
+    pre-keys say yes, and only then are the two keys built and compared."""
     row = _FAMILIES[family]
     a, b = _letters(u, row.cap), _letters(v, row.cap)
-    return a == b or row.pre is not None and row.pre(a) == row.pre(b) or row.key(a) == row.key(b)
+    if a == b:
+        return True
+    if row.homogeneous and (len(a) != len(b) or sorted(a) != sorted(b)):
+        return False
+    return row.pre is not None and row.pre(a) == row.pre(b) or row.key(a) == row.key(b)

@@ -304,6 +304,37 @@ def test_equal_pre_keys_give_equal_keys(pair, rng):
             canonical(MonoidFamily.TAIG, x) == canonical(MonoidFamily.TAIG, y))
 
 
+def no_key(seq):
+    raise AssertionError("a key was built")
+
+
+def test_homogeneous_rows_keep_one_evaluation_per_class(monkeypatch):
+    # equivalent says no without a key to words of different evaluations in a
+    # homogeneous row, so each class of its keys must hold one sorted word
+    assert [fam for fam in MonoidFamily if _FAMILIES[fam].homogeneous] == list(INSERTION)
+    words = [w for n in range(7) for w in itertools.product((1, 2, 3), repeat=n)]
+    for fam in INSERTION:
+        key = _FAMILIES[fam].key
+        for pack in (tuple, bytes):  # bytes: the oracle's sides up to rank 255
+            classes = {}
+            for w in words:
+                classes.setdefault(key(pack(w)), set()).add(tuple(sorted(w)))
+            assert len(classes) < len(words)
+            assert all(len(evaluations) == 1 for evaluations in classes.values())
+        # the letters are checked before the screen: a bad letter still raises
+        with pytest.raises(ValueError, match="letter word"):
+            equivalent(fam, (1, 2), (0,))
+        # different lengths, then different sorted words: no pre-key, no key
+        monkeypatch.setitem(_FAMILIES, fam, _FAMILIES[fam]._replace(key=no_key, pre=no_key))
+        assert not equivalent(fam, (1, 2), (1,)) and not equivalent(fam, (1, 2), (1, 1))
+    # 12 = 1 in l21 and 12 = 2 in r21: no screen there
+    assert equivalent(MonoidFamily.LEFT_ZERO, (1, 2), (1,))
+    assert equivalent(MonoidFamily.RIGHT_ZERO, (1, 2), (2,))
+    assert not equivalent(MonoidFamily.LEFT_ZERO, (1, 2), (2,))
+    with pytest.raises(RankViolationError):
+        equivalent(MonoidFamily.LEFT_ZERO, (1, 2), (3,))
+
+
 @given(st.lists(st.integers(1, 2), max_size=14), st.lists(st.integers(1, 2), max_size=14))
 def test_rank_two_stal_and_taiga_coincide(u, v):
     assert equivalent(MonoidFamily.STAL, u, v) == equivalent(MonoidFamily.TAIG, u, v)
@@ -349,6 +380,23 @@ def test_tree_families_on_long_words(shape):
     assert p_sylv(w).root_label() == p_taig(w).root_label() == w[-1]
     assert p_sylv_sharp(w).root_label() == w[0]
     assert not equivalent(MonoidFamily.SYLV, w, w[1:] + w[:1])
+
+
+def test_evaluation_screen_on_long_words():
+    # a changed letter is told apart by the evaluations alone; a swap of the
+    # first two letters keeps them, and then the keys still decide
+    rng = random.Random(5)
+    w = tuple(rng.randint(1, 9) for _ in range(10**5))
+    w = (1, 2) + w[2:]
+    changed = w[:50_000] + (w[50_000] % 9 + 1,) + w[50_001:]
+    swapped = (2, 1) + w[2:]
+    verdicts = []
+    for fam in INSERTION:
+        assert not equivalent(fam, w, changed)
+        verdicts.append(equivalent(fam, w, swapped))
+        assert verdicts[-1] == (canonical(fam, w) == canonical(fam, swapped))
+    # sylv# and baxt trees have the first letter at the root
+    assert verdicts == [True, True, True, False, False]
 
 
 @given(letter_seqs, letter_seqs)
