@@ -6,11 +6,11 @@ it is larger).  A left strict tree keeps left < node <= right and is built
 from left to right (new symbol goes left exactly when it is smaller).  The
 Baxter object is the pair of both trees for the same word.
 
-Both trees have the positions of the word as nodes, in the in-order of
-_inorder: they are its Cartesian trees with the largest (right strict) or the
-smallest (left strict) position at the root.  tableaux._shape_key builds the
-first, and the second as the first of the reversed word; _baxt_key sorts
-once for both.
+Both trees have the positions of the word as nodes, in the in-order that
+tableaux._inorder sorts: they are its Cartesian trees with the largest (right
+strict) or the smallest (left strict) position at the root.
+tableaux._shape_key builds the first, and the second as the first of the
+reversed word; _baxt_key sorts once for both.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
 A pair from outside, built or loaded, is accepted only by the constructor: with
@@ -21,13 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .tableaux import _Canonical, _SearchTree, _letter_seq, _shape_key
-from .words import _are_letters, _are_masks
-
-
-def _inorder(seq) -> list:
-    """Positions sorted by letter, then position: the in-order of both trees."""
-    return sorted(range(len(seq)), key=seq.__getitem__)
+from .tableaux import _Canonical, _inorder, _SearchTree, _shape_key
+from .words import _are_letters, _are_masks, _letters
 
 
 def _sylv_key(seq) -> tuple:
@@ -100,13 +95,13 @@ class LeftStrictBST(_SearchTree):
 
 def p_sylv(w) -> RightStrictBST:
     """Right strict tree of w, inserting from right to left."""
-    seq = _letter_seq(w)
+    seq = _letters(w)
     return RightStrictBST._make(_sylv_key(seq), seq)
 
 
 def p_sylv_sharp(w) -> LeftStrictBST:
     """Left strict tree of w, inserting from left to right."""
-    seq = _letter_seq(w)
+    seq = _letters(w)
     return LeftStrictBST._make(_sylv_sharp_key(seq), seq)
 
 
@@ -172,5 +167,5 @@ class BaxterObject(_Canonical):
 
 def p_baxt(w) -> BaxterObject:
     """Both strict trees of w as one object."""
-    seq = _letter_seq(w)
+    seq = _letters(w)
     return BaxterObject._make(_baxt_key(seq), seq)

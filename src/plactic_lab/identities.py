@@ -9,17 +9,18 @@ basis, a normal form for variable words, such that an identity holds exactly
 when both sides have the same normal form (satisfies compares the two), and
 the rewriting that derives that normal form with basis rules only.  The three
 reference monoids l21, r21 and free1 have a normal form (ip, fp and the sorted
-word) but no basis or derivation.  stal and taig share one row: its normal form
-is the stalactic columns (words._columns, also the stal key), spelled.  The
-brute force oracle substitutes letter words for variables and compares the raw
-keys of monoids._FAMILIES; the test suite checks the normal forms against it and
-against the characterisations of Cain, Malheiro and Ribeiro as stated.
+word) but no basis or derivation, which basis() alone refuses.  stal and taig
+share one row: its normal form is the stalactic columns (words._columns, also
+the stal key), spelled.  The brute force oracle substitutes letter words for
+variables and compares the raw keys of monoids._FAMILIES; the test suite checks
+the normal forms against it and against the characterisations of Cain,
+Malheiro and Ribeiro as stated.
 
 The sylv and baxt normal forms are each described once, as bounds (positions
-that stay in place) and an order in which every stretch between two bounds
-sorts: normal_form sorts each stretch in O(n log n), and the derivation bubble
-sorts each stretch toward that normal form, one adjacent swap, one basis rule
-application, at a time.  sylvsharp is the mirror image of sylv.
+kept in place, words._bounds) and an order in which every stretch between two
+bounds sorts: normal_form sorts each stretch in O(n log n), and the derivation
+bubble sorts each stretch toward that normal form, one adjacent swap, one basis
+rule application, at a time.  sylvsharp is the mirror image of sylv.
 
 A Derivation holds its start word and one rule application per step: where,
 which rule, which way and the images, given or, in O(1), as lengths read off
@@ -45,6 +46,7 @@ from .words import (
     MonoidFamily,
     RankViolationError,
     Word,
+    _bounds,
     _check_count,
     _columns,
     _FamilyTable,
@@ -52,7 +54,6 @@ from .words import (
     _fp,
     _ip,
     _like,
-    _mix_positions,
     _parse_word,
     _spelled,
     _symbols,
@@ -153,17 +154,12 @@ def _rules(text_pairs) -> tuple:
     return tuple(map(Identity.parse, text_pairs))
 
 
-def _theory(family: MonoidFamily, part: str):
-    """One part of the family's row in _THEORIES (defined below)."""
-    value = getattr(_THEORIES[family], part)
-    if value is None:
-        raise ValueError(f"no {part.replace('_', ' ')} registered for {family}")
-    return value
-
-
 def basis(family: MonoidFamily) -> tuple:
-    """The finite identity basis of an insertion family."""
-    return _theory(family, "basis")
+    """The family's finite identity basis; ValueError if its row has none (l21, r21, free1)."""
+    rules = _THEORIES[family].basis
+    if rules is None:
+        raise ValueError(f"no basis registered for {family}")
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +180,6 @@ def satisfies(family: MonoidFamily, ident: Identity) -> bool:
 
 # ---------------------------------------------------------------------------
 # normal forms
-
-
-def _bounds(syms: tuple, first_too: bool = False) -> list:
-    """The positions a sort keeps in place, in order: the last occurrences (sylv) and,
-    with first_too, the first ones (baxt)."""
-    return sorted(_mix_positions(syms) if first_too else dict(zip(syms, itertools.count())).values())
 
 
 def _sorted_stretches(syms: tuple, bounds: list, order: tuple, bound_last: bool = False) -> tuple:
@@ -310,12 +300,12 @@ def oracle(family: MonoidFamily, rank: int, ident: Identity, mode):
     keys, hence equal evaluations, so two sorts per substitution would save one
     key pair at most.  A side joins its images: bytes to rank 255, tuples above.
     """
-    from .monoids import _FAMILIES, check_rank
+    from .monoids import _FAMILIES
 
     log = _debug_log("plactic_lab.oracle")
     start = time.perf_counter() if log else None
     row = _FAMILIES[family]
-    check_rank((), rank)  # rank >= 1
+    _check_count("rank", rank, 1, RankViolationError)
     if row.cap is not None and rank > row.cap:
         raise RankViolationError(f"{family} admits rank at most {row.cap}")
     names = ident.variables()
@@ -612,7 +602,7 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
 def _rewriting(family: MonoidFamily, w: Word, nf: tuple) -> Derivation:
     """The family's derivation from w to nf, its normal form.  Every family's rewriting
     has its end checked here, and only here: DerivationError if it ends on any other word."""
-    d = _theory(family, "derivation")(w, basis(family), nf)
+    d = _THEORIES[family].derivation(w, basis(family), nf)  # basis refuses a row with none
     if d.end.symbols != nf:
         raise DerivationError(f"the {family} rewriting did not end on the normal form")
     return d

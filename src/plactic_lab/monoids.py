@@ -5,14 +5,14 @@ raw key builder, the object builder, the alphabet cap, the pre-key and the
 homogeneous flag; the table itself refuses any other family with ValueError.
 The key builder maps a letter tuple to a plain hashable value that is equal
 exactly for equivalent words.  A pre-key is a cheaper function the key is built
-from (taig's stalactic columns), so equal pre-keys mean equal keys.  A row is
-homogeneous when equivalent words have equal evaluations, as in the five
-insertion families.  equivalent() decides in this order: equal words, then
-unequal sorted words in a homogeneous row, equal pre-keys and last the keys.
-The object builder returns canonical()'s public object: a tableau or tree for
-the insertion families, an element name or an exponent.  The cap is the
-largest letter the family admits; _letters, shared with check_rank, compares a
-word's letters with it, and identities.oracle compares its rank with it.
+from (taig's stalactic columns), so equal pre-keys mean equal keys.
+equivalent() decides in this order: equal words, then unequal sorted words in a
+homogeneous row, one it screens by evaluation (the five insertion families;
+free1 is homogeneous too, but its key already is the length), equal pre-keys
+and last the keys.  The object builder returns canonical()'s public object: a
+tableau or tree for the insertion families, an element name or an exponent.
+The cap is the largest letter the family admits; words._letters, the one letter
+reader, compares a word's letters with it, and identities.oracle its rank.
 MonoidFamily and RankViolationError live in words.py.
 
 Besides the five insertion families there are three reference monoids: the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from . import bst, tableaux
-from .words import MonoidFamily, RankViolationError, _check_count, _columns, _FamilyTable
+from .words import MonoidFamily, RankViolationError, _check_count, _columns, _FamilyTable, _letters
 
 
 def check_rank(w, rank: int) -> None:
@@ -50,7 +50,7 @@ class _Family(NamedTuple):
     obj: Callable       # word -> public canonical object; gets checked letters if cap is set
     cap: Optional[int]  # largest letter admitted; None means any
     pre: Optional[Callable] = None  # pre-key: key is built from it, so equal pre-keys, equal keys
-    homogeneous: bool = False       # equivalent words have one evaluation (sorted word)
+    homogeneous: bool = False       # equivalent() screens by evaluation (sorted word)
 
 
 # The object builders look the insertion functions up at call time, so that
@@ -72,14 +72,6 @@ _FAMILIES = _FamilyTable({
 def alphabet_cap(family: MonoidFamily) -> Optional[int]:
     """Largest letter the family admits; None means any."""
     return _FAMILIES[family].cap
-
-
-def _letters(w, cap: Optional[int]) -> tuple:
-    """The letters of w, checked once as insertion checks them, and none above cap."""
-    seq = tableaux._letter_seq(w)
-    if cap is not None and seq and max(seq) > cap:
-        raise RankViolationError(f"the word is not over the letters 1..{cap}")
-    return seq
 
 
 def canonical(family: MonoidFamily, w):

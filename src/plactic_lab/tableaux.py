@@ -15,8 +15,8 @@ walk with an explicit stack, at any depth: counting, validity, JSON round
 trip and ASCII/DOT pictures; a tree of more than 500 nodes, which could nest
 too deep for the stdlib's json, goes to JSON as flat lists.  Insertion builds
 that key in one stack pass over a Cartesian tree (_shape_key, a
-sentinel-bottomed loop); a taiga tree is the one on the tableau's columns,
-words._columns.
+sentinel-bottomed loop), on the in-order that _inorder sorts; a taiga tree is
+the one on the tableau's columns, words._columns.
 """
 from __future__ import annotations
 
@@ -25,15 +25,7 @@ from itertools import chain, zip_longest
 from math import inf
 from operator import itemgetter
 
-from .words import Word, _are_letters, _are_masks, _columns, _spelled, _symbols
-
-
-def _letter_seq(w) -> tuple:
-    """The letters of w as a tuple; text is parsed as a letter word."""
-    seq = w if type(w) is tuple else Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
-    if _are_letters(seq):
-        return seq
-    raise ValueError("insertion needs a letter word: integers >= 1")
+from .words import _are_letters, _are_masks, _columns, _letters, _spelled
 
 
 class _Canonical:
@@ -159,8 +151,13 @@ class StalacticTableau(_Canonical):
 
 def p_stal(w) -> StalacticTableau:
     """Insert the letters of w from right to left into the empty tableau."""
-    seq = _letter_seq(w)
+    seq = _letters(w)
     return StalacticTableau._make(_columns(seq), seq)
+
+
+def _inorder(labels) -> list:
+    """Positions sorted by label, then position: the in-order of a search tree on them."""
+    return sorted(range(len(labels)), key=labels.__getitem__)
 
 
 def _shape_key(labels, inorder, rows=False) -> tuple:
@@ -456,12 +453,11 @@ def _taiga_key(seq) -> tuple:
     """Key of the taiga tree of seq: the Cartesian tree of its stalactic
     columns, in-order by letter, the latest last occurrence at the root."""
     columns = _columns(seq)
-    letters = [a for a, _ in columns]  # by last occurrence: the priorities
-    inorder = sorted(range(len(letters)), key=letters.__getitem__)  # ints sort fastest
+    inorder = _inorder([a for a, _ in columns])  # letters by last occurrence: the priorities
     return _shape_key([(m, a) for a, m in columns], inorder, True)
 
 
 def p_taig(w) -> TaigaTree:
     """Insert the letters of w from right to left into the empty taiga tree."""
-    seq = _letter_seq(w)
+    seq = _letters(w)
     return TaigaTree._make(_taiga_key(seq), seq)

@@ -4,10 +4,12 @@ A word is a finite sequence of symbols.  Symbols come in two kinds that never
 mix inside one word: letters (exact ints >= 1, ordered in the usual way) and
 variables (identifier-like names, used to state identities), told apart by
 _are_letters and _are_variables, the package's one symbol check; _are_masks
-runs the same type pass over the child masks of tree keys.  Everything else
-in the package is built on the statistics defined here: content, evaluation,
-the skeletons ip/fp/mix and the stalactic columns (_columns), which are the
-stal key, the taig pre-key and, spelled by _spelled, the stal/taig normal form.
+runs the same type pass over the child masks of tree keys, and _letters reads
+every letter word that insertion, canonical, equivalent and check_rank take.
+Everything else in the package is built on the statistics defined here:
+content, evaluation, the skeletons ip/fp/mix, the occurrence bounds (_bounds)
+and the stalactic columns (_columns), which are the stal key, the taig pre-key
+and, spelled by _spelled, the stal/taig normal form.
 Identities between variable words live in identities.py, so building objects
 never loads the identity machinery.  MonoidFamily, RankViolationError and
 _FamilyTable live here too, so that naming a family loads no tree code.
@@ -237,6 +239,17 @@ def _symbols(w) -> tuple:
     return w.symbols if isinstance(w, Word) else tuple(w)
 
 
+def _letters(w, cap=None) -> tuple:
+    """The letters of w as a tuple, text parsed as a letter word: ValueError unless all
+    are letters, RankViolationError if one is above cap (None: any)."""
+    seq = w if type(w) is tuple else Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
+    if not _are_letters(seq):
+        raise ValueError("insertion needs a letter word: integers >= 1")
+    if cap is not None and seq and max(seq) > cap:
+        raise RankViolationError(f"the word is not over the letters 1..{cap}")
+    return seq
+
+
 def con(w) -> frozenset:
     """Content: the set of symbols occurring in w."""
     return frozenset(_symbols(w))
@@ -280,9 +293,13 @@ def _first_last_positions(syms: tuple) -> tuple[dict, dict]:
     return dict(zip(reversed(syms), range(n - 1, -1, -1))), dict(zip(syms, range(n)))
 
 
-def _mix_positions(syms: tuple) -> set:
+def _bounds(syms: tuple, first_too: bool = False) -> list:
+    """The last occurrences' positions in syms and, with first_too, the first ones', in
+    order: mix reads its symbols there, and a stretch sort keeps them in place."""
+    if not first_too:
+        return sorted(dict(zip(syms, range(len(syms)))).values())
     first, last = _first_last_positions(syms)
-    return set(first.values()) | set(last.values())
+    return sorted(set(first.values()).union(last.values()))
 
 
 def ip(w) -> Word:
@@ -298,4 +315,4 @@ def fp(w) -> Word:
 def mix(w) -> Word:
     """The first and last occurrence of each symbol of w (one if it occurs once), in order."""
     syms = _symbols(w)
-    return _like(w, tuple(syms[i] for i in sorted(_mix_positions(syms))))
+    return _like(w, tuple(syms[i] for i in _bounds(syms, True)))

@@ -80,6 +80,20 @@ def test_normalize_derivation_refuses_a_rewriting_that_ends_off_the_normal_form(
         normalize_derivation(fam, Word.variables("xyyxyxxy"))
 
 
+@pytest.mark.parametrize("fam, satisfied", [(F.LEFT_ZERO, "xyx = xy"), (F.RIGHT_ZERO, "xyx = yx"),
+                                             (F.FREE_MONOGENIC, "xy = yx")], ids=str)
+def test_a_family_without_a_basis_is_refused_by_basis_alone(fam, satisfied):
+    # basis is the one refusal: the rewritings reach it, and say what basis says
+    ident = Identity.parse(satisfied)
+    assert satisfies(fam, ident)
+    message = f"no basis registered for {fam}"
+    for call in (lambda: basis(fam), lambda: normalize_derivation(fam, ident.lhs),
+                 lambda: derivation_certificate(fam, ident)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 def test_normalize_derivation_on_letter_words():
     w = Word.letters("3613151265")
     for fam in INSERTION:
