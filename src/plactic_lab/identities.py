@@ -415,13 +415,13 @@ class Derivation:
         return len(self.apps)
 
     def __iter__(self) -> Iterator[DerivationStep]:
-        return map(_step, _replay(self.rules, self))
+        return map(_step, _replay(self))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
         at = range(len(self.apps))[index]  # IndexError when out of range
-        return [_step(x) for i, x in enumerate(_replay(self.rules, self)) if i == at or not x][0]
+        return [_step(x) for i, x in enumerate(_replay(self)) if i == at or not x][0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, Derivation)):
@@ -437,25 +437,25 @@ class Derivation:
         return f"Derivation({self.start.text()!r} => {self.end.text()!r}, steps={len(self)})"
 
 
-def _replay(sigma: Sequence[Identity], d: Derivation, require_nonempty_images: bool = False):
-    """Replay d on one list, rebuilding each rule application from sigma.  Yields
+def _replay(d: Derivation, require_nonempty_images: bool = False):
+    """Replay d on one list, rebuilding each rule application from d.rules.  Yields
     (word, start, stop, rule_index, direction, images, target side) before each
     rewrite of word[start:stop], and False, then stops, at the first failed check.
-    d must have sigma as its rules and Words as its start and end, and reach its
-    end.  Given images are Words, one per variable of the rule; they, the start and the
-    end are of one kind: kinds holds the kinds met so far, None the empty word's."""
-    layouts, fits = {}, d.rules == tuple(sigma) and type(d.start) is Word is type(d.end)
+    d must have Words as its start and end, and reach its end.  Given images are
+    Words, one per variable of the rule; they, the start and the end are of one
+    kind: kinds holds the kinds met so far, None the empty word's."""
+    layouts, fits = {}, type(d.start) is Word is type(d.end)
     word, kinds = ([*d.start.symbols], {d.start.kind, d.end.kind, None}) if fits else (None, None)
     for app in d.apps if fits else ():
         if type(app) is not tuple or len(app) != 4:
             break
         start, ri, direction, lengths = app
         # an exact int: True would pick rule 1
-        if (type(ri) is not int or not 0 <= ri < len(sigma) or direction not in (LTR, RTL)
+        if (type(ri) is not int or not 0 <= ri < len(d.rules) or direction not in (LTR, RTL)
                 or type(start) is not int or start < 0):
             break
         if (ri, direction) not in layouts:
-            rule = sigma[ri]
+            rule = d.rules[ri]
             src, dst = (rule.lhs, rule.rhs) if direction == LTR else (rule.rhs, rule.lhs)
             names = rule.variables()  # lengths follow this order
             layouts[ri, direction] = (src.symbols, dst.symbols, [*map(names.index, src)],
@@ -498,9 +498,10 @@ def _read_images(word: list, pos: int, side: tuple, reads: list, lengths, known:
 
 def verify_derivation(sigma: Sequence[Identity], d: Derivation,
                       require_nonempty_images: bool = False) -> bool:
-    """Replay a Derivation, rebuilding each rule application from sigma; anything
-    that is no Derivation gives False."""
-    return type(d) is Derivation and all(_replay(sigma, d, require_nonempty_images))
+    """Replay a Derivation whose rules are sigma, rebuilding each rule application;
+    anything that is no Derivation gives False."""
+    return (type(d) is Derivation and d.rules == tuple(sigma)
+            and all(_replay(d, require_nonempty_images)))
 
 
 def invert_steps(d: Derivation) -> Derivation:
@@ -692,67 +693,55 @@ def _neighbors(syms: tuple, sigma: Sequence[Identity]) -> Iterator[tuple]:
                            (start, ri, direction, images))
 
 
+def _trail(sigma: Sequence[Identity], tree: dict, end: Word) -> Derivation:
+    """The derivation in a search tree from its root to end, its images made Words."""
+    apps, node = [], end
+    while tree[node] is not None:
+        node, (start, ri, direction, images) = tree[node]
+        apps.append((start, ri, direction, dict(zip(images, map(Word._make, images.values())))))
+    return Derivation(sigma, node, apps[::-1], end)
+
+
 def derive_search(sigma: Sequence[Identity], u: Word, v: Word, max_steps: int = 8,
                   max_word_len: int = 16) -> Optional[Derivation]:
     """Bidirectional breadth-first search for a derivation u -> v over sigma.
 
-    Single steps use nonempty variable images only.  Returns a Derivation that
-    gives its images as dicts (no steps when u equals v), or None when no
-    derivation exists within the bounds.
+    Single steps use nonempty variable images only.  Each depth grows the smaller
+    front (u's on a tie), and the search stops at the first word both sides reach.
+    Returns a Derivation that gives its images as dicts (no steps when u equals v),
+    or None when no derivation exists within the bounds.
     Each call logs one DEBUG record to plactic_lab.derive: the outcome, the
     depth reached, the words reached from each side and, when there are any,
     the rewrites pruned because they are longer than max_word_len.
     """
     _check_count("max_steps", max_steps, 0)
     _check_count("max_word_len", max_word_len, 0)
-    forward, backward = {u: None}, {v: None}
-    ffront, bfront = [u], [v]
+    trees, fronts = ({u: None}, {v: None}), [[u], [v]]  # side 0 from u, side 1 from v
+    meet = u if u == v else None
     depth = pruned = 0
-    log = _debug_log("plactic_lab.derive")
-
-    def done(found: Optional[Derivation]) -> Optional[Derivation]:
-        if log:
-            outcome = ("found" if found is not None else
-                       "step bound reached" if ffront and bfront else "frontier exhausted")
-            log.debug("%s at depth %d; words reached: %d forward, %d backward%s", outcome,
-                      depth, len(forward), len(backward),
-                      f"; {pruned} rewrites longer than max_word_len pruned" if pruned else "")
-        return found
-
-    def trail(tree: dict, end: Word) -> Derivation:
-        """The derivation in tree from its root to end, its images made Words."""
-        apps, node = [], end
-        while tree[node] is not None:
-            node, (start, ri, direction, images) = tree[node]
-            apps.append((start, ri, direction, dict(zip(images, map(Word._make, images.values())))))
-        return Derivation(sigma, node, apps[::-1], end)
-
-    if u == v:
-        return done(Derivation(sigma, u, (), v))
-    while ffront and bfront and depth < max_steps:
+    while meet is None and all(fronts) and depth < max_steps:
         depth += 1
-        if len(ffront) <= len(bfront):
-            front, seen, other = ffront, forward, backward
-        else:
-            front, seen, other = bfront, backward, forward
-        new = []
-        for word in front:
-            for after, app in _neighbors(word.symbols, sigma):
-                if len(after) > max_word_len:
-                    pruned += 1
-                    continue
-                nw = Word._make(after)
-                if nw in seen:
-                    continue
+        side = int(len(fronts[0]) > len(fronts[1]))
+        seen, other, new = trees[side], trees[1 - side], []
+        for word, (after, app) in ((w, rewrite) for w in fronts[side]
+                                   for rewrite in _neighbors(w.symbols, sigma)):
+            if len(after) > max_word_len:
+                pruned += 1
+            elif (nw := Word._make(after)) not in seen:
                 seen[nw] = (word, app)
                 new.append(nw)
                 if nw in other:
-                    return done(trail(forward, nw) + invert_steps(trail(backward, nw)))
-        if front is ffront:
-            ffront = new
-        else:
-            bfront = new
-    return done(None)
+                    meet = nw
+                    break
+        fronts[side] = new
+    if log := _debug_log("plactic_lab.derive"):
+        outcome = ("found" if meet is not None else
+                   "step bound reached" if all(fronts) else "frontier exhausted")
+        log.debug("%s at depth %d; words reached: %d forward, %d backward%s", outcome, depth,
+                  *map(len, trees),
+                  f"; {pruned} rewrites longer than max_word_len pruned" if pruned else "")
+    return None if meet is None else (_trail(sigma, trees[0], meet)
+                                      + invert_steps(_trail(sigma, trees[1], meet)))
 
 
 # ---------------------------------------------------------------------------

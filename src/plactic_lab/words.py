@@ -244,7 +244,7 @@ def _letters(w, cap=None) -> tuple:
     are letters, RankViolationError if one is above cap (None: any)."""
     seq = w if type(w) is tuple else Word.letters(w).symbols if isinstance(w, str) else _symbols(w)
     if not _are_letters(seq):
-        raise ValueError("insertion needs a letter word: integers >= 1")
+        raise ValueError("not a letter word: letters are integers >= 1")
     if cap is not None and seq and max(seq) > cap:
         raise RankViolationError(f"the word is not over the letters 1..{cap}")
     return seq

@@ -351,6 +351,8 @@ def test_derive_search_logs_one_debug_record_per_call(caplog):
         derive_search(sigma, Word.variables("xyx"), Word.variables("yxx"))
         derive_search(sigma, xyxy, yxyx, max_steps=1)
         derive_search(sigma, Word.variables("xy"), Word.variables("yx"))
+        derive_search(sigma, Word.variables("xyxyx"), Word.variables("yyxxx"))
+        derive_search([Identity.parse("xy = x")], Word.variables("aab"), Word.variables("aabb"))
     assert [r.getMessage() for r in caplog.records if r.name == "plactic_lab.derive"] == [
         "found at depth 0; words reached: 1 forward, 1 backward",
         "found at depth 1; words reached: 2 forward, 1 backward",
@@ -358,6 +360,10 @@ def test_derive_search_logs_one_debug_record_per_call(caplog):
         "step bound reached at depth 1; words reached: 3 forward, 1 backward",
         # no factor of xy matches xyx with nonempty images
         "frontier exhausted at depth 1; words reached: 1 forward, 1 backward",
+        # depth 1 grows u's front (a tie), depth 2 the smaller backward front, and
+        # the search stops at the first word of that front that u's side reached
+        "found at depth 2; words reached: 5 forward, 2 backward",
+        "found at depth 2; words reached: 4 forward, 3 backward",
     ]
 
 

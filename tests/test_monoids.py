@@ -132,7 +132,7 @@ def test_canonical_rejects_letters_outside_cap():
                 refuse()
         for bad in ((1, 0), [1, "x"], (True,), (1, 1.0)):
             for refuse in (lambda: canonical(fam, bad), lambda: equivalent(fam, bad, (1,))):
-                with pytest.raises(ValueError, match="^insertion needs a letter word") as info:
+                with pytest.raises(ValueError, match="^not a letter word: letters") as info:
                     refuse()
                 assert type(info.value) is ValueError
 
