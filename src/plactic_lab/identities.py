@@ -514,15 +514,15 @@ def invert_steps(d: Derivation) -> Derivation:
     return Derivation(d.rules, d.end, flipped, d.start)
 
 
-def _gather_steps(w: Word, rules: tuple, nf: tuple) -> Derivation:
-    """Drive a word to the gathered form, its normal form nf, using xyx = yxx only.
+def _gather_steps(syms: tuple, nf: tuple) -> tuple:
+    """The applications that drive syms to nf, the gathered form, by xyx = yxx, and their end.
 
     Working right to left, the currently last letter of the unfinished prefix
     is pulled together: scanning leftwards, each stray copy hops over the gap
     separating it from the block of copies, which is one application of the
     rule with x bound to the letter and y to the gap, and joins the block.
     """
-    syms, apps = list(w.symbols), []
+    syms, apps = list(syms), []
     boundary = len(syms)
     while boundary > 0:
         z = syms[boundary - 1]
@@ -534,22 +534,21 @@ def _gather_steps(w: Word, rules: tuple, nf: tuple) -> Derivation:
                     apps.append((i, 0, LTR, (1, start - i - 1)))
                 start -= 1
         boundary = start
-    return Derivation(rules, w, apps, Word._make(tuple(syms)))
+    return apps, tuple(syms)
 
 
-def _sort_steps(w: Word, rules: tuple, nf: tuple, swap: Callable, first_too: bool = False,
-                mirrored: bool = False) -> Derivation:
-    """Bubble sort each stretch of w between its _bounds(w, first_too) toward nf, w's
-    normal form (see _sorted_stretches), one application per swap.
+def _sort_steps(syms: tuple, nf: tuple, swap: Callable, first_too: bool = False,
+                mirrored: bool = False) -> tuple:
+    """The applications that bubble sort each stretch of syms between its _bounds(syms,
+    first_too) toward nf, its normal form (see _sorted_stretches), one per swap, and their end.
 
-    swap(syms, p, first, last) is the application (start, stop, rule_index,
-    direction, lengths) that swaps syms[p] and syms[p + 1]; it reads only the
-    first and last occurrences that are bounds, which stay put.
-    mirrored sorts w reversed and mirrors each start to n - stop: the xysxty rules
-    of sylv become the ytxsyx rules of sylvsharp.
+    swap(word, p, first, last) is the application (start, stop, rule_index, direction, lengths)
+    that swaps word[p] and word[p + 1]; it reads only the first and last occurrences that are
+    bounds, which stay put.  mirrored sorts syms reversed and mirrors each start to n - stop:
+    the xysxty rules of sylv become the ytxsyx rules of sylvsharp.
     """
-    given, target = (w.symbols[::-1], nf[::-1]) if mirrored else (w.symbols, nf)
-    syms, n, apps = list(given), len(given), []
+    given, target = (syms[::-1], nf[::-1]) if mirrored else (syms, nf)
+    word, n, apps = list(given), len(given), []
     first, last = _first_last_positions(given)
     prev = -1
     for pos in _bounds(given, first_too):
@@ -559,15 +558,14 @@ def _sort_steps(w: Word, rules: tuple, nf: tuple, swap: Callable, first_too: boo
         while changed:
             changed = False
             for p in range(prev + 1, pos - 1):
-                a, c = syms[p], syms[p + 1]
+                a, c = word[p], word[p + 1]
                 if a != c and rank(a) > rank(c):
-                    start, stop, ri, direction, lengths = swap(syms, p, first, last)
+                    start, stop, ri, direction, lengths = swap(word, p, first, last)
                     apps.append((n - stop if mirrored else start, ri, direction, lengths))
-                    syms[p], syms[p + 1] = c, a
+                    word[p], word[p + 1] = c, a
                     changed = True
         prev = pos
-    end = tuple(syms)
-    return Derivation(rules, w, apps, Word._make(end[::-1] if mirrored else end))
+    return apps, tuple(word[::-1] if mirrored else word)
 
 
 def _sylv_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
@@ -601,24 +599,26 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
 
 
 def _rewriting(family: MonoidFamily, w: Word, nf: tuple) -> Derivation:
-    """The family's derivation from w to nf, its normal form.  Every family's rewriting
-    has its end checked here, and only here: DerivationError if it ends on any other word."""
-    d = _THEORIES[family].derivation(w, basis(family), nf)  # basis refuses a row with none
-    if d.end.symbols != nf:
+    """The derivation of the family's row from w to nf, its normal form, over basis(family),
+    which alone refuses; DerivationError if the applications end on any other word."""
+    rules = basis(family)  # first: a row without a basis has no rewriting either
+    apps, end = _THEORIES[family].derivation(w.symbols, nf)
+    if end != nf:
         raise DerivationError(f"the {family} rewriting did not end on the normal form")
-    return d
+    return Derivation(rules, w, apps, Word._make(nf))
 
 
-def normalize_derivation(family: MonoidFamily, w: Word) -> Derivation:
+def normalize_derivation(family: MonoidFamily, w) -> Derivation:
     """A derivation from w to normal_form(family, w), basis rules only, with no steps
-    when w is already normal."""
+    when w is already normal; a w that is no Word is read as a checked Word(w)."""
+    w = w if isinstance(w, Word) else Word(w)
     return _rewriting(family, w, _THEORIES[family].normal_form(w.symbols))
 
 
 class _Theory(NamedTuple):
     basis: Optional[tuple]
     normal_form: Callable            # symbol tuple -> symbol tuple, equal iff an identity holds
-    derivation: Optional[Callable]   # (Word, basis, its normal form) -> Derivation to it
+    derivation: Optional[Callable]   # (symbols, their normal form) -> (applications, end)
 
 
 _GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: _spelled(_columns(syms)), _gather_steps)
@@ -627,13 +627,13 @@ _THEORIES = _FamilyTable({
     MonoidFamily.TAIG: _GATHER,
     MonoidFamily.SYLV: _Theory(
         _rules(["xysxty = yxsxty"]), _sylv_form,
-        lambda w, rules, nf: _sort_steps(w, rules, nf, _sylv_swap)),
+        lambda syms, nf: _sort_steps(syms, nf, _sylv_swap)),
     MonoidFamily.SYLV_SHARP: _Theory(
         _rules(["ytxsyx = ytxsxy"]), lambda syms: _sylv_form(syms[::-1])[::-1],
-        lambda w, rules, nf: _sort_steps(w, rules, nf, _sylv_swap, mirrored=True)),
+        lambda syms, nf: _sort_steps(syms, nf, _sylv_swap, mirrored=True)),
     MonoidFamily.BAXT: _Theory(
         _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]), _baxt_form,
-        lambda w, rules, nf: _sort_steps(w, rules, nf, _baxt_swap, first_too=True)),
+        lambda syms, nf: _sort_steps(syms, nf, _baxt_swap, first_too=True)),
     MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None),
     MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None),
     MonoidFamily.FREE_MONOGENIC: _Theory(None, lambda syms: tuple(sorted(syms)), None),

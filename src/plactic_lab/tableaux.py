@@ -21,7 +21,7 @@ the one on the tableau's columns, words._columns.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 from math import inf
 from operator import itemgetter
 
@@ -205,8 +205,8 @@ def _shape_key(labels, inorder, rows=False) -> tuple:
 
 
 def _key_of_root(root, mult, fields=None) -> tuple:
-    """Flat preorder key of nested nodes: tuples (label, [mult,] left, right),
-    empty = None, or JSON nodes that fields, an itemgetter, reads as such."""
+    """Flat preorder key of nested nodes: tuples or lists (label, [mult,] left, right),
+    empty = None, else TypeError, or JSON nodes that fields, an itemgetter, reads as such."""
     out = []
     stack = [] if root is None else [root]
     pop, push = stack.pop, stack.append
@@ -219,6 +219,8 @@ def _key_of_root(root, mult, fields=None) -> tuple:
             seen.add(id(node))
         if fields is not None:
             node = fields(node)  # always 3 + mult fields
+        elif not isinstance(node, (tuple, list)):
+            raise TypeError(f"tree nodes are tuples or lists, got {type(node).__name__}")
         elif len(node) != 3 + mult:
             raise ValueError(f"tree nodes need {3 + mult} fields, got {len(node)}")
         left, right = node[-2], node[-1]
@@ -287,16 +289,16 @@ class _SearchTree(_Canonical):
     def root_label(self):
         return self._key[0] if self._key else None
 
-    def _preorder(self) -> tuple:
-        """Labels in preorder, each repeated by its multiplicity."""
-        key = self._key
-        return _spelled(zip(key[0::3], key[1::3])) if self._MULT else key[0::2]
-
     def as_counter(self) -> Counter:
-        return Counter(self._preorder())
+        key, counts = self._key, Counter()  # summed off the key: a multiplicity may be huge
+        for a, m in zip(key[0::3], key[1::3]) if self._MULT else zip(key[0::2], repeat(1)):
+            counts[a] += m
+        return counts
 
     def _spell(self) -> tuple:
-        return self._preorder() if self._FORWARD else self._preorder()[::-1]
+        key = self._key  # labels in preorder, each repeated by its multiplicity
+        labels = _spelled(zip(key[0::3], key[1::3])) if self._MULT else key[0::2]
+        return labels if self._FORWARD else labels[::-1]
 
     def in_order(self) -> tuple:
         """Labels in in-order."""

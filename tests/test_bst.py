@@ -3,6 +3,7 @@ import json
 import operator
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -155,6 +156,29 @@ def test_child_masks_tell_invalid_trees_apart():
     assert bad != p_taig((7, 5)) and bad.as_counter() == p_taig((7, 5)).as_counter()
     with pytest.raises(ValueError):
         RightStrictBST((2, 1, None, None))
+    # a node that is no tuple or list is refused by type, not read as a sequence
+    for cls in (RightStrictBST, LeftStrictBST, TaigaTree):
+        for node, name in (({"label": 1, "left": None, "right": None}, "dict"), ("abc", "str"),
+                           (3, "int")):
+            with pytest.raises(TypeError, match=f"tree nodes are tuples or lists, got {name}$"):
+                cls(node)
+            with pytest.raises(TypeError, match=name):
+                cls((1, 1, node, None) if cls is TaigaTree else (1, node, None))
+    assert RightStrictBST([2, [1, None, None], None]) == p_sylv((1, 2))
+
+
+def test_counters_are_read_off_the_key_not_spelled():
+    rng = random.Random(35)
+    for _ in range(50):
+        seq = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 30)))
+        for tree in (p_sylv(seq), p_sylv_sharp(seq), p_taig(seq)):
+            for t in (tree, type(tree)(tree.root)):  # the second spells its reading word
+                assert t.as_counter() == Counter(t.reading_word()) == ev(seq)
+    # a multiplicity of 10**12 from 64 bytes of JSON: spelling it would exhaust memory
+    huge = TaigaTree.from_json_dict({"label": 2, "mult": 10**12, "left": None, "right": None})
+    start = time.perf_counter()
+    assert huge.as_counter() == Counter({2: 10**12}) and huge.total() == 10**12
+    assert time.perf_counter() - start < 0.1
 
 
 def test_a_node_that_holds_itself_is_refused_at_once():

@@ -75,7 +75,7 @@ def test_normalize_derivation_refuses_a_rewriting_that_ends_off_the_normal_form(
     # a builder that stops at once: xyyxyxxy is not normal in any insertion family
     row = identities._THEORIES[fam]
     monkeypatch.setitem(identities._THEORIES, fam,
-                        row._replace(derivation=lambda w, rules, nf: Derivation(rules, w, (), w)))
+                        row._replace(derivation=lambda syms, nf: ((), syms)))
     with pytest.raises(DerivationError, match="did not end on the normal form"):
         normalize_derivation(fam, Word.variables("xyyxyxxy"))
 
@@ -99,6 +99,18 @@ def test_normalize_derivation_on_letter_words():
     for fam in INSERTION:
         steps = normalize_derivation(fam, w)
         assert_chain(fam, w, steps)
+
+
+def test_normalize_derivation_reads_a_sequence_as_normal_form_does():
+    # a tuple is read as a checked Word: the certificate is the one of Word.letters("3121")
+    w = Word.letters("3121")
+    for fam in INSERTION:
+        d = normalize_derivation(fam, (3, 1, 2, 1))
+        assert derivation_to_json(d) == derivation_to_json(normalize_derivation(fam, w))
+        assert d.start == w and d.end == normal_form(fam, (3, 1, 2, 1))
+        assert verify_derivation(basis(fam), d)
+    with pytest.raises(ValueError):
+        normalize_derivation(F.SYLV, (3, "x"))
 
 
 def test_normalize_already_normal_word_is_empty():

@@ -311,7 +311,7 @@ def no_key(seq):
 def test_homogeneous_rows_keep_one_evaluation_per_class(monkeypatch):
     # equivalent says no without a key to words of different evaluations in a
     # homogeneous row, so each class of its keys must hold one sorted word
-    assert [fam for fam in MonoidFamily if _FAMILIES[fam].homogeneous] == list(INSERTION)
+    assert [fam for fam in MonoidFamily if _FAMILIES[fam].cap is None] == list(INSERTION)
     words = [w for n in range(7) for w in itertools.product((1, 2, 3), repeat=n)]
     for fam in INSERTION:
         key = _FAMILIES[fam].key
