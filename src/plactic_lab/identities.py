@@ -4,23 +4,23 @@ Identity (two variable words) and load_identity_system are defined here; the
 CLI loads this module only for check-identity, nf, oracle and derive; only the
 oracle loads monoids and the tree code.  Its six records are namedtuples.
 
-Each of the eight families has one row in _THEORIES: its finite identity
-basis, a normal form for variable words, such that an identity holds exactly
-when both sides have the same normal form (satisfies compares the two), and
-the rewriting that derives that normal form with basis rules only.  The three
-reference monoids l21, r21 and free1 have a normal form (ip, fp and the sorted
-word) but no basis or derivation, which basis() alone refuses.  stal and taig
-share one row: its normal form is the stalactic columns (words._columns, also
-the stal key), spelled.  The brute force oracle substitutes letter words for
-variables and compares the raw keys of monoids._FAMILIES; the test suite checks
-the normal forms against it and against the characterisations of Cain,
-Malheiro and Ribeiro as stated.
+Each of the eight families has one row in _THEORIES: its finite identity basis,
+a normal form for variable words, such that an identity holds exactly when both
+sides have the same normal form (satisfies compares the two), and the rewriting
+toward any word of the class with basis rules only: a word's normal form, or an
+identity's rhs from its lhs.  The three reference monoids l21, r21 and free1
+have a normal form (ip, fp and the sorted word) but no basis or derivation,
+which basis() alone refuses.  stal and taig share one row: its normal form is
+the stalactic columns (words._columns, also the stal key), spelled.  The brute
+force oracle substitutes letter words for variables and compares the raw keys of
+monoids._FAMILIES; the test suite checks the normal forms against it and against
+the characterisations of Cain, Malheiro and Ribeiro as stated.
 
 The sylv and baxt normal forms are each described once, as bounds (positions
 kept in place, words._bounds) and an order in which every stretch between two
 bounds sorts: normal_form sorts each stretch in O(n log n), and the derivation
-bubble sorts each stretch toward that normal form, one adjacent swap, one basis
-rule application, at a time.  sylvsharp is the mirror image of sylv.
+bubble sorts each stretch toward any word of the class, one adjacent swap, one
+basis rule application, per inversion.  sylvsharp is the mirror image of sylv.
 
 A Derivation holds its start word and one rule application per step: where,
 which rule, which way and the images, given or, in O(1), as lengths read off
@@ -514,55 +514,59 @@ def invert_steps(d: Derivation) -> Derivation:
     return Derivation(d.rules, d.end, flipped, d.start)
 
 
-def _gather_steps(syms: tuple, nf: tuple) -> tuple:
-    """The applications that drive syms to nf, the gathered form, by xyx = yxx, and their end.
+def _gather_steps(syms: tuple, target: tuple) -> tuple:
+    """The applications that drive syms toward target, any word of the class, by xyx = yxx,
+    and their end: the gathering of syms, then that of target run backwards.
 
     Working right to left, the currently last letter of the unfinished prefix
     is pulled together: scanning leftwards, each stray copy hops over the gap
     separating it from the block of copies, which is one application of the
     rule with x bound to the letter and y to the gap, and joins the block.
     """
-    syms, apps = list(syms), []
-    boundary = len(syms)
-    while boundary > 0:
-        z = syms[boundary - 1]
-        start = boundary - 1  # the block of copies of z is syms[start:boundary]
-        for i in range(start - 1, -1, -1):
-            if syms[i] == z:
-                if i < start - 1:
-                    syms[i : start + 1] = syms[i + 1 : start] + [z, z]
-                    apps.append((i, 0, LTR, (1, start - i - 1)))
-                start -= 1
-        boundary = start
-    return apps, tuple(syms)
+    runs = []
+    for word in map(list, (syms, target)):
+        apps, boundary = [], len(word)
+        while boundary > 0:
+            z = word[boundary - 1]
+            start = boundary - 1  # the block of copies of z is word[start:boundary]
+            for i in range(start - 1, -1, -1):
+                if word[i] == z:
+                    if i < start - 1:
+                        word[i : start + 1] = word[i + 1 : start] + [z, z]
+                        apps.append((i, 0, LTR, (1, start - i - 1)))
+                    start -= 1
+            boundary = start
+        runs.append((apps, tuple(word)))
+    (apps, end), (back, meet) = runs  # the gatherings meet when target is in the class
+    return apps + [(i, ri, RTL, k) for i, ri, _, k in back[::-1]], target if end == meet else end
 
 
-def _sort_steps(syms: tuple, nf: tuple, swap: Callable, first_too: bool = False,
+def _sort_steps(syms: tuple, target: tuple, swap: Callable, first_too: bool = False,
                 mirrored: bool = False) -> tuple:
     """The applications that bubble sort each stretch of syms between its _bounds(syms,
-    first_too) toward nf, its normal form (see _sorted_stretches), one per swap, and their end.
+    first_too) toward target, any word of the class, one per swap, and their end.
 
-    swap(word, p, first, last) is the application (start, stop, rule_index, direction, lengths)
-    that swaps word[p] and word[p + 1]; it reads only the first and last occurrences that are
-    bounds, which stay put.  mirrored sorts syms reversed and mirrors each start to n - stop:
-    the xysxty rules of sylv become the ytxsyx rules of sylvsharp.
+    Two stable index sorts rank the k-th copy of a symbol as the place of the k-th copy in
+    target, so copies of one symbol never invert and each swap undoes one inversion between
+    the two words.  swap(word, p, first, last) is the application (start, stop, rule_index,
+    direction, lengths) that swaps word[p] and word[p + 1]; it reads only the first and last
+    occurrences that are bounds, which stay put.  mirrored sorts syms reversed, counting copies
+    from the right, and mirrors each start to n - stop: sylv's xysxty becomes sylvsharp's ytxsyx.
     """
-    given, target = (syms[::-1], nf[::-1]) if mirrored else (syms, nf)
-    word, n, apps = list(given), len(given), []
+    given, target = (syms[::-1], target[::-1]) if mirrored else (syms, target)
+    word, n, apps, prev = list(given), len(given), [], -1
+    rank = dict(zip(*(sorted(range(n), key=side.__getitem__) for side in (given, target))))
     first, last = _first_last_positions(given)
-    prev = -1
     for pos in _bounds(given, first_too):
-        # a symbol's place in the sorted stretch: one symbol's copies are adjacent there
-        rank = dict(zip(target[prev + 1 : pos], itertools.count())).__getitem__
         changed = True
         while changed:
             changed = False
             for p in range(prev + 1, pos - 1):
-                a, c = word[p], word[p + 1]
-                if a != c and rank(a) > rank(c):
+                if rank[p] > rank[p + 1]:
                     start, stop, ri, direction, lengths = swap(word, p, first, last)
                     apps.append((n - stop if mirrored else start, ri, direction, lengths))
-                    word[p], word[p + 1] = c, a
+                    word[p], word[p + 1] = word[p + 1], word[p]
+                    rank[p], rank[p + 1] = rank[p + 1], rank[p]
                     changed = True
         prev = pos
     return apps, tuple(word[::-1] if mirrored else word)
@@ -598,27 +602,27 @@ def _baxt_swap(syms: list, p: int, first: Mapping, last: Mapping) -> tuple:
             (j1 - p - 2, j2 - j1 - 1, i2 - i1 - 1, p - i2 - 1, 1, 1))
 
 
-def _rewriting(family: MonoidFamily, w: Word, nf: tuple) -> Derivation:
-    """The derivation of the family's row from w to nf, its normal form, over basis(family),
-    which alone refuses; DerivationError if the applications end on any other word."""
+def _rewriting(family: MonoidFamily, w: Word, target: Word) -> Derivation:
+    """The derivation of the family's row from w to target, any word of w's class, over
+    basis(family), which alone refuses; DerivationError if the applications end elsewhere."""
     rules = basis(family)  # first: a row without a basis has no rewriting either
-    apps, end = _THEORIES[family].derivation(w.symbols, nf)
-    if end != nf:
-        raise DerivationError(f"the {family} rewriting did not end on the normal form")
-    return Derivation(rules, w, apps, Word._make(nf))
+    apps, end = _THEORIES[family].derivation(w.symbols, target.symbols)
+    if end != target.symbols:
+        raise DerivationError(f"the {family} rewriting did not end on the normal form or target")
+    return Derivation(rules, w, apps, target)
 
 
 def normalize_derivation(family: MonoidFamily, w) -> Derivation:
     """A derivation from w to normal_form(family, w), basis rules only, with no steps
     when w is already normal; a w that is no Word is read as a checked Word(w)."""
     w = w if isinstance(w, Word) else Word(w)
-    return _rewriting(family, w, _THEORIES[family].normal_form(w.symbols))
+    return _rewriting(family, w, Word._make(_THEORIES[family].normal_form(w.symbols)))
 
 
 class _Theory(NamedTuple):
     basis: Optional[tuple]
     normal_form: Callable            # symbol tuple -> symbol tuple, equal iff an identity holds
-    derivation: Optional[Callable]   # (symbols, their normal form) -> (applications, end)
+    derivation: Optional[Callable]   # (symbols, target in their class) -> (applications, end)
 
 
 _GATHER = _Theory(_rules(["xyx = yxx"]), lambda syms: _spelled(_columns(syms)), _gather_steps)
@@ -627,13 +631,13 @@ _THEORIES = _FamilyTable({
     MonoidFamily.TAIG: _GATHER,
     MonoidFamily.SYLV: _Theory(
         _rules(["xysxty = yxsxty"]), _sylv_form,
-        lambda syms, nf: _sort_steps(syms, nf, _sylv_swap)),
+        lambda syms, target: _sort_steps(syms, target, _sylv_swap)),
     MonoidFamily.SYLV_SHARP: _Theory(
         _rules(["ytxsyx = ytxsxy"]), lambda syms: _sylv_form(syms[::-1])[::-1],
-        lambda syms, nf: _sort_steps(syms, nf, _sylv_swap, mirrored=True)),
+        lambda syms, target: _sort_steps(syms, target, _sylv_swap, mirrored=True)),
     MonoidFamily.BAXT: _Theory(
         _rules(["ysxtxyhxky = ysxtyxhxky", "xsytxyhxky = xsytyxhxky"]), _baxt_form,
-        lambda syms, nf: _sort_steps(syms, nf, _baxt_swap, first_too=True)),
+        lambda syms, target: _sort_steps(syms, target, _baxt_swap, first_too=True)),
     MonoidFamily.LEFT_ZERO: _Theory(None, _ip, None),
     MonoidFamily.RIGHT_ZERO: _Theory(None, _fp, None),
     MonoidFamily.FREE_MONOGENIC: _Theory(None, lambda syms: tuple(sorted(syms)), None),
@@ -641,12 +645,11 @@ _THEORIES = _FamilyTable({
 
 
 def derivation_certificate(family: MonoidFamily, ident: Identity) -> Derivation:
-    """Derivation from lhs to rhs through the shared normal form, computed once per side:
-    ValueError, before any rewriting, if the sides have different ones."""
-    lhs, rhs = map(_THEORIES[family].normal_form, (ident.lhs.symbols, ident.rhs.symbols))
-    if lhs != rhs:
+    """Derivation straight from lhs to rhs, one swap per pair of occurrences the sides
+    order differently: ValueError, before any rewriting, if the family fails ident."""
+    if not satisfies(family, ident):
         raise ValueError(f"{family} does not satisfy {ident.text()!r}")
-    return _rewriting(family, ident.lhs, lhs) + invert_steps(_rewriting(family, ident.rhs, rhs))
+    return _rewriting(family, ident.lhs, ident.rhs)
 
 
 # ---------------------------------------------------------------------------

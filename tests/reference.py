@@ -9,7 +9,11 @@ step_json writes each step of a derivation as its texts, the form whose
 digests the tests pin.  same_columns rearranges a word without changing its
 stalactic columns.  substitutions is the oracle's stream written plainly, and
 full_key_scan the oracle with no pre-key: it builds both keys for every
-substitution whose sides differ.
+substitution whose sides differ.  RELATIONS are the defining relations of the
+five insertion monoids, as the conditions under which two adjacent letters
+swap; relation_classes closes a set of words under them, and class_walk and
+occurrence_inversions make and measure pairs of words of one class.  These
+four import nothing from the package.
 """
 import itertools
 import random
@@ -93,3 +97,74 @@ def full_key_scan(family, rank, ident, mode):
         if lhs != rhs and key(lhs) != key(rhs):
             return sub, canonical(family, lhs), canonical(family, rhs)
     return checked
+
+
+# When the adjacent letters lo < hi, in either order, may swap, given the letters
+# before and after the pair.  stal: one of them occurs again later; taig: a later b
+# has lo <= b <= hi (Priez 2013); sylv: a later b has lo <= b < hi (Hivert, Novelli
+# and Thibon 2005); sylvsharp: an earlier b has lo < b <= hi; baxt: an earlier c and
+# a later b have lo <= b < c <= hi, or an earlier b and a later c have
+# lo < b <= c < hi (Giraudo 2012).
+RELATIONS = {
+    "stal": lambda lo, hi, before, after: lo in after or hi in after,
+    "taig": lambda lo, hi, before, after: any(lo <= b <= hi for b in after),
+    "sylv": lambda lo, hi, before, after: any(lo <= b < hi for b in after),
+    "sylvsharp": lambda lo, hi, before, after: any(lo < b <= hi for b in before),
+    "baxt": lambda lo, hi, before, after: (
+        any(lo <= b < c <= hi for c in before for b in after)
+        or any(lo < b <= c < hi for b in before for c in after)),
+}
+
+
+def relation_classes(family, words) -> set:
+    """The classes, as frozensets, into which the family's relations close words, a
+    set closed under them (all words of one length over one alphabet): a union-find."""
+    parent = {w: w for w in words}
+
+    def find(w):
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        return w
+
+    swaps = RELATIONS[str(family)]
+    for w in words:
+        for p in range(len(w) - 1):
+            a, c = w[p], w[p + 1]
+            if a != c and swaps(min(a, c), max(a, c), w[:p], w[p + 2:]):
+                parent[find(w)] = find(w[:p] + (c, a) + w[p + 2:])
+    classes = {}
+    for w in words:
+        classes.setdefault(find(w), set()).add(w)
+    return {frozenset(members) for members in classes.values()}
+
+
+def class_walk(family, word, rng, swaps: int) -> tuple:
+    """A word of word's class: swaps random adjacent swaps, each drawn among those
+    that keep every bound in place, the last occurrences (sylv), the first ones
+    (sylvsharp) or both (baxt), so that the family's basis rule applies."""
+    w = list(word)
+    last = {a: i for i, a in enumerate(w)}
+    first = {a: i for i, a in reversed(list(enumerate(w)))}
+    bounds = {"sylv": set(last.values()), "sylvsharp": set(first.values()),
+              "baxt": set(last.values()) | set(first.values())}[str(family)]
+    for _ in range(swaps):
+        free = [p for p in range(len(w) - 1)
+                if w[p] != w[p + 1] and p not in bounds and p + 1 not in bounds]
+        if not free:
+            break
+        p = rng.choice(free)
+        w[p], w[p + 1] = w[p + 1], w[p]
+    return tuple(w)
+
+
+def occurrence_inversions(u, v) -> int:
+    """The pairs of occurrences that u and v hold in opposite orders, the k-th copy of
+    a symbol in u standing for its k-th copy in v: the fewest adjacent swaps from u to v."""
+    at, seen = {}, {}
+    for j, a in enumerate(v):
+        at.setdefault(a, []).append(j)
+    places = []
+    for a in u:
+        places.append(at[a][seen.get(a, 0)])
+        seen[a] = seen.get(a, 0) + 1
+    return sum(x > y for i, x in enumerate(places) for y in places[i + 1:])

@@ -218,9 +218,9 @@ def test_derive_json_is_one_line_of_the_library_payload(tmp_path, capsys):
         assert restored == d and identities.verify_derivation(rules, restored)
     assert json.loads(out) == {"rules": [["xyx", "yxx"], ["xx", "x"]], "start": "xyx",
                                "end": "xyx", "apps": []}
-    code, out, _ = run(capsys, "derive", "--monoid", "sylv", "--id", "xyxyxy = xxyyxy",
+    code, out, _ = run(capsys, "derive", "--monoid", "sylv", "--id", "xyzxyzxyz = xxyyzzxyz",
                        "--format", "json")
-    cert = identities.derivation_certificate(F.SYLV, Identity.parse("xyxyxy = xxyyxy"))
+    cert = identities.derivation_certificate(F.SYLV, Identity.parse("xyzxyzxyz = xxyyzzxyz"))
     assert len(cert) > 1 and code == 0
     assert out == json.dumps(identities.derivation_to_json(cert), sort_keys=True) + "\n"
 
@@ -382,7 +382,7 @@ def test_failure_mid_output_exits_two(capsys, monkeypatch):
 
     described = []
     monkeypatch.setattr(cli, "_describe_step", describe)
-    code, out, err = run(capsys, "derive", "--monoid", "sylv", "--id", "xyxyxy = xxyyxy")
+    code, out, err = run(capsys, "derive", "--monoid", "sylv", "--id", "xyzxyzxyz = xxyyzzxyz")
     assert (code, out, err) == (2, "first step\n", "error: cannot describe the second step\n")
 
 

@@ -32,7 +32,7 @@ from plactic_lab import (
     satisfies,
     verify_derivation,
 )
-from reference import restrict, step_json
+from reference import class_walk, occurrence_inversions, restrict, same_columns, step_json
 from test_acceptance import _criterion_5_space
 
 F = MonoidFamily
@@ -525,7 +525,32 @@ def test_normal_forms_and_steps_are_pinned():
                 steps = [*steps, *derivation_certificate(fam, Identity(w, v))]
             digest.update(json.dumps([normal_form(fam, w).text(), step_json(steps)]).encode())
     assert digest.hexdigest() == (
-        "dc19ee713182975b5eadbc51af40ced3c6540a804ba7f9adede341db30223ecd")
+        "63805418342eb1c48dbc894a82a5010b8c96c9856383eb6b3f2abf7198ab3ed3")
+
+
+def test_certificates_go_straight_from_lhs_to_rhs():
+    # seeded class pairs of 20-120 letters, rhs a random walk of basis swaps from lhs: the
+    # certificate makes one swap per occurrence inversion, never more than the way through
+    # the normal form; stal and taig gather both sides, and keep that way byte for byte
+    totals = {}
+    for fam in INSERTION:
+        rng = random.Random(36)
+        for _ in range(40):
+            n = rng.randint(20, 120)
+            w = [rng.choice("abcdefgh") for _ in range(n)]
+            other = (same_columns(w, rng) if fam in (F.STAL, F.TAIG) else
+                     class_walk(fam, w, rng, 3 * n))
+            lhs, rhs = Word.variables(w), Word.variables(other)
+            cert = derivation_certificate(fam, Identity(lhs, rhs))
+            join = normalize_derivation(fam, lhs) + invert_steps(normalize_derivation(fam, rhs))
+            assert verify_derivation(basis(fam), cert) and (cert.start, cert.end) == (lhs, rhs)
+            if fam in (F.STAL, F.TAIG):
+                assert derivation_to_json(cert) == derivation_to_json(join)
+            else:
+                assert len(cert) == occurrence_inversions(w, other) <= len(join)
+            totals[fam] = [a + b for a, b in zip(totals.get(fam, (0, 0)), (len(cert), len(join)))]
+    assert totals == {F.STAL: [4260, 4260], F.TAIG: [4260, 4260], F.SYLV: [2319, 52759],
+                      F.SYLV_SHARP: [2013, 41913], F.BAXT: [2186, 30174]}
 
 
 def test_mirrored_steps_use_sharp_basis_instances():

@@ -2,6 +2,7 @@ import enum
 import hashlib
 import itertools
 import json
+import math
 import pickle
 import random
 
@@ -34,7 +35,7 @@ from plactic_lab import (
 )
 from plactic_lab import bst, tableaux
 from plactic_lab.monoids import _FAMILIES
-from reference import ELEMENTS, L21, R21, fold, same_columns
+from reference import ELEMENTS, L21, R21, fold, relation_classes, same_columns
 
 INSERTION = (
     MonoidFamily.STAL,
@@ -257,6 +258,36 @@ def test_insertion_keys_are_pinned():
         for w in words[:2000]:
             capped = tuple((a - 1) % cap + 1 for a in w)
             assert _FAMILIES[fam].key(bytes(capped)) == canonical(fam, capped)
+
+
+def test_each_key_partitions_words_as_the_defining_relations_do():
+    # the oracle's ground truth is the keys: each must split every word of [2]^7, [3]^6
+    # and [4]^5 into exactly the classes that its monoid's relations close
+    for rank, length in ((2, 7), (3, 6), (4, 5)):
+        words = list(itertools.product(range(1, rank + 1), repeat=length))
+        for fam in INSERTION:
+            classes = {}
+            for w in words:
+                classes.setdefault(_FAMILIES[fam].key(w), set()).add(w)
+            assert set(map(frozenset, classes.values())) == relation_classes(fam, words), (
+                fam, rank, length)
+
+
+def test_class_counts_on_permutations():
+    # n! in stal, the Catalan numbers in taig, sylv and sylvsharp, the Baxter numbers in baxt
+    def baxter(n):
+        return sum(math.comb(n + 1, k - 1) * math.comb(n + 1, k) * math.comb(n + 1, k + 1)
+                   for k in range(1, n + 1)) // (math.comb(n + 1, 1) * math.comb(n + 1, 2))
+
+    catalan = lambda n: math.comb(2 * n, n) // (n + 1)
+    closed = {"stal": math.factorial, "taig": catalan, "sylv": catalan, "sylvsharp": catalan,
+              "baxt": baxter}
+    assert [baxter(n) for n in range(1, 8)] == [1, 2, 6, 22, 92, 422, 2074]
+    for fam in INSERTION:
+        key = _FAMILIES[fam].key
+        counts = [len({key(p) for p in itertools.permutations(range(1, n + 1))})
+                  for n in range(1, 8)]
+        assert counts == [closed[str(fam)](n) for n in range(1, 8)], fam
 
 
 def test_short_json_payloads_are_pinned():
