@@ -81,7 +81,6 @@ class RightStrictBST(_SearchTree):
     """Tree with left subtree <= node < right subtree."""
 
     __slots__ = ()
-    _EQUAL_LEFT = True
     _insert = staticmethod(lambda w: p_sylv(w))
 
 
@@ -89,7 +88,7 @@ class LeftStrictBST(_SearchTree):
     """Tree with left subtree < node <= right subtree."""
 
     __slots__ = ()
-    _EQUAL_RIGHT = _FORWARD = True
+    _FORWARD = True
     _insert = staticmethod(lambda w: p_sylv_sharp(w))
 
 

@@ -267,16 +267,15 @@ class _SearchTree(_Canonical):
     the constructor use nested tuples (label, [mult,] left, right), empty =
     None; _JSON reads a nested JSON node as one, _JSON_NODE writes one.  A
     tree of more than _NESTED_NODES nodes goes to JSON as the key's columns
-    instead, {"labels", ["mults",] "children"}.  _EQUAL_LEFT and _EQUAL_RIGHT
-    say on which side of a node an equal label may sit; _FORWARD says whether
-    the expanded preorder rebuilds the tree as is or reversed.
+    instead, {"labels", ["mults",] "children"}.  _FORWARD says whether the
+    expanded preorder rebuilds the tree as is or reversed.
     """
 
     __slots__ = ()
     _MULT = False
     _JSON = itemgetter("label", "left", "right")
     _JSON_NODE = staticmethod(lambda r, a, b: {"label": r[0], "left": a, "right": b})
-    _EQUAL_LEFT = _EQUAL_RIGHT = _FORWARD = False
+    _FORWARD = False
 
     def __init__(self, root=None):
         super().__init__(_key_of_root(root, self._MULT))
@@ -332,27 +331,27 @@ class _SearchTree(_Canonical):
     def is_valid(self) -> bool:
         """Whether the key is a tree: letters as labels and multiplicities,
         exact ints in 0..3 as child masks, a node for every child a mask names
-        and none left over, and search-tree order with this class's strictness.
-        One pass over the key: the stack holds the (lo, hi) label bounds of the
-        subtrees still to come, the next one on top, so a missing child empties
-        it too soon and a node left over leaves it nonempty."""
+        and none left over, and search-tree order, an equal label on the side
+        insertion reads towards (a taiga tree has none).  One pass: the stack
+        holds the inclusive (lo, hi) label bounds of the subtrees still to come,
+        the next on top, so a node left over finds it empty and a missing child
+        leaves it nonempty."""
         key, width = self._key, 2 + self._MULT
         masks = key[width - 1::width]
         if not (_are_letters(key[0::3] + key[1::3] if self._MULT else key[0::2])
                 and _are_masks(masks)):
             return False
-        equal_left, equal_right = self._EQUAL_LEFT, self._EQUAL_RIGHT
+        above, below = not self._FORWARD, self._FORWARD or self._MULT  # 1 where strict
         stack = [(-inf, inf)] if key else []
         try:
             for label, mask in zip(key[0::width], masks):
                 lo, hi = stack.pop()
-                if (label < lo or label > hi or (label == lo and not equal_right)
-                        or (label == hi and not equal_left)):
+                if not lo <= label <= hi:
                     return False
                 if mask & 2:
-                    stack.append((label, hi))
+                    stack.append((label + above, hi))
                 if mask & 1:
-                    stack.append((lo, label))
+                    stack.append((lo, label - below))
         except IndexError:  # a node that no mask names as a child
             return False
         return not stack
@@ -402,23 +401,21 @@ class _SearchTree(_Canonical):
         return tree if tree.is_valid() else None
 
     def to_dot(self) -> str:
-        """DOT digraph; children are tagged L/R so the shape is unambiguous.  The
-        stack holds output text (a str) and the next node (2 * its parent, + 1 if
-        a right child); an edge waits there below its child's children."""
-        lines = ["digraph tree {", "  node [shape=box];"]
-        stack = [-1] if self._key else ['  empty [label="(empty)" shape=plaintext];']
+        """DOT digraph; each edge line follows its child's node line, tagged L/R so the
+        shape is unambiguous.  The stack holds the next node's parent, doubled, + 1 if right."""
+        lines = ["digraph tree {", "  node [shape=box];"] + (
+            [] if self._key else ['  empty [label="(empty)" shape=plaintext];'])
+        stack = [-1]  # -1: the root has no parent
         pop, push = stack.pop, stack.append
         for my, (text, mask) in enumerate(self._nodes(str, "{}^{}".format)):
-            while (item := pop()).__class__ is str:
-                lines.append(item)
             lines.append(f'  n{my} [label="{text}"];')
-            if item >= 0:
-                push(f'  n{item >> 1} -> n{my} [label="{"LR"[item & 1]}"];')
+            if (e := pop()) >= 0:
+                lines.append(f'  n{e >> 1} -> n{my} [label="{"LR"[e & 1]}"];')
             if mask & 2:
                 push(2 * my + 1)
             if mask & 1:
                 push(2 * my)
-        return "\n".join(lines + stack[::-1]) + "\n}\n"
+        return "\n".join(lines) + "\n}\n"
 
     def render(self) -> str:
         """Indented outline, one node per line, children tagged L:/R:; a line

@@ -13,7 +13,8 @@ substitution whose sides differ.  RELATIONS are the defining relations of the
 five insertion monoids, as the conditions under which two adjacent letters
 swap; relation_classes closes a set of words under them, and class_walk and
 occurrence_inversions make and measure pairs of words of one class.  These
-four import nothing from the package.
+four import nothing from the package.  canopy reads a tree's in-order and
+canopy off its root alone, the data by which Giraudo tells twin trees apart.
 """
 import itertools
 import random
@@ -168,3 +169,21 @@ def occurrence_inversions(u, v) -> int:
         places.append(at[a][seen.get(a, 0)])
         seen[a] = seen.get(a, 0) + 1
     return sum(x > y for i, x in enumerate(places) for y in places[i + 1:])
+
+
+def canopy(tree) -> tuple:
+    """The tree's labels in in-order, read off its root with an explicit stack, and for
+    each pair of in-order neighbours whether the left one has a right child (else the
+    right one has a left child).  A left and a right strict tree are twins, the two
+    trees of one Baxter class, exactly when they list the same labels and these flags
+    are complementary (Giraudo 2012)."""
+    labels, flags, stack, node = [], [], [], tree.root
+    while stack or node is not None:
+        while node is not None:
+            stack.append(node)
+            node = node[-2]
+        node = stack.pop()
+        labels.append(node[0])
+        flags.append(node[-1] is not None)
+        node = node[-1]
+    return tuple(labels), tuple(flags[:-1])

@@ -2,6 +2,7 @@ import itertools
 import json
 import operator
 import random
+import re
 import time
 from collections import Counter
 
@@ -25,6 +26,7 @@ from plactic_lab import (
     p_taig,
 )
 from plactic_lab import tableaux
+from reference import canopy
 
 EXAMPLE = Word.letters("3613151265")
 
@@ -341,6 +343,41 @@ def test_dot_output():
     assert '[label="L"]' in dot and '[label="R"]' in dot
 
 
+def _preorder_edges(root):
+    """(parent, child, "L" or "R") per edge, nodes numbered in preorder, and the node count."""
+    edges, stack, count = [], [(root, None, "")], 0
+    while stack:
+        node, parent, side = stack.pop()
+        if node is None:
+            continue
+        if parent is not None:
+            edges.append((parent, count, side))
+        stack += (node[-1], count, "R"), (node[-2], count, "L")
+        count += 1
+    return edges, count
+
+
+def test_each_dot_edge_follows_its_childs_node_line():
+    # n - 1 edges, each written right after its child's node line, tagged as root says
+    rng = random.Random(3)
+    words = [EXAMPLE, (2, 1, 2), tuple(range(1, 9)), tuple(range(8, 0, -1))]
+    words += [tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 16))) for _ in range(40)]
+    for w in words:
+        b = p_baxt(w)
+        assert b.to_dot() == b.sharp.to_dot() + "\n" + b.plain.to_dot()
+        for tree in (p_sylv(w), p_sylv_sharp(w), p_taig(w), b.sharp, b.plain):
+            lines = tree.to_dot().split("\n")
+            expected, nodes = _preorder_edges(tree.root)
+            edges = []
+            for before, line in zip(lines, lines[1:]):
+                if " -> " in line:
+                    parent, child, side = re.fullmatch(r'  n(\d+) -> n(\d+) \[label="(L|R)"\];',
+                                                       line).groups()
+                    assert before.startswith(f"  n{child} [label="), (w, line)
+                    edges.append((int(parent), int(child), side))
+            assert sorted(edges) == sorted(expected) and len(edges) == nodes - 1, w
+
+
 def test_outline_indents_64_levels_then_gives_the_depth():
     lines = p_sylv(tuple(range(1, 71))).render().split("\n")  # a left path, 70 down to 1
     assert len(lines) == 70
@@ -414,6 +451,31 @@ def test_baxter_pairs_load_exactly_when_a_word_builds_them():
             assert loaded == b
             if loaded is not None:
                 assert p_baxt(loaded.reading_word()) == b
+
+
+def test_baxter_pairs_are_exactly_the_twin_trees():
+    # every left and right strict tree of one content, paired: the constructor accepts a
+    # pair exactly when the trees list the same labels and have complementary canopies
+    pairs = accepted = 0
+    for rank, length in ((2, 7), (3, 6), (4, 5)):
+        trees = {}
+        for w in itertools.product(range(1, rank + 1), repeat=length):
+            sharps, plains = trees.setdefault(tuple(sorted(w)), (set(), set()))
+            sharps.add(p_sylv_sharp(w))
+            plains.add(p_sylv(w))
+        for sharps, plains in trees.values():
+            for sharp, plain in itertools.product(sharps, plains):
+                (labels, left), (plain_labels, right) = canopy(sharp), canopy(plain)
+                twins = labels == plain_labels and all(a != b for a, b in zip(left, right))
+                try:
+                    BaxterObject(sharp, plain)
+                except ValueError:
+                    ok = False
+                else:
+                    ok = True
+                assert ok == twins, (sharp, plain)
+                pairs, accepted = pairs + 1, accepted + ok
+    assert (pairs, accepted) == (5364, 1308)  # 1,308: the baxt classes of these words
 
 
 def test_baxter_json_roundtrip_and_reading_word():
@@ -525,6 +587,29 @@ def test_is_valid_matches_naive_check(plain, taiga):
     assert RightStrictBST(plain).is_valid() == naive_is_valid(plain, operator.le, operator.gt)
     assert LeftStrictBST(plain).is_valid() == naive_is_valid(plain, operator.lt, operator.ge)
     assert TaigaTree(taiga).is_valid() == naive_is_valid(taiga, operator.lt, operator.gt)
+
+
+def _all_trees(n, labels, mult):
+    """Every tree of n nodes labelled from labels, each of multiplicity 1 if mult."""
+    if not n:
+        return [None]
+    return [(a, *(1,) * mult, left, right) for k in range(n) for a in labels
+            for left in _all_trees(k, labels, mult)
+            for right in _all_trees(n - 1 - k, labels, mult)]
+
+
+def test_is_valid_on_equal_labels_at_the_edges_of_the_bounds():
+    # chains of equal labels, and their neighbours, at the smallest letter and a huge one:
+    # the inclusive bounds label + 1 and label - 1 must give the naive order's answer
+    classes = ((RightStrictBST, operator.le, operator.gt),
+               (LeftStrictBST, operator.lt, operator.ge), (TaigaTree, operator.lt, operator.gt))
+    for x in (1, 10**30):
+        near = [a for a in (x - 1, x, x + 1) if a >= 1]
+        for cls, left_rel, right_rel in classes:
+            for n in range(4):
+                for tree in _all_trees(n, near, cls._MULT):
+                    assert cls(tree).is_valid() == naive_is_valid(tree, left_rel, right_rel), (
+                        cls, tree)
 
 
 def naive_parse(rows):

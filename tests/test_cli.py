@@ -171,6 +171,23 @@ def test_derive_failed_verification_exits_two(capsys, monkeypatch):
     assert err == "error: derivation failed verification\n"
 
 
+def test_derive_computes_each_normal_form_once(capsys, monkeypatch):
+    # satisfies decides, and the certificate goes straight from lhs to rhs without deciding again
+    rows = dict(identities._THEORIES)
+    for name, ident, expected in (("sylv", "xyxy = yxxy", 0), ("sylv", "xy = yx", 1),
+                                  ("stal", "xyx = yxx", 0), ("baxt", "xyx = yxx", 1)):
+        family, calls = MonoidFamily(name), []
+        row = rows[family]
+
+        def counting(syms, nf=row.normal_form):
+            calls.append(syms)
+            return nf(syms)
+
+        monkeypatch.setitem(identities._THEORIES, family, row._replace(normal_form=counting))
+        assert run(capsys, "derive", "--monoid", name, "--id", ident)[0] == expected
+        assert len(calls) == 2, (name, ident)
+
+
 def test_derive_unsatisfied_identity(capsys):
     code, _, err = run(capsys, "derive", "--monoid", "sylv", "--id", "xy = yx")
     assert code == 1

@@ -273,6 +273,42 @@ def test_each_key_partitions_words_as_the_defining_relations_do():
                 fam, rank, length)
 
 
+def test_equivalent_agrees_with_the_defining_relations_on_samples():
+    # the public entry point, on tuples and on text: yes for two words of one class,
+    # no for words of two classes
+    rng = random.Random(11)
+    text = lambda w: "".join(map(str, w))
+    for rank, length in ((2, 7), (3, 6), (4, 5)):
+        words = list(itertools.product(range(1, rank + 1), repeat=length))
+        for fam in INSERTION:
+            classes = sorted(map(sorted, relation_classes(fam, words)))
+            for members in classes:
+                u, v = rng.choice(members), rng.choice(members)
+                assert equivalent(fam, u, v) and equivalent(fam, text(u), text(v)), (fam, u, v)
+            for _ in range(100):
+                one, other = rng.sample(classes, 2)
+                u, v = rng.choice(one), rng.choice(other)
+                assert not equivalent(fam, u, v) and not equivalent(fam, text(u), text(v)), (
+                    fam, u, v)
+
+
+def test_stal_and_taig_class_counts_on_all_words():
+    # k distinct letters of r, each with a positive multiplicity summing to n, in one of
+    # k! column orders (stal) or on one of Catalan(k) search trees (taig)
+    def classes(r, n, arrangements):
+        return sum(math.comb(r, k) * arrangements(k) * math.comb(n - 1, k - 1)
+                   for k in range(1, min(r, n) + 1))
+
+    catalan = lambda k: math.comb(2 * k, k) // (k + 1)
+    for r in range(1, 5):
+        for n in range(1, 8):
+            words = list(itertools.product(range(1, r + 1), repeat=n))
+            for fam, arrangements in ((MonoidFamily.STAL, math.factorial),
+                                      (MonoidFamily.TAIG, catalan)):
+                key = _FAMILIES[fam].key
+                assert len(set(map(key, words))) == classes(r, n, arrangements), (fam, r, n)
+
+
 def test_class_counts_on_permutations():
     # n! in stal, the Catalan numbers in taig, sylv and sylvsharp, the Baxter numbers in baxt
     def baxter(n):
