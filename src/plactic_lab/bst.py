@@ -13,16 +13,18 @@ tableaux._shape_key builds the first, and the second as the first of the
 reversed word; _baxt_key sorts once for both.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
-A pair from outside, built or loaded, is accepted only by the constructor: with
-exact int labels and masks, and a word, read off both in-orders, that builds
-both trees (see _twin_witness and _SearchTree._in_order_parents).
+A pair from outside, built or loaded, is accepted only by the constructor, by
+the twin-tree property (Giraudo 2012): two valid trees with the same labels in
+in-order and complementary canopies.  Its reading word is found only when asked
+for (_spell, by _twin_witness).
 """
 from __future__ import annotations
 
 from collections import Counter
+from operator import xor
 
-from .tableaux import _Canonical, _inorder, _SearchTree, _shape_key
-from .words import _are_letters, _are_masks, _letters
+from .tableaux import _Canonical, _inorder, _SearchTree, _set_word, _shape_key
+from .words import _letters
 
 
 def _sylv_key(seq) -> tuple:
@@ -43,19 +45,17 @@ def _baxt_key(seq) -> tuple:
 
 
 def _twin_witness(sharp, plain) -> tuple:
-    """A word that builds both trees, if any does; the caller checks it.
+    """A word that builds both trees of a twin pair.
 
     Letter k of the trees' common in-order must come after its left strict
     parent and before its right strict parent.  Equal letters, which the
     in-order ties by position, need no more: each tree chains them on one path
     in that order.  Any order meeting these constraints builds both trees, as
-    a Cartesian tree is fixed by its in-order and its heap order; a cycle
-    leaves letters out, so the check fails.
+    a Cartesian tree is fixed by its in-order and its heap order, and twin
+    trees leave no cycle among them (Giraudo 2012).
     """
     labels, sharp_up = sharp._in_order_parents()
-    plain_labels, plain_up = plain._in_order_parents()
-    if labels != plain_labels:
-        return ()
+    plain_up = plain._in_order_parents()[1]
     n = len(labels)
     after, need = [[] for _ in range(n)], [0] * n
     for k, a, b in zip(range(n), sharp_up, plain_up):
@@ -115,16 +115,31 @@ class BaxterObject(_Canonical):
     _insert = staticmethod(lambda w: p_baxt(w))
 
     def __init__(self, sharp: LeftStrictBST, plain: RightStrictBST):
-        """The pair, if its labels and masks are exact ints (True or 1.0 is no 1) and the
-        word _twin_witness finds builds both trees; ValueError otherwise."""
+        """The pair, if both trees are valid (exact int labels and masks: True or
+        1.0 is no 1) and twins, the pairs some word builds (Giraudo 2012): they list
+        the same labels in in-order, and for each pair of in-order neighbours exactly
+        one gives the left one a right child; ValueError otherwise.  A valid tree's
+        in-order is _inorder's: the left strict tree ties equal labels in preorder,
+        the right strict one in reverse preorder."""
         if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
             raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
         key = (sharp._key, plain._key)
-        both = key[0] + key[1]  # labels at even places, masks at odd ones
-        if not (_are_letters(both[0::2]) and _are_masks(both[1::2])
-                and _baxt_key(witness := _twin_witness(sharp, plain)) == key):
-            raise ValueError("no letter word builds this pair of trees")
-        super().__init__(key, witness)
+        if sharp.is_valid() and plain.is_valid():
+            labels, masks = key[0][0::2], key[0][1::2]
+            rev_labels, rev_masks = key[1][-2::-2], key[1][-1::-2]  # plain in reverse preorder
+            order, rev_order = _inorder(labels), _inorder(rev_labels)
+            rights = list(map(xor, map(masks.__getitem__, order),
+                              map(rev_masks.__getitem__, rev_order)))
+            if (list(map(labels.__getitem__, order)) == list(map(rev_labels.__getitem__, rev_order))
+                    and min(rights[:-1], default=2) >= 2):  # 2 or 3: one tree has a right child
+                super().__init__(key)
+                return
+        raise ValueError("no letter word builds this pair of trees")
+
+    def _spell(self) -> tuple:
+        word = _twin_witness(self.sharp, self.plain)
+        _set_word(self, word)  # kept: equality and hashing read the key alone
+        return word
 
     @property
     def sharp(self) -> LeftStrictBST:

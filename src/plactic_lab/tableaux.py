@@ -33,9 +33,9 @@ class _Canonical:
 
     _key is the family's raw key in monoids._FAMILIES, so objects of one class
     are equal exactly when their words are equivalent.  _word is that letter
-    tuple (for a Baxter pair from outside, a word found to build it), or None
-    for a tableau or tree from outside, whose reading word the class spells
-    (_spell).  The StalacticTableau and BaxterObject constructors check their
+    tuple, or None for an object from outside, whose reading word the class
+    spells (_spell; a Baxter pair keeps the word it finds on first use, as it
+    takes a search).  The StalacticTableau and BaxterObject constructors check their
     input in full; a tree's constructor checks only its shape, and is_valid()
     and from_json_dict check its order and letters.  _make wraps a key known to
     be valid.  from_json_dict is the one loader: a class's _from_json turns a

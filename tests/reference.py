@@ -14,8 +14,10 @@ five insertion monoids, as the conditions under which two adjacent letters
 swap; relation_classes closes a set of words under them, and class_walk and
 occurrence_inversions make and measure pairs of words of one class.  These
 four import nothing from the package.  canopy reads a tree's in-order and
-canopy off its root alone, the data by which Giraudo tells twin trees apart.
+canopy off its root alone, the data by which Giraudo tells twin trees apart,
+and twin_word builds, off the roots alone, the word that would build a pair.
 """
+import collections
 import itertools
 import random
 
@@ -187,3 +189,56 @@ def canopy(tree) -> tuple:
         flags.append(node[-1] is not None)
         node = node[-1]
     return tuple(labels), tuple(flags[:-1])
+
+
+def _in_order_parents(root) -> tuple:
+    """The labels of a tree in in-order, and each node's parent as an in-order
+    index (None at the root), read off its root with an explicit stack."""
+    label, parent, order = [], [], []  # label and parent by visit number, order of visits
+    stack = [] if root is None else [(root, None, False)]
+    while stack:
+        node, up, seen = stack.pop()
+        if seen:  # its left subtree is read: node is next in in-order
+            order.append(up)
+            continue
+        me = len(label)
+        label.append(node[0])
+        parent.append(up)
+        if node[-1] is not None:
+            stack.append((node[-1], me, False))
+        stack.append((node, me, True))
+        if node[-2] is not None:
+            stack.append((node[-2], me, False))
+    rank = {me: k for k, me in enumerate(order)}
+    return ([label[me] for me in order],
+            [None if parent[me] is None else rank[parent[me]] for me in order])
+
+
+def twin_word(sharp, plain):
+    """A word that builds a left and a right strict tree, if any does, else None.
+
+    Kahn's algorithm, first in first out, over the trees' common in-order: each
+    letter after its left strict parent and before its right strict parent.
+    None if the trees list different labels, or a cycle leaves letters out.  If
+    any word builds the pair, this one does, as a Cartesian tree is fixed by its
+    in-order and its heap order.
+    """
+    (labels, sharp_up), (plain_labels, plain_up) = map(_in_order_parents, (sharp.root, plain.root))
+    if labels != plain_labels:
+        return None
+    after, need = [[] for _ in labels], [0] * len(labels)
+    for k, (a, b) in enumerate(zip(sharp_up, plain_up)):
+        for first, then in ((a, k), (k, b)):
+            if first is not None and then is not None:
+                after[first].append(then)
+                need[then] += 1
+    ready = collections.deque(k for k, count in enumerate(need) if not count)
+    word = []
+    while ready:
+        k = ready.popleft()
+        word.append(labels[k])
+        for j in after[k]:
+            need[j] -= 1
+            if not need[j]:
+                ready.append(j)
+    return tuple(word) if len(word) == len(labels) else None

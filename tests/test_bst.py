@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import operator
+import pickle
 import random
 import re
 import time
@@ -26,7 +28,7 @@ from plactic_lab import (
     p_taig,
 )
 from plactic_lab import tableaux
-from reference import canopy
+from reference import canopy, twin_word
 
 EXAMPLE = Word.letters("3613151265")
 
@@ -453,29 +455,97 @@ def test_baxter_pairs_load_exactly_when_a_word_builds_them():
                 assert p_baxt(loaded.reading_word()) == b
 
 
-def test_baxter_pairs_are_exactly_the_twin_trees():
-    # every left and right strict tree of one content, paired: the constructor accepts a
-    # pair exactly when the trees list the same labels and have complementary canopies
-    pairs = accepted = 0
+def _census_pairs():
+    """Every left and right strict tree of one content, paired, over [2]^7, [3]^6 and [4]^5."""
+    trees = {}
     for rank, length in ((2, 7), (3, 6), (4, 5)):
-        trees = {}
         for w in itertools.product(range(1, rank + 1), repeat=length):
             sharps, plains = trees.setdefault(tuple(sorted(w)), (set(), set()))
             sharps.add(p_sylv_sharp(w))
             plains.add(p_sylv(w))
-        for sharps, plains in trees.values():
-            for sharp, plain in itertools.product(sharps, plains):
-                (labels, left), (plain_labels, right) = canopy(sharp), canopy(plain)
-                twins = labels == plain_labels and all(a != b for a, b in zip(left, right))
-                try:
-                    BaxterObject(sharp, plain)
-                except ValueError:
-                    ok = False
-                else:
-                    ok = True
-                assert ok == twins, (sharp, plain)
-                pairs, accepted = pairs + 1, accepted + ok
+    return [pair for sharps, plains in trees.values() for pair in itertools.product(sharps, plains)]
+
+
+def test_baxter_pairs_are_exactly_the_twin_trees():
+    # the constructor accepts a pair exactly when the trees list the same labels and
+    # have complementary canopies
+    pairs = accepted = 0
+    for sharp, plain in _census_pairs():
+        (labels, left), (plain_labels, right) = canopy(sharp), canopy(plain)
+        twins = labels == plain_labels and all(a != b for a, b in zip(left, right))
+        try:
+            BaxterObject(sharp, plain)
+        except ValueError:
+            ok = False
+        else:
+            ok = True
+        assert ok == twins, (sharp, plain)
+        pairs, accepted = pairs + 1, accepted + ok
     assert (pairs, accepted) == (5364, 1308)  # 1,308: the baxt classes of these words
+
+
+def _nudged(tree, a, b, rng):
+    """tree with label b on one node labelled a, drawn by rng: it may be no valid tree."""
+    key = list(tree._key)
+    key[rng.choice([i for i in range(0, len(key), 2) if key[i] == a])] = b
+    return type(tree)._make(tuple(key))
+
+
+@functools.cache
+def _census_and_random_pairs() -> tuple:
+    """The census pairs, then 20,000 seeded ones: a word of 0-12 letters over 1-6 letters
+    builds the left strict tree, and the word itself or a shuffle of it the right strict
+    one; in a fifth of them, one node labelled a in each tree gets a - 1 or a + 1, the
+    same in both, so the trees keep one content but may be no valid trees."""
+    pairs = _census_pairs()
+    rng = random.Random(38)
+    for _ in range(20_000):
+        rank, n = rng.randint(1, 6), rng.randint(0, 12)
+        w = [rng.randint(1, rank) for _ in range(n)]
+        sharp, plain = p_sylv_sharp(w), p_sylv(w if rng.random() < 0.5 else rng.sample(w, n))
+        if w and rng.random() < 0.2:
+            a = rng.choice(w)
+            b = a + rng.choice((-1, 1)) if a > 1 else 2
+            sharp, plain = _nudged(sharp, a, b, rng), _nudged(plain, a, b, rng)
+        pairs.append((sharp, plain))
+    return tuple(pairs)
+
+
+def test_baxter_pairs_are_exactly_those_a_twin_word_rebuilds():
+    # twin_word searches for a word off the roots alone; on census and random pairs,
+    # valid trees or not, the constructor must accept exactly the pairs that word rebuilds
+    accepted = 0
+    for sharp, plain in _census_and_random_pairs():
+        w = twin_word(sharp, plain)
+        rebuilt = w is not None and p_baxt(w)._key == (sharp._key, plain._key)
+        try:
+            BaxterObject(sharp, plain)
+        except ValueError:
+            ok = False
+        else:
+            ok = True
+        assert ok == rebuilt, (sharp, plain)
+        accepted += ok
+    assert accepted == 1308 + 14568  # the census, then the random pairs
+
+
+def test_every_accepted_baxter_pair_spells_a_word_that_rebuilds_it():
+    for sharp, plain in _census_and_random_pairs():
+        try:
+            b = BaxterObject(sharp, plain)
+        except ValueError:
+            continue
+        word = b.reading_word()  # found on first use, then kept
+        assert p_baxt(word) == b and b.reading_word() is word
+
+
+def test_a_loaded_long_zigzag_pair_spells_its_reading_word():
+    n = 10**5  # 1, n, 2, n - 1, ...: a left strict tree 10^5 levels deep
+    b = p_baxt(tuple(i // 2 + 1 if i % 2 == 0 else n - i // 2 for i in range(n)))
+    data = json.loads(json.dumps(b.to_json_dict()))
+    assert "labels" in data["sharp"] and "labels" in data["plain"]
+    loaded = BaxterObject.from_json_dict(data)
+    assert p_baxt(loaded.reading_word()) == b
 
 
 def test_baxter_json_roundtrip_and_reading_word():
@@ -554,7 +624,10 @@ def test_baxter_json_loaded_objects_multiply(u, v):
     a2, b2 = (BaxterObject.from_json_dict(json.loads(json.dumps(x.to_json_dict())))
               for x in (a, b))
     assert (a2, b2) == (a, b)
-    assert a2 * b2 == a * b
+    unspelled = pickle.loads(pickle.dumps(a2))  # before a2 finds its reading word
+    assert a2 * b2 == a * b == p_baxt(u + v)
+    spelled = pickle.loads(pickle.dumps(a2))  # and after
+    assert unspelled * b == spelled * b == p_baxt(u + v)
 
 
 def _labels(node):
