@@ -13,10 +13,10 @@ tableaux._shape_key builds the first, and the second as the first of the
 reversed word; _baxt_key sorts once for both.
 A BaxterObject, like every canonical object, is a tableaux._Canonical: it
 keeps the pair of tree keys and the word, and hands out the trees on access.
-A pair from outside, built or loaded, is accepted only by the constructor, by
-the twin-tree property (Giraudo 2012): two valid trees with the same labels in
-in-order and complementary canopies.  Its reading word is found only when asked
-for (_spell, by _twin_witness).
+A pair from outside, built or loaded, is accepted when both trees are valid
+and twins (Giraudo 2012), which _twin_key checks: the same labels in in-order
+and complementary canopies.  Its reading word is found only when asked for
+(_spell, by _twin_witness).
 """
 from __future__ import annotations
 
@@ -77,6 +77,22 @@ def _twin_witness(sharp, plain) -> tuple:
     return tuple(word)
 
 
+def _twin_key(sharp_key, plain_key) -> tuple:
+    """The pair key of a valid left and right strict tree, if the trees are twins, the
+    pairs some word builds (Giraudo 2012): they list the same labels in in-order, and for
+    each pair of in-order neighbours exactly one gives the left one a right child;
+    ValueError otherwise.  A valid tree's in-order is _inorder's: the left strict
+    tree ties equal labels in preorder, the right strict one in reverse preorder."""
+    labels, masks = sharp_key[0::2], sharp_key[1::2]
+    rev_labels, rev_masks = plain_key[-2::-2], plain_key[-1::-2]  # plain in reverse preorder
+    order, rev_order = _inorder(labels), _inorder(rev_labels)
+    rights = list(map(xor, map(masks.__getitem__, order), map(rev_masks.__getitem__, rev_order)))
+    if (list(map(labels.__getitem__, order)) != list(map(rev_labels.__getitem__, rev_order))
+            or min(rights[:-1], default=2) < 2):  # 2 or 3: one tree has a right child
+        raise ValueError("no letter word builds this pair of trees")
+    return sharp_key, plain_key
+
+
 class RightStrictBST(_SearchTree):
     """Tree with left subtree <= node < right subtree."""
 
@@ -108,7 +124,9 @@ class BaxterObject(_Canonical):
     """Pair of the left strict and right strict trees of one word.
 
     The key is the pair of the two tree keys, as _baxt_key builds it; sharp
-    and plain rebuild the trees from it on each access.
+    and plain rebuild the trees from it on each access.  The loader checks each
+    tree by its own class's loader, which names a bad side, the constructor by
+    is_valid; both then check the pair by _twin_key.
     """
 
     __slots__ = ()
@@ -116,25 +134,12 @@ class BaxterObject(_Canonical):
 
     def __init__(self, sharp: LeftStrictBST, plain: RightStrictBST):
         """The pair, if both trees are valid (exact int labels and masks: True or
-        1.0 is no 1) and twins, the pairs some word builds (Giraudo 2012): they list
-        the same labels in in-order, and for each pair of in-order neighbours exactly
-        one gives the left one a right child; ValueError otherwise.  A valid tree's
-        in-order is _inorder's: the left strict tree ties equal labels in preorder,
-        the right strict one in reverse preorder."""
+        1.0 is no 1) and twins (_twin_key); ValueError otherwise."""
         if not isinstance(sharp, LeftStrictBST) or not isinstance(plain, RightStrictBST):
             raise TypeError("BaxterObject needs a LeftStrictBST and a RightStrictBST")
-        key = (sharp._key, plain._key)
-        if sharp.is_valid() and plain.is_valid():
-            labels, masks = key[0][0::2], key[0][1::2]
-            rev_labels, rev_masks = key[1][-2::-2], key[1][-1::-2]  # plain in reverse preorder
-            order, rev_order = _inorder(labels), _inorder(rev_labels)
-            rights = list(map(xor, map(masks.__getitem__, order),
-                              map(rev_masks.__getitem__, rev_order)))
-            if (list(map(labels.__getitem__, order)) == list(map(rev_labels.__getitem__, rev_order))
-                    and min(rights[:-1], default=2) >= 2):  # 2 or 3: one tree has a right child
-                super().__init__(key)
-                return
-        raise ValueError("no letter word builds this pair of trees")
+        if not (sharp.is_valid() and plain.is_valid()):
+            raise ValueError("no letter word builds this pair of trees")
+        super().__init__(_twin_key(sharp._key, plain._key))
 
     def _spell(self) -> tuple:
         word = _twin_witness(self.sharp, self.plain)
@@ -169,14 +174,11 @@ class BaxterObject(_Canonical):
 
     @classmethod
     def _from_json(cls, data: dict) -> "BaxterObject":
-        """The constructor's pair of the trees the payload spells, taken as they
-        are; if it refuses them, the tree loaders say which side is wrong."""
+        """The pair of the trees the payload spells, each loaded and checked by its
+        own class, which names a bad side, then checked as twins."""
         sharp, plain = data["sharp"], data["plain"]
-        try:
-            return cls(LeftStrictBST._json_tree(sharp), RightStrictBST._json_tree(plain))
-        except (KeyError, TypeError, ValueError):
-            pass
-        return cls(LeftStrictBST.from_json_dict(sharp), RightStrictBST.from_json_dict(plain))
+        return cls._make(_twin_key(LeftStrictBST.from_json_dict(sharp)._key,
+                                   RightStrictBST.from_json_dict(plain)._key))
 
 
 def p_baxt(w) -> BaxterObject:

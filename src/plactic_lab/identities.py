@@ -142,7 +142,7 @@ class Identity(_Record, namedtuple("Identity", "lhs rhs")):
 def load_identity_system(path) -> list:
     """Read identities from a file, one per line; '#' starts a comment."""
     rules = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is no symbol
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:

@@ -38,8 +38,9 @@ class _Canonical:
     takes a search).  The StalacticTableau and BaxterObject constructors check their
     input in full; a tree's constructor checks only its shape, and is_valid()
     and from_json_dict check its order and letters.  _make wraps a key known to
-    be valid.  from_json_dict is the one loader: a class's _from_json turns a
-    payload into an object, None if invalid.  _insert, the insertion, makes products.
+    be valid.  from_json_dict is the one loader: a class's _from_json turns a payload
+    into an object or raises; from_json_dict reports a KeyError or TypeError, a missing
+    or mistyped field, as not a valid payload.  _insert, the insertion, makes products.
     """
 
     __slots__ = ("_key", "_word")
@@ -80,12 +81,9 @@ class _Canonical:
     def from_json_dict(cls, data):
         """The object of a to_json_dict payload; ValueError if either is invalid."""
         try:
-            obj = cls._from_json(data)
+            return cls._from_json(data)
         except (KeyError, TypeError):  # a missing field, or a field of the wrong type
-            obj = None
-        if obj is None:
-            raise ValueError(f"not a valid {cls.__name__} payload")
-        return obj
+            raise ValueError(f"not a valid {cls.__name__} payload") from None
 
 
 _set_key, _set_word = _Canonical._key.__set__, _Canonical._word.__set__
@@ -387,18 +385,17 @@ class _SearchTree(_Canonical):
         return flat
 
     @classmethod
-    def _json_tree(cls, data):
-        """The tree a payload of either form spells, valid or not: lists of
-        unequal lengths are padded with None, which is_valid refuses."""
-        if data is None or "labels" not in data:
-            return cls._make(_key_of_root(data, cls._MULT, cls._JSON))
-        columns = (data["labels"], data["mults"]) if cls._MULT else (data["labels"],)
-        return cls._make(tuple(chain.from_iterable(zip_longest(*columns, data["children"]))))
-
-    @classmethod
     def _from_json(cls, data):
-        tree = cls._json_tree(data)
-        return tree if tree.is_valid() else None
+        """The tree a payload of either form spells, if is_valid: lists of
+        unequal lengths are padded with None, which it refuses."""
+        if data is None or "labels" not in data:
+            tree = cls._make(_key_of_root(data, cls._MULT, cls._JSON))
+        else:
+            columns = (data["labels"], data["mults"]) if cls._MULT else (data["labels"],)
+            tree = cls._make(tuple(chain.from_iterable(zip_longest(*columns, data["children"]))))
+        if not tree.is_valid():
+            raise ValueError(f"not a valid {cls.__name__} payload")
+        return tree
 
     def to_dot(self) -> str:
         """DOT digraph; each edge line follows its child's node line, tagged L/R so the

@@ -514,18 +514,35 @@ def _census_and_random_pairs() -> tuple:
 def test_baxter_pairs_are_exactly_those_a_twin_word_rebuilds():
     # twin_word searches for a word off the roots alone; on census and random pairs,
     # valid trees or not, the constructor must accept exactly the pairs that word rebuilds
-    accepted = 0
+    accepted, loaded_pairs = 0, set()
     for sharp, plain in _census_and_random_pairs():
         w = twin_word(sharp, plain)
         rebuilt = w is not None and p_baxt(w)._key == (sharp._key, plain._key)
         try:
-            BaxterObject(sharp, plain)
+            built = BaxterObject(sharp, plain)
         except ValueError:
-            ok = False
-        else:
-            ok = True
+            built = None
+        ok = built is not None
         assert ok == rebuilt, (sharp, plain)
         accepted += ok
+        if (sharp, plain) in loaded_pairs:  # equal pairs spell equal payloads
+            continue
+        loaded_pairs.add((sharp, plain))
+        # the loader, nested and flat, gives the constructor's pair, or the message of the
+        # first check that fails in the reference order: the left side, the right, the twins
+        message = None if ok else (
+            _NO_SHARP if not naive_is_valid(sharp.root, operator.lt, operator.ge)
+            else _NO_PLAIN if not naive_is_valid(plain.root, operator.le, operator.gt)
+            else "no letter word builds this pair of trees")
+        trees = {"sharp": sharp, "plain": plain}
+        for payload in ({side: t.to_json_dict() for side, t in trees.items()},
+                        {side: {"labels": t._key[0::2], "children": t._key[1::2]}
+                         for side, t in trees.items()}):
+            try:
+                loaded, refusal = BaxterObject.from_json_dict(payload), None
+            except ValueError as exc:
+                loaded, refusal = None, str(exc)
+            assert (loaded, refusal) == (built, message), (sharp, plain)
     assert accepted == 1308 + 14568  # the census, then the random pairs
 
 
@@ -739,19 +756,20 @@ flat_rows = st.lists(st.tuples(st.integers(1, 3), masks), max_size=6)
 @given(flat_rows, flat_rows)
 @example([(1, 1), (1, 1), (1, 1), (1, 2), (1, 2)], [(1, 0)])  # three left children missing
 def test_baxter_flat_payloads_load_as_the_tree_loaders_and_constructor_decide(sharp, plain):
-    # the loader's shortcut takes exactly the pairs the full checks take, and fails
-    # on no key, however malformed, with anything but ValueError
+    # the loader takes exactly the pairs the tree loaders and the constructor take, refuses
+    # the others with their message, and fails on no key, however malformed, with anything
+    # but ValueError
     payload = {side: {"labels": [a for a, _ in rows], "children": [m for _, m in rows]}
                for side, rows in (("sharp", sharp), ("plain", plain))}
     try:
         want = BaxterObject(LeftStrictBST.from_json_dict(payload["sharp"]),
                             RightStrictBST.from_json_dict(payload["plain"]))
-    except ValueError:
-        want = None
+    except ValueError as exc:
+        want = str(exc)
     try:
         got = BaxterObject.from_json_dict(payload)
-    except ValueError:
-        got = None
+    except ValueError as exc:
+        got = str(exc)
     assert got == want
 
 
@@ -802,3 +820,34 @@ def test_from_json_rejects_invalid_trees():
             cls.from_json_dict(node)
         with pytest.raises(ValueError):
             cls.from_json_dict({**node, "left": None, "right": node})
+
+
+def test_a_baxter_payload_checks_each_tree_it_reaches_once(monkeypatch):
+    # each side goes through its own loader's one is_valid, the left side first; a
+    # payload missing a field is refused before either side is loaded
+    calls = []
+    is_valid = tableaux._SearchTree.is_valid
+    monkeypatch.setattr(tableaux._SearchTree, "is_valid",
+                        lambda tree: calls.append(tree) or is_valid(tree))
+    twin = {"sharp": _SHARP, "plain": _PLAIN}
+    cases = [  # (payload, is_valid calls, the message that refuses it or None)
+        (twin, 2, None),
+        ({"sharp": _SHARP, "plain": p_sylv("21").to_json_dict()}, 2,
+         "no letter word builds this pair of trees"),
+        ({**twin, "sharp": {**_SHARP, "label": 3}}, 1, _NO_SHARP),
+        ({**twin, "plain": {**_PLAIN, "left": {**_PLAIN["left"], "label": 3}}}, 2, _NO_PLAIN),
+    ]
+    for payload, count, message in cases:
+        for data in (payload, {side: _flat(tree) for side, tree in payload.items()}):
+            calls.clear()
+            if message is None:
+                assert BaxterObject.from_json_dict(data) == p_baxt("12")
+            else:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    BaxterObject.from_json_dict(data)
+            assert len(calls) == count, (data, message)
+    for sharp in ({**_SHARP, "label": 3}, {**_FLAT_SHARP, "children": [2, 1]}):
+        calls.clear()
+        with pytest.raises(ValueError, match="^not a valid BaxterObject payload$"):
+            BaxterObject.from_json_dict({"sharp": sharp})
+        assert not calls

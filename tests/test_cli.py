@@ -220,6 +220,19 @@ def test_derive_search_with_sigma_file(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_a_rule_file_with_a_byte_order_mark_reads_as_one_without(tmp_path, capsys):
+    # editors may save UTF-8 with a leading mark; it is no part of the first symbol
+    plain, marked = tmp_path / "rules.txt", tmp_path / "marked.txt"
+    plain.write_text("xy = yx\n", encoding="utf-8")
+    marked.write_text("xy = yx\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    rules = identities.load_identity_system(marked)
+    assert rules == identities.load_identity_system(plain) == [Identity.parse("xy = yx")]
+    for sigma in (plain, marked):
+        code, out, err = run(capsys, "derive", "--sigma", str(sigma), "--lhs", "ab", "--rhs", "ba")
+        assert (code, err) == (0, "") and "=>" in out
+
+
 def test_derive_json_is_one_line_of_the_library_payload(tmp_path, capsys):
     # the Derivation as it is held, which derivation_from_json reads back
     sigma = tmp_path / "rules.txt"

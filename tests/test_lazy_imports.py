@@ -2,7 +2,8 @@
 CLI loads the tree code (monoids, bst, tableaux) and identities only for the
 subcommands that need them, dataclasses and inspect never, and json only to
 write JSON.  Each check runs in a child interpreter, whose sys.modules starts
-empty of the package."""
+empty of the package; the checks of one CLI argv share one."""
+import functools
 import importlib
 import json
 import os
@@ -31,10 +32,17 @@ print(json.dumps([code, loaded]), file=sys.stderr)
 
 
 def _loaded_after_cli(*argv, watch):
+    code, loaded = _cli_run(argv)
+    return code, sorted(set(loaded) & set(watch))
+
+
+@functools.cache
+def _cli_run(argv):
+    """One child interpreter per argv, watching every module a test here watches."""
+    watch = (*HEAVY, *TREES, *IDS, "inspect", "json")
     proc = subprocess.run([sys.executable, "-c", _CLI_PROBE % (watch,), *argv], env=ENV,
                           capture_output=True, text=True, timeout=120)
-    code, loaded = json.loads(proc.stderr.splitlines()[-1])
-    return code, loaded
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 def test_setup_call_loads_no_identities():
